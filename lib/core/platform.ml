@@ -72,19 +72,118 @@ let upload_mode config =
   | Hive.Wer -> Pod.Outcomes_only
   | Hive.Cbi -> Pod.Sampled_reports config.cbi_sampling_rate
 
+(* ---- The hive side ------------------------------------------------------ *)
+
+(* The one thing a single-hive and a federated fleet disagree on: what
+   the pods attach to.  The serving hives face the pods — the hive
+   itself, or the federation's shards — and their totals are the
+   platform's admission, checkpoint and cache counters.  The ingesting
+   hive — the hive itself, or the merge coordinator — holds the
+   knowledge, fixes and rollout verdicts. *)
+type side =
+  | Single of Hive.t
+  | Federated of Federation.t
+
+let fed_config config =
+  let base = config.hive_config in
+  {
+    (Federation.default_config ~n_shards:config.n_shards ()) with
+    (* Half the analysis cadence: the coordinator serves no pods, and
+       the faster merged analysis pays for the flush-then-commit hop
+       a superstep merge inserts before evidence reaches it — keeping
+       time-to-first-fix on par with the single hive. *)
+    Federation.superstep_interval = base.Hive.analysis_interval /. 2.0;
+    synthesize = true;
+    (* The platform's pool budget goes to the federation's cross-shard
+       compute phase; individual hives stay domain-free. *)
+    shard_hive = { base with Hive.synthesize = false; prove = false; pool_size = 1 };
+    merged_hive = { base with Hive.pool_size = 1; overload = None };
+    transport = config.transport_config;
+    pool_size = base.Hive.pool_size;
+  }
+
+let create_side config ~sim ~rng =
+  if config.n_shards <= 1 then begin
+    let hive = Hive.create ~config:config.hive_config ~sim () in
+    List.iter (fun program -> ignore (Hive.register_program hive program)) config.programs;
+    Single hive
+  end
+  else begin
+    let fed = Federation.create ~config:(fed_config config) ~sim ~rng:(Rng.split rng) () in
+    List.iter (fun program -> ignore (Federation.register_program fed program)) config.programs;
+    Federated fed
+  end
+
+let attach_pod = function Single h -> Hive.attach_pod h | Federated f -> Federation.attach_pod f
+let start_side = function Single h -> Hive.start h | Federated f -> Federation.start f
+let shutdown_side = function Single h -> Hive.shutdown h | Federated f -> Federation.shutdown f
+let ingesting = function Single h -> h | Federated f -> Federation.merged f
+
+let serving = function
+  | Single h -> [ h ]
+  | Federated f -> List.init (Federation.n_shards f) (Federation.shard_hive f)
+
+(* One checkpoint per serving hive; [restore_side side i] restores the
+   [i]th from its own. *)
+let checkpoint_side = function
+  | Single h -> [| Hive.checkpoint h |]
+  | Federated f -> Array.init (Federation.n_shards f) (Federation.checkpoint_shard f)
+
+let restore_side side i data =
+  match side with
+  | Single h -> Hive.restore h data
+  | Federated f -> Federation.restore_shard f i data
+
+(* Links a [Degrade] window reaches beyond the pods' own connections:
+   the router's shard and coordinator links. *)
+let extra_links = function Single _ -> [] | Federated f -> Federation.links f
+
+type fleet = {
+  side : side;
+  mutable pods : Pod.t list;
+  mutable pod_endpoints : Transport.endpoint list;
+  mutable hive_endpoints : Transport.endpoint list;
+}
+
+(* Connect one pod to the hive side.  Both draws come from [rng]: the
+   fleet stream for the initial pods, the chaos stream for joiners.
+   The caller starts the pod. *)
+let add_pod ~sim ~config fleet ~rng ~cohort program =
+  let pod_end, hive_end =
+    Transport.endpoint_pair ~config:config.transport_config ~sim ~rng:(Rng.split rng) ()
+  in
+  attach_pod fleet.side hive_end;
+  let pod_config = { config.pod_config with Pod.upload = upload_mode config } in
+  let pod =
+    Pod.create ~config:pod_config ~cohort ~sim ~rng:(Rng.split rng) ~program ~endpoint:pod_end ()
+  in
+  fleet.pods <- fleet.pods @ [ pod ];
+  fleet.pod_endpoints <- fleet.pod_endpoints @ [ pod_end ];
+  fleet.hive_endpoints <- fleet.hive_endpoints @ [ hive_end ];
+  pod
+
 (* The knowledge list is fetched fresh on every snapshot: a checkpoint
    restore replaces the hive's [Knowledge.t] objects, so a list captured
    at t=0 would silently keep reading the pre-restore ones. *)
-let snapshot ~time ~pods ~endpoints ~hive =
-  let knowledge_list = Hive.knowledge_list hive in
-  let sum f = List.fold_left (fun acc pod -> acc + f (Pod.metrics pod)) 0 pods in
-  let sum_wire f = List.fold_left (fun acc e -> acc + f (Transport.stats e)) 0 endpoints in
-  let hive_stats = Hive.stats hive in
-  let sum_knowledge f = List.fold_left (fun acc k -> acc + f k) 0 knowledge_list in
-  let proofs_valid = sum_knowledge (fun k -> List.length (Knowledge.valid_proofs k)) in
-  let tree_paths =
-    List.fold_left (fun acc k -> acc + Exec_tree.n_distinct_paths (Knowledge.tree k)) 0 knowledge_list
+let snapshot ~time fleet =
+  let ingesting = ingesting fleet.side in
+  let serving = serving fleet.side in
+  let knowledge_list = Hive.knowledge_list ingesting in
+  let sum f = List.fold_left (fun acc pod -> acc + f (Pod.metrics pod)) 0 fleet.pods in
+  let sum_wire f =
+    List.fold_left (fun acc e -> acc + f (Transport.stats e)) 0 fleet.pod_endpoints
   in
+  let hive_stats = Hive.stats ingesting in
+  let serving_stats = List.map Hive.stats serving in
+  let serving_sum f = List.fold_left (fun acc h -> acc + f h) 0 serving_stats in
+  let sum_knowledge f = List.fold_left (fun acc k -> acc + f k) 0 knowledge_list in
+  let serving_knowledge_sum f =
+    List.fold_left
+      (fun acc h -> List.fold_left (fun acc k -> acc + f k) acc (Hive.knowledge_list h))
+      0 serving
+  in
+  let proofs_valid = sum_knowledge (fun k -> List.length (Knowledge.valid_proofs k)) in
+  let tree_paths = sum_knowledge (fun k -> Exec_tree.n_distinct_paths (Knowledge.tree k)) in
   let completeness =
     match knowledge_list with
     | [] -> 1.0
@@ -105,26 +204,29 @@ let snapshot ~time ~pods ~endpoints ~hive =
     proofs_valid;
     tree_paths;
     tree_completeness = completeness;
-    checkpoints = hive_stats.Hive.checkpoints_taken;
-    restores = hive_stats.Hive.restores_completed;
-    shed_uploads = hive_stats.Hive.shed_success + hive_stats.Hive.shed_failure;
-    quarantined_frames = hive_stats.Hive.quarantined_frames;
-    pods_muted = hive_stats.Hive.pods_muted;
-    peak_queue_depth = hive_stats.Hive.peak_queue_depth;
+    checkpoints = serving_sum (fun h -> h.Hive.checkpoints_taken);
+    restores = serving_sum (fun h -> h.Hive.restores_completed);
+    shed_uploads = serving_sum (fun h -> h.Hive.shed_success + h.Hive.shed_failure);
+    quarantined_frames = serving_sum (fun h -> h.Hive.quarantined_frames);
+    pods_muted = serving_sum (fun h -> h.Hive.pods_muted);
+    peak_queue_depth =
+      List.fold_left (fun acc h -> max acc h.Hive.peak_queue_depth) 0 serving_stats;
     thinned_uploads = sum (fun m -> m.Pod.thinned_uploads);
     dead_letters = sum (fun m -> m.Pod.dead_letters);
     wire_bytes = sum_wire (fun s -> s.Transport.bytes_on_wire);
     wire_frames_sent = sum_wire (fun s -> s.Transport.messages_sent);
     wire_frames_received = sum_wire (fun s -> s.Transport.delivered);
-    gap_memo_hits = sum_knowledge (fun k -> Softborg_hive.Gap_memo.hits (Knowledge.gap_memo k));
+    gap_memo_hits =
+      serving_knowledge_sum (fun k -> Softborg_hive.Gap_memo.hits (Knowledge.gap_memo k));
     gap_memo_misses =
-      sum_knowledge (fun k -> Softborg_hive.Gap_memo.misses (Knowledge.gap_memo k));
+      serving_knowledge_sum (fun k -> Softborg_hive.Gap_memo.misses (Knowledge.gap_memo k));
     verdict_cache_hits =
-      sum_knowledge (fun k ->
+      serving_knowledge_sum (fun k ->
           Softborg_solver.Verdict_cache.hits (Knowledge.verdict_cache k));
     verdict_cache_misses =
-      sum_knowledge (fun k ->
+      serving_knowledge_sum (fun k ->
           Softborg_solver.Verdict_cache.misses (Knowledge.verdict_cache k));
+    (* Rollout verdicts are decided only at the ingesting hive. *)
     canary_fixes = sum_knowledge (fun k -> List.length (Knowledge.canary_ids k));
     fix_promotions = hive_stats.Hive.fix_promotions;
     fix_retractions = hive_stats.Hive.fix_retractions;
@@ -137,231 +239,43 @@ let snapshot ~time ~pods ~endpoints ~hive =
    [chaos_rng], which is derived from the seed but independent of the
    main fleet streams — a plan containing only Checkpoint events leaves
    a run byte-identical to its fault-free twin. *)
-let install_chaos ~sim ~config ~hive ~chaos_rng ~pods ~pod_endpoints ~hive_endpoints
-    ~last_checkpoint ~next_cohort plan =
-  let pod_upload = upload_mode config in
-  let all_links () =
-    List.filter_map Transport.out_link (!pod_endpoints @ !hive_endpoints)
-  in
-  List.iter
-    (fun event ->
-      match event with
-      | Fault_plan.Checkpoint { at } ->
-        Sim.schedule_at sim ~time:at (fun () -> last_checkpoint := Hive.checkpoint hive)
-      | Fault_plan.Hive_crash { at } ->
-        (* Crash + restart collapse to one instant on the simulated
-           clock: the knowledge reverts to the last checkpoint and the
-           fleet keeps running against the restarted hive. *)
+let install_chaos ~sim ~config fleet plan =
+  let chaos_rng = Rng.create (config.seed lxor 0x6368616f73) in
+  (* An initial checkpoint so a crash before the first scheduled one
+     restores to the empty-but-registered state, not garbage. *)
+  let last_checkpoints = ref (checkpoint_side fleet.side) in
+  let take_checkpoints () = last_checkpoints := checkpoint_side fleet.side in
+  if config.checkpoint_interval > 0.0 then begin
+    let rec arm at =
+      if at <= config.duration then
         Sim.schedule_at sim ~time:at (fun () ->
-            match Hive.restore hive !last_checkpoint with Ok _ | Error _ -> ())
-      | Fault_plan.Pod_leave { at; pod } ->
-        Sim.schedule_at sim ~time:at (fun () ->
-            match !pods with
-            | [] -> ()
-            | alive -> Pod.stop (List.nth alive (pod mod List.length alive)))
-      | Fault_plan.Pod_join { at } ->
-        Sim.schedule_at sim ~time:at (fun () ->
-            let program =
-              List.nth config.programs (Rng.int chaos_rng (List.length config.programs))
-            in
-            let pod_end, hive_end =
-              Transport.endpoint_pair ~config:config.transport_config ~sim
-                ~rng:(Rng.split chaos_rng) ()
-            in
-            Hive.attach_pod hive hive_end;
-            let pod_config = { config.pod_config with Pod.upload = pod_upload } in
-            let cohort = !next_cohort in
-            next_cohort := cohort + 1;
-            let pod =
-              Pod.create ~config:pod_config ~cohort ~sim ~rng:(Rng.split chaos_rng) ~program
-                ~endpoint:pod_end ()
-            in
-            Pod.start pod;
-            pods := !pods @ [ pod ];
-            pod_endpoints := !pod_endpoints @ [ pod_end ];
-            hive_endpoints := !hive_endpoints @ [ hive_end ])
-      | Fault_plan.Degrade { at; until_; link } ->
-        Sim.schedule_at sim ~time:at (fun () ->
-            List.iter (fun l -> Link.set_config l link) (all_links ()));
-        Sim.schedule_at sim ~time:until_ (fun () ->
-            List.iter
-              (fun l -> Link.set_config l config.transport_config.Transport.link)
-              (all_links ()))
-      | Fault_plan.Bad_fix { at; program; variant } ->
-        (* The saboteur: a plausible-but-wrong fix enters the hive as if
-           synthesis (or a human) produced it.  With a rollout config it
-           lands in a canary cohort and must be retracted; without one
-           it deploys fleet-wide — exactly the hazard staging removes. *)
-        Sim.schedule_at sim ~time:at (fun () ->
-            let p = List.nth config.programs (program mod List.length config.programs) in
-            let kind =
-              Fixgen.sabotage_kind (Fixgen.sabotage_of_variant variant) ~program:p
-            in
-            Hive.inject_fix hive ~digest:(Ir.digest p) kind))
-    (Fault_plan.events plan)
-
-let run_single config =
-  let sim = Sim.create () in
-  let rng = Rng.create config.seed in
-  let hive = Hive.create ~config:config.hive_config ~sim () in
-  List.iter (fun program -> ignore (Hive.register_program hive program)) config.programs;
-  let pod_upload = upload_mode config in
-  let fleet =
-    List.init config.n_pods (fun i ->
-        let program = List.nth config.programs (i mod List.length config.programs) in
-        let pod_end, hive_end =
-          Transport.endpoint_pair ~config:config.transport_config ~sim ~rng:(Rng.split rng) ()
-        in
-        Hive.attach_pod hive hive_end;
-        let pod_config = { config.pod_config with Pod.upload = pod_upload } in
-        let pod =
-          Pod.create ~config:pod_config ~cohort:i ~sim ~rng:(Rng.split rng) ~program
-            ~endpoint:pod_end ()
-        in
-        (pod, pod_end, hive_end))
-  in
-  let pods = ref (List.map (fun (p, _, _) -> p) fleet) in
-  let pod_endpoints = ref (List.map (fun (_, e, _) -> e) fleet) in
-  let hive_endpoints = ref (List.map (fun (_, _, e) -> e) fleet) in
-  Hive.start hive;
-  List.iter Pod.start !pods;
-  (match config.chaos with
-  | None -> ()
-  | Some plan ->
-    let chaos_rng = Rng.create (config.seed lxor 0x6368616f73) in
-    (* An initial checkpoint so a crash before the first scheduled one
-       restores to the empty-but-registered state, not garbage. *)
-    let last_checkpoint = ref (Hive.checkpoint hive) in
-    if config.checkpoint_interval > 0.0 then begin
-      let rec arm at =
-        if at <= config.duration then
-          Sim.schedule_at sim ~time:at (fun () ->
-              last_checkpoint := Hive.checkpoint hive;
-              arm (at +. config.checkpoint_interval))
-      in
-      arm config.checkpoint_interval
-    end;
-    install_chaos ~sim ~config ~hive ~chaos_rng ~pods ~pod_endpoints ~hive_endpoints
-      ~last_checkpoint ~next_cohort:(ref config.n_pods) plan);
-  let snapshots =
-    ref [ snapshot ~time:0.0 ~pods:!pods ~endpoints:!pod_endpoints ~hive ]
-  in
-  let rec sample at =
-    if at <= config.duration then
-      Sim.schedule_at sim ~time:at (fun () ->
-          snapshots :=
-            snapshot ~time:at ~pods:!pods ~endpoints:!pod_endpoints ~hive :: !snapshots;
-          sample (at +. config.sample_interval))
-  in
-  sample config.sample_interval;
-  Sim.run ~until:config.duration sim;
-  (* Join the gap-solver worker domains (no-op with pool_size 1). *)
-  Hive.shutdown hive;
-  let snapshots = List.rev !snapshots in
-  let final = List.nth snapshots (List.length snapshots - 1) in
-  {
-    snapshots;
-    final;
-    hive_stats = Hive.stats hive;
-    pod_metrics = List.map Pod.metrics !pods;
-    transport_stats = List.map Transport.stats !pod_endpoints;
-    knowledge = Hive.knowledge_list hive;
-    federation = None;
-  }
-
-(* ---- Federated runs ----------------------------------------------------- *)
-
-(* Fleet-level counters come from the merge coordinator (fixes, proofs,
-   tree) and from summing the shard hives (checkpoints, restores,
-   overload interventions, cache counters): the merged hive never faces
-   pods directly, so shard totals are the platform-level truth. *)
-let snapshot_fed ~time ~pods ~endpoints ~fed =
-  let merged = Federation.merged fed in
-  let knowledge_list = Hive.knowledge_list merged in
-  let sum f = List.fold_left (fun acc pod -> acc + f (Pod.metrics pod)) 0 pods in
-  let sum_wire f = List.fold_left (fun acc e -> acc + f (Transport.stats e)) 0 endpoints in
-  let merged_stats = Hive.stats merged in
-  let fs = Federation.stats fed in
-  let shard_sum f =
-    List.fold_left (fun acc ss -> acc + f ss) 0 fs.Federation.per_shard
-  in
-  let shard_hive_sum f = shard_sum (fun ss -> f ss.Federation.hive_stats) in
-  let sum_knowledge f = List.fold_left (fun acc k -> acc + f k) 0 knowledge_list in
-  let proofs_valid = sum_knowledge (fun k -> List.length (Knowledge.valid_proofs k)) in
-  let tree_paths = sum_knowledge (fun k -> Exec_tree.n_distinct_paths (Knowledge.tree k)) in
-  let completeness =
-    match knowledge_list with
-    | [] -> 1.0
-    | ks ->
-      List.fold_left (fun acc k -> acc +. Exec_tree.completeness (Knowledge.tree k)) 0.0 ks
-      /. float_of_int (List.length ks)
-  in
-  {
-    Metrics.time;
-    sessions = sum (fun m -> m.Pod.sessions);
-    guided_runs = sum (fun m -> m.Pod.guided_runs);
-    user_failures = sum (fun m -> m.Pod.user_failures);
-    averted_crashes = sum (fun m -> m.Pod.averted_crashes);
-    deferred_acquisitions = sum (fun m -> m.Pod.deferred_acquisitions);
-    guard_flags = sum (fun m -> m.Pod.guard_flags);
-    traces_uploaded = sum (fun m -> m.Pod.traces_uploaded);
-    fixes_deployed = merged_stats.Hive.fixes_deployed;
-    proofs_valid;
-    tree_paths;
-    tree_completeness = completeness;
-    checkpoints = shard_hive_sum (fun h -> h.Hive.checkpoints_taken);
-    restores = shard_hive_sum (fun h -> h.Hive.restores_completed);
-    shed_uploads = shard_hive_sum (fun h -> h.Hive.shed_success + h.Hive.shed_failure);
-    quarantined_frames = shard_hive_sum (fun h -> h.Hive.quarantined_frames);
-    pods_muted = shard_hive_sum (fun h -> h.Hive.pods_muted);
-    peak_queue_depth =
-      List.fold_left
-        (fun acc ss -> max acc ss.Federation.hive_stats.Hive.peak_queue_depth)
-        0 fs.Federation.per_shard;
-    thinned_uploads = sum (fun m -> m.Pod.thinned_uploads);
-    dead_letters = sum (fun m -> m.Pod.dead_letters);
-    wire_bytes = sum_wire (fun s -> s.Transport.bytes_on_wire);
-    wire_frames_sent = sum_wire (fun s -> s.Transport.messages_sent);
-    wire_frames_received = sum_wire (fun s -> s.Transport.delivered);
-    gap_memo_hits = shard_sum (fun ss -> ss.Federation.gap_memo_hits);
-    gap_memo_misses = shard_sum (fun ss -> ss.Federation.gap_memo_misses);
-    verdict_cache_hits = shard_sum (fun ss -> ss.Federation.verdict_cache_hits);
-    verdict_cache_misses = shard_sum (fun ss -> ss.Federation.verdict_cache_misses);
-    (* Rollout verdicts are decided only at the merge coordinator. *)
-    canary_fixes = sum_knowledge (fun k -> List.length (Knowledge.canary_ids k));
-    fix_promotions = merged_stats.Hive.fix_promotions;
-    fix_retractions = merged_stats.Hive.fix_retractions;
-    quarantined_fix_traces = merged_stats.Hive.quarantined_fix_traces;
-    pods_exposed = sum (fun m -> if m.Pod.canary_exposed then 1 else 0);
-  }
-
-let install_chaos_fed ~sim ~config ~fed ~chaos_rng ~pods ~pod_endpoints ~last_checkpoints
-    ~next_cohort plan =
-  let pod_upload = upload_mode config in
-  let n = Federation.n_shards fed in
-  let take_checkpoints () =
-    last_checkpoints := Array.init n (Federation.checkpoint_shard fed)
-  in
+            take_checkpoints ();
+            arm (at +. config.checkpoint_interval))
+    in
+    arm config.checkpoint_interval
+  end;
   let crash_count = ref 0 in
+  let next_cohort = ref config.n_pods in
   let all_links () =
-    List.filter_map Transport.out_link !pod_endpoints @ Federation.links fed
+    List.filter_map Transport.out_link (fleet.pod_endpoints @ fleet.hive_endpoints)
+    @ extra_links fleet.side
   in
   List.iter
     (fun event ->
       match event with
       | Fault_plan.Checkpoint { at } -> Sim.schedule_at sim ~time:at take_checkpoints
       | Fault_plan.Hive_crash { at } ->
-        (* One shard dies per crash event, round-robin, and restores
-           from its side of the last federation-wide checkpoint — the
-           coordinator and the other shards keep running. *)
+        (* Crash + restart collapse to one instant on the simulated
+           clock.  One serving hive dies per crash event, round-robin
+           over the shards, and restores from its side of the last
+           checkpoint; everything else keeps running. *)
         Sim.schedule_at sim ~time:at (fun () ->
-            let shard = !crash_count mod n in
+            let i = !crash_count mod Array.length !last_checkpoints in
             incr crash_count;
-            match Federation.restore_shard fed shard !last_checkpoints.(shard) with
-            | Ok _ | Error _ -> ())
+            match restore_side fleet.side i !last_checkpoints.(i) with Ok _ | Error _ -> ())
       | Fault_plan.Pod_leave { at; pod } ->
         Sim.schedule_at sim ~time:at (fun () ->
-            match !pods with
+            match fleet.pods with
             | [] -> ()
             | alive -> Pod.stop (List.nth alive (pod mod List.length alive)))
       | Fault_plan.Pod_join { at } ->
@@ -369,21 +283,9 @@ let install_chaos_fed ~sim ~config ~fed ~chaos_rng ~pods ~pod_endpoints ~last_ch
             let program =
               List.nth config.programs (Rng.int chaos_rng (List.length config.programs))
             in
-            let pod_end, hive_end =
-              Transport.endpoint_pair ~config:config.transport_config ~sim
-                ~rng:(Rng.split chaos_rng) ()
-            in
-            Federation.attach_pod fed hive_end;
-            let pod_config = { config.pod_config with Pod.upload = pod_upload } in
             let cohort = !next_cohort in
             next_cohort := cohort + 1;
-            let pod =
-              Pod.create ~config:pod_config ~cohort ~sim ~rng:(Rng.split chaos_rng) ~program
-                ~endpoint:pod_end ()
-            in
-            Pod.start pod;
-            pods := !pods @ [ pod ];
-            pod_endpoints := !pod_endpoints @ [ pod_end ])
+            Pod.start (add_pod ~sim ~config fleet ~rng:chaos_rng ~cohort program))
       | Fault_plan.Degrade { at; until_; link } ->
         Sim.schedule_at sim ~time:at (fun () ->
             List.iter (fun l -> Link.set_config l link) (all_links ()));
@@ -392,102 +294,57 @@ let install_chaos_fed ~sim ~config ~fed ~chaos_rng ~pods ~pod_endpoints ~last_ch
               (fun l -> Link.set_config l config.transport_config.Transport.link)
               (all_links ()))
       | Fault_plan.Bad_fix { at; program; variant } ->
-        (* Injected at the merge coordinator only: retraction is a
-           coordinator decision, and shards/pods learn the fix — and
-           its eventual fate — in superstep order. *)
+        (* The saboteur: a plausible-but-wrong fix enters the ingesting
+           hive as if synthesis (or a human) produced it.  With a
+           rollout config it lands in a canary cohort and must be
+           retracted; without one it deploys fleet-wide — exactly the
+           hazard staging removes.  Shards and pods of a federation
+           learn the fix, and its fate, in superstep order. *)
         Sim.schedule_at sim ~time:at (fun () ->
             let p = List.nth config.programs (program mod List.length config.programs) in
             let kind =
               Fixgen.sabotage_kind (Fixgen.sabotage_of_variant variant) ~program:p
             in
-            Hive.inject_fix (Federation.merged fed) ~digest:(Ir.digest p) kind))
+            Hive.inject_fix (ingesting fleet.side) ~digest:(Ir.digest p) kind))
     (Fault_plan.events plan)
 
-let run_federated config =
+let run config =
   let sim = Sim.create () in
   let rng = Rng.create config.seed in
-  let base = config.hive_config in
-  let fed_config =
-    {
-      (Federation.default_config ~n_shards:config.n_shards ()) with
-      (* Half the analysis cadence: the coordinator serves no pods, and
-         the faster merged analysis pays for the flush-then-commit hop
-         a superstep merge inserts before evidence reaches it — keeping
-         time-to-first-fix on par with the single hive. *)
-      Federation.superstep_interval = base.Hive.analysis_interval /. 2.0;
-      synthesize = true;
-      (* The platform's pool budget goes to the federation's cross-shard
-         compute phase; individual hives stay domain-free. *)
-      shard_hive = { base with Hive.synthesize = false; prove = false; pool_size = 1 };
-      merged_hive = { base with Hive.pool_size = 1; overload = None };
-      transport = config.transport_config;
-      pool_size = base.Hive.pool_size;
-    }
-  in
-  let fed = Federation.create ~config:fed_config ~sim ~rng:(Rng.split rng) () in
-  List.iter (fun program -> ignore (Federation.register_program fed program)) config.programs;
-  let pod_upload = upload_mode config in
   let fleet =
-    List.init config.n_pods (fun i ->
-        let program = List.nth config.programs (i mod List.length config.programs) in
-        let pod_end, hive_end =
-          Transport.endpoint_pair ~config:config.transport_config ~sim ~rng:(Rng.split rng) ()
-        in
-        Federation.attach_pod fed hive_end;
-        let pod_config = { config.pod_config with Pod.upload = pod_upload } in
-        let pod =
-          Pod.create ~config:pod_config ~cohort:i ~sim ~rng:(Rng.split rng) ~program
-            ~endpoint:pod_end ()
-        in
-        (pod, pod_end))
+    { side = create_side config ~sim ~rng; pods = []; pod_endpoints = []; hive_endpoints = [] }
   in
-  let pods = ref (List.map fst fleet) in
-  let pod_endpoints = ref (List.map snd fleet) in
-  Federation.start fed;
-  List.iter Pod.start !pods;
-  (match config.chaos with
-  | None -> ()
-  | Some plan ->
-    let chaos_rng = Rng.create (config.seed lxor 0x6368616f73) in
-    let n = Federation.n_shards fed in
-    let last_checkpoints = ref (Array.init n (Federation.checkpoint_shard fed)) in
-    if config.checkpoint_interval > 0.0 then begin
-      let rec arm at =
-        if at <= config.duration then
-          Sim.schedule_at sim ~time:at (fun () ->
-              last_checkpoints := Array.init n (Federation.checkpoint_shard fed);
-              arm (at +. config.checkpoint_interval))
-      in
-      arm config.checkpoint_interval
-    end;
-    install_chaos_fed ~sim ~config ~fed ~chaos_rng ~pods ~pod_endpoints ~last_checkpoints
-      ~next_cohort:(ref config.n_pods) plan);
-  let snapshots =
-    ref [ snapshot_fed ~time:0.0 ~pods:!pods ~endpoints:!pod_endpoints ~fed ]
-  in
+  for i = 0 to config.n_pods - 1 do
+    let program = List.nth config.programs (i mod List.length config.programs) in
+    ignore (add_pod ~sim ~config fleet ~rng ~cohort:i program)
+  done;
+  start_side fleet.side;
+  List.iter Pod.start fleet.pods;
+  Option.iter (install_chaos ~sim ~config fleet) config.chaos;
+  let snapshots = ref [ snapshot ~time:0.0 fleet ] in
   let rec sample at =
     if at <= config.duration then
       Sim.schedule_at sim ~time:at (fun () ->
-          snapshots :=
-            snapshot_fed ~time:at ~pods:!pods ~endpoints:!pod_endpoints ~fed :: !snapshots;
+          snapshots := snapshot ~time:at fleet :: !snapshots;
           sample (at +. config.sample_interval))
   in
   sample config.sample_interval;
   Sim.run ~until:config.duration sim;
-  Federation.shutdown fed;
+  (* Join the gap-solver worker domains (no-op with pool_size 1). *)
+  shutdown_side fleet.side;
   let snapshots = List.rev !snapshots in
   let final = List.nth snapshots (List.length snapshots - 1) in
+  let hive = ingesting fleet.side in
   {
     snapshots;
     final;
-    hive_stats = Hive.stats (Federation.merged fed);
-    pod_metrics = List.map Pod.metrics !pods;
-    transport_stats = List.map Transport.stats !pod_endpoints;
-    knowledge = Hive.knowledge_list (Federation.merged fed);
-    federation = Some (Federation.stats fed);
+    hive_stats = Hive.stats hive;
+    pod_metrics = List.map Pod.metrics fleet.pods;
+    transport_stats = List.map Transport.stats fleet.pod_endpoints;
+    knowledge = Hive.knowledge_list hive;
+    federation =
+      (match fleet.side with Single _ -> None | Federated f -> Some (Federation.stats f));
   }
-
-let run config = if config.n_shards <= 1 then run_single config else run_federated config
 
 let pp_report fmt report =
   Format.fprintf fmt "snapshots:@.";

@@ -155,7 +155,8 @@ type t = {
   programs : (string, Knowledge.t) Hashtbl.t;
   mutable endpoints : Transport.endpoint list;
   mutable next_guidance_target : int;
-  (* ---- Overload protection (all inert when [config.overload = None]) ----
+  (* ---- Overload protection (queue and pressure stay empty when
+     [config.overload = None]) ----
      The ingest queue is kept in arrival order, oldest first; bounds are
      small (tens), so O(n) appends and eviction scans are fine. *)
   mutable queue : queued list;
@@ -419,18 +420,15 @@ let decode_batch t ~caps ~program_digest ~basis_id ~basis_check records =
        that each clear the per-frame bit cap must also jointly clear
        the batch budget, so splitting an attack across records cannot
        smuggle volume past quarantine accounting. *)
-    (match caps with
-    | None -> ()
-    | Some c ->
-      ignore
-        (List.fold_left
-           (fun acc s ->
-             match Wire.declared_bits s with
-             | Error _ -> raise Bad_batch
-             | Ok n ->
-               if n < 0 || n > c.Wire.max_batch_total_bits - acc then raise Bad_batch
-               else acc + n)
-           0 records));
+    ignore
+      (List.fold_left
+         (fun acc s ->
+           match Wire.declared_bits s with
+           | Error _ -> raise Bad_batch
+           | Ok n ->
+             if n < 0 || n > caps.Wire.max_batch_total_bits - acc then raise Bad_batch
+             else acc + n)
+         0 records);
     let basis =
       if basis_id = 0 then None
       else
@@ -449,7 +447,7 @@ let decode_batch t ~caps ~program_digest ~basis_id ~basis_check records =
       | _ -> None
     in
     let decode_one ?basis s =
-      match Wire.decode_record ?caps ?basis ~program_digest s with
+      match Wire.decode_record ~caps ?basis ~program_digest s with
       | Error _ -> raise Bad_batch
       | Ok trace ->
         let prep = Trace_store.prepare trace in
@@ -512,41 +510,6 @@ let decode_batch t ~caps ~program_digest ~basis_id ~basis_check records =
   with
   | works -> Ok works
   | exception Bad_batch -> Error ()
-
-(* Without overload protection, uploads are processed synchronously in
-   the receive callback — the pre-existing behavior, kept byte-for-byte
-   so seeded runs of existing configs are unperturbed. *)
-let handle_message t payload =
-  t.messages_received <- t.messages_received + 1;
-  match Protocol.decode payload with
-  | Error _ -> ()
-  | Ok (Protocol.Trace_upload payload) -> (
-    match Wire.decode payload with
-    | Error _ -> ()
-    | Ok trace ->
-      process_work t (Trace_work { prep = Trace_store.prepare trace; recon = None }))
-  | Ok (Protocol.Sampled_report { program_digest; report }) ->
-    process_work t (Sampled_work { program_digest; report })
-  | Ok (Protocol.Batch_upload { program_digest; basis_id; basis_check; records }) -> (
-    match decode_batch t ~caps:None ~program_digest ~basis_id ~basis_check records with
-    | Error () -> ()
-    | Ok works -> List.iter (fun (_failing, work) -> process_work t work) works)
-  | Ok
-      ( Protocol.Fix_update _ | Protocol.Fix_retract _ | Protocol.Guidance_update _
-      | Protocol.Pressure_update _ | Protocol.Shard_map_update _ | Protocol.Knowledge_delta _
-      | Protocol.Frontier_summary _ | Protocol.Basis_update _ ) ->
-    (* Downstream-only and federation-plane messages; ignore if echoed
-       back.  A shard hive never ingests a Knowledge_delta directly —
-       the federation coordinator unpacks deltas itself so commit
-       order stays canonical. *)
-    ()
-
-(* Federation entry points: the merge coordinator commits a shard's
-   delta payloads through the same synchronous path a directly
-   attached pod would take, and a shard exposes its admitted work via
-   the tap. *)
-let ingest_payload = handle_message
-let set_ingest_tap t tap = t.ingest_tap <- Some tap
 
 (* ---- Overload protection ---------------------------------------------- *)
 
@@ -666,8 +629,9 @@ let rec drain t (oc : overload_config) () =
 let offer t (oc : overload_config) item =
   let now = Sim.now t.sim in
   if t.queue_len = 0 && now >= t.busy_until then begin
-    (* Uncontended: process synchronously in the receive callback, just
-       like the legacy path — no extra events, no reordering. *)
+    (* Uncontended: process synchronously in the receive callback — no
+       extra events, no reordering.  With no service time this is the
+       only branch ever taken. *)
     process_work t item.q_work;
     t.busy_until <- now +. oc.service_interval
   end
@@ -682,8 +646,8 @@ let offer t (oc : overload_config) item =
 
 let muted t slot = Sim.now t.sim < Option.value ~default:neg_infinity (Hashtbl.find_opt t.mute_until slot)
 
-(* The admission-controlled receive path: resource-capped total decode,
-   poison quarantine, mute enforcement, then bounded enqueue. *)
+(* The hive's one receive path: resource-capped total decode, poison
+   quarantine, mute enforcement, then bounded enqueue. *)
 let admit t (oc : overload_config) slot payload =
   t.messages_received <- t.messages_received + 1;
   if muted t slot then t.muted_drops <- t.muted_drops + 1
@@ -695,6 +659,10 @@ let admit t (oc : overload_config) slot payload =
         | Protocol.Pressure_update _ | Protocol.Shard_map_update _
         | Protocol.Knowledge_delta _ | Protocol.Frontier_summary _ | Protocol.Basis_update _
           ) ->
+      (* Downstream-only and federation-plane messages; ignore if echoed
+         back.  A shard hive never ingests a Knowledge_delta directly —
+         the federation coordinator unpacks deltas itself so commit
+         order stays canonical. *)
       ()
     | Ok (Protocol.Trace_upload inner) -> (
       match Wire.decode ~caps:oc.caps inner with
@@ -710,7 +678,7 @@ let admit t (oc : overload_config) slot payload =
       (* [Protocol.decode ~caps] already bounded the record count and
          frame size; the batch decode enforces the total bit budget and
          per-record caps.  One bad record poisons the whole batch. *)
-      match decode_batch t ~caps:(Some oc.caps) ~program_digest ~basis_id ~basis_check records with
+      match decode_batch t ~caps:oc.caps ~program_digest ~basis_id ~basis_check records with
       | Error () -> quarantine t oc slot
       | Ok works ->
         List.iter
@@ -725,24 +693,32 @@ let admit t (oc : overload_config) slot payload =
           q_work = Sampled_work { program_digest; report };
         }
 
+(* Without overload protection a hive still admits through [admit],
+   with the default caps and quarantine but no service time: nothing
+   ever queues, sheds or raises pressure, so every upload is ingested
+   synchronously in its receive callback. *)
+let idle_overload_config = { default_overload_config with service_interval = 0.0 }
+
+let admission t = Option.value ~default:idle_overload_config t.config.overload
+
 let attach_pod t endpoint =
   t.endpoints <- endpoint :: t.endpoints;
-  match t.config.overload with
-  | None -> Transport.on_receive endpoint (handle_message t)
-  | Some oc ->
-    let slot = t.next_slot in
-    t.next_slot <- slot + 1;
-    Transport.on_receive endpoint (admit t oc slot)
+  let slot = t.next_slot in
+  t.next_slot <- slot + 1;
+  Transport.on_receive endpoint (admit t (admission t) slot)
 
 (* Transport-less injection for load harnesses: one encoded frame
-   enters exactly the receive path an attached pod's frame would — the
-   admission-controlled one when overload protection is on.  [slot]
-   plays the role of the pod attachment slot for fair-share shedding
-   and quarantine accounting. *)
-let inject t ~slot payload =
-  match t.config.overload with
-  | None -> handle_message t payload
-  | Some oc -> admit t oc slot payload
+   enters exactly the receive path an attached pod's frame would.
+   [slot] plays the role of the pod attachment slot for fair-share
+   shedding and quarantine accounting. *)
+let inject t ~slot payload = admit t (admission t) slot payload
+
+(* Federation entry points: the merge coordinator commits a shard's
+   delta payloads synchronously, whatever this hive's overload config,
+   under a slot no pod attachment uses; a shard exposes its admitted
+   work via the tap. *)
+let ingest_payload t payload = admit t idle_overload_config (-1) payload
+let set_ingest_tap t tap = t.ingest_tap <- Some tap
 
 (* ---- Basis announcements ----------------------------------------------- *)
 

@@ -76,11 +76,14 @@ type config = {
           analysis output — only wall-clock time changes.  [Allocate]'s
           portfolio weights split these workers across programs. *)
   overload : overload_config option;
-      (** [None] (the default) keeps the legacy unbounded synchronous
-          ingest path, byte-identical to builds without overload
-          protection.  [Some _] enables admission control, bounded
-          queueing with shedding, pod backpressure signalling, and
-          poison-trace quarantine. *)
+      (** Every upload goes through one admission path: resource-capped
+          decode, poison-trace quarantine and mutes, then a bounded
+          queue.  [None] (the default) admits with
+          {!default_overload_config}'s caps and quarantine but zero
+          service time, so no upload ever queues, sheds or raises
+          pressure and each is ingested in its receive callback.
+          [Some _] adds a real service time: bounded queueing with
+          shedding and pod backpressure signalling. *)
   synthesize : bool;
       (** [true] (the default) lets the analysis tick propose and
           deploy fixes.  Federation shards run with [false]: fix ids
@@ -154,9 +157,10 @@ val inject_fix : t -> digest:string -> Fixgen.kind -> unit
     harness's bad-fix saboteur enters here. *)
 
 val ingest_payload : t -> string -> unit
-(** Process one encoded protocol frame synchronously, exactly as the
-    legacy receive path would — the federation coordinator commits
-    shard delta payloads through this. *)
+(** Admit one encoded protocol frame and ingest it synchronously, with
+    the default caps and whatever this hive's overload config — the
+    federation coordinator commits shard delta payloads through
+    this. *)
 
 val set_ingest_tap : t -> (string -> unit) -> unit
 (** Observe the canonical re-encoding of every upload this hive
@@ -165,17 +169,16 @@ val set_ingest_tap : t -> (string -> unit) -> unit
     previous flush. *)
 
 val attach_pod : t -> Transport.endpoint -> unit
-(** Wire up the hive side of one pod's connection.  With overload
-    protection enabled, each attachment gets a slot in the quarantine
-    ledger and fair-share accounting. *)
+(** Wire up the hive side of one pod's connection.  Each attachment
+    gets the next slot (0, 1, …) in the quarantine ledger and
+    fair-share accounting. *)
 
 val inject : t -> slot:int -> string -> unit
-(** Feed one encoded protocol frame through the real receive path
-    without a transport — the admission-controlled path when overload
-    protection is on, the legacy synchronous path otherwise.  [slot]
-    stands in for the pod attachment slot (fair-share shedding,
-    quarantine ledger).  Load harnesses use this to simulate fleets
-    far larger than the endpoint table. *)
+(** Feed one encoded protocol frame through the receive path an
+    attached pod's frame takes, without a transport.  [slot] stands in
+    for the pod attachment slot (fair-share shedding, quarantine
+    ledger).  Load harnesses use this to simulate fleets far larger
+    than the endpoint table. *)
 
 val announce_bases : t -> unit
 (** Broadcast a {!Protocol.Basis_update} for every program that has a

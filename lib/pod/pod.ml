@@ -33,7 +33,6 @@ type config = {
   slow_threshold : int;
   backpressure_base_rate : int;
   backpressure_defer : float;
-  resend_dead_letters : bool;
   upload_batch : int;
   delta_encode : bool;
   batch_linger : float;
@@ -52,7 +51,6 @@ let default_config =
     slow_threshold = 15_000;
     backpressure_base_rate = 64;
     backpressure_defer = 0.5;
-    resend_dead_letters = false;
     (* Batching and delta encoding are off by default: the legacy
        single-frame upload path stays byte-for-byte unperturbed. *)
     upload_batch = 1;
@@ -90,10 +88,11 @@ type t = {
   program : Ir.t;
   digest : string;
   endpoint : Transport.endpoint;
+  (* Replayable identity: the platform passes the pod's fleet index as
+     [cohort] (canary membership) and the pod id is [cohort + 1], so
+     the same run config yields the same ids and cohorts however many
+     pods the process minted before. *)
   pod_id : int;
-  (* Replayable cohort identity for canary membership: the platform
-     passes the pod's fleet index, so the same run config yields the
-     same cohort regardless of how many pods were minted before. *)
   cohort : int;
   mutable fixes : Fixgen.fix list;
   mutable fix_epoch : int;
@@ -132,8 +131,6 @@ type t = {
   mutable batches_sent : int;
   mutable delta_records : int;
 }
-
-let next_pod_id = ref 0
 
 let bump_signal t signal =
   let rec loop = function
@@ -196,8 +193,8 @@ let handle_message t payload =
        a federation router, which consumes the shard map itself. *)
     ()
 
-let create ?(config = default_config) ?cohort ~sim ~rng ~program ~endpoint () =
-  incr next_pod_id;
+let create ?(config = default_config) ~cohort ~sim ~rng ~program ~endpoint () =
+  let pod_id = cohort + 1 in
   let t =
     {
       config;
@@ -206,8 +203,8 @@ let create ?(config = default_config) ?cohort ~sim ~rng ~program ~endpoint () =
       program;
       digest = Ir.digest program;
       endpoint;
-      pod_id = !next_pod_id;
-      cohort = Option.value ~default:!next_pod_id cohort;
+      pod_id;
+      cohort;
       fixes = [];
       fix_epoch = 0;
       canary = [];
@@ -224,7 +221,7 @@ let create ?(config = default_config) ?cohort ~sim ~rng ~program ~endpoint () =
       traces_uploaded = 0;
       signal_counts = [];
       active = true;
-      pressure_rng = Rng.create (0x9E3779B9 lxor !next_pod_id);
+      pressure_rng = Rng.create (0x9E3779B9 lxor pod_id);
       pressure = 0;
       success_streak = 0;
       thinned_uploads = 0;
@@ -241,16 +238,14 @@ let create ?(config = default_config) ?cohort ~sim ~rng ~program ~endpoint () =
   (* Dead-letter accounting: an upload the transport abandoned after its
      retry budget.  A batched frame loses every trace it carried, so it
      counts its record count, not 1 — pressure and shed quartiles stay
-     honest.  Optionally re-sent once per give-up (fresh sequence
-     number and budget); off by default so existing runs are unchanged. *)
+     honest. *)
   Transport.on_give_up endpoint (fun payload ->
       let lost =
         match Protocol.decode payload with
         | Ok (Protocol.Batch_upload { records; _ }) -> max 1 (List.length records)
         | Ok _ | Error _ -> 1
       in
-      t.dead_letters <- t.dead_letters + lost;
-      if t.config.resend_dead_letters then Transport.send endpoint payload);
+      t.dead_letters <- t.dead_letters + lost);
   t
 
 (* The fix set this pod actually runs: fleet-wide fixes always, canary

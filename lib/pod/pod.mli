@@ -39,9 +39,6 @@ type config = {
           under pressure; doubles per level.  Jitter draws come from a
           pod-local stream, so level-0 runs are byte-identical to
           builds without backpressure. *)
-  resend_dead_letters : bool;
-      (** Re-send an upload the transport gave up on (fresh sequence
-          number and retry budget).  Default false: count only. *)
   upload_batch : int;
       (** Traces per {!Softborg_hive.Protocol.Batch_upload} frame.  The
           default 1 keeps the legacy one-frame-per-trace path
@@ -95,7 +92,7 @@ type t
 
 val create :
   ?config:config ->
-  ?cohort:int ->
+  cohort:int ->
   sim:Sim.t ->
   rng:Rng.t ->
   program:Ir.t ->
@@ -104,9 +101,10 @@ val create :
   t
 (** [endpoint] is the pod's side of its connection to the hive; the
     pod installs its receive handler.  [cohort] is the pod's stable
-    identity for canary-cohort membership (the platform passes the
-    fleet index, making cohorts replayable across runs); it defaults
-    to the process-global pod counter. *)
+    identity (the platform passes the fleet index): it decides
+    canary-cohort membership, and the pod id stamped on its traces is
+    [cohort + 1].  Equal cohorts give equal pods, so runs replay
+    whatever else the process created before. *)
 
 val start : t -> unit
 (** Schedule the first user session. *)

@@ -467,7 +467,7 @@ let fleet_sim ?(pod_config = Pod.default_config) ?(announce = false)
     }
   in
   let pod =
-    Pod.create ~config ~sim ~rng:(Rng.create 11) ~program ~endpoint:pod_end ()
+    Pod.create ~config ~cohort:0 ~sim ~rng:(Rng.create 11) ~program ~endpoint:pod_end ()
   in
   (sim, hive, pod)
 
@@ -535,7 +535,8 @@ let test_dead_batch_counts_every_record () =
     }
   in
   let pod =
-    Pod.create ~config ~sim ~rng:(Rng.create 11) ~program:Corpus.parser ~endpoint:pod_end ()
+    Pod.create ~config ~cohort:0 ~sim ~rng:(Rng.create 11) ~program:Corpus.parser
+      ~endpoint:pod_end ()
   in
   for _ = 1 to 4 do
     Pod.run_session pod

@@ -144,6 +144,29 @@ let test_platform_deterministic () =
   let b = run () in
   checkb "same seed, same outcome" true (a = b)
 
+let test_platform_repeatable_in_process () =
+  (* Deterministic in the seed alone: pods minted earlier in the same
+     process — here enough to push pod ids past the one-byte varint
+     boundary of the trace wire format — must not leak into a run. *)
+  let config = quick_config Corpus.parser in
+  let render () =
+    let report = Platform.run config in
+    let w = Softborg_util.Codec.Writer.create () in
+    List.iter (Knowledge.write w) report.Platform.knowledge;
+    (Format.asprintf "%a" Platform.pp_report report, Softborg_util.Codec.Writer.contents w)
+  in
+  let report_a, knowledge_a = render () in
+  let sim = Sim.create () in
+  for cohort = 0 to 199 do
+    let pod_end, _ = Transport.endpoint_pair ~sim ~rng:(Rng.create cohort) () in
+    ignore
+      (Pod.create ~cohort ~sim ~rng:(Rng.create cohort) ~program:Corpus.parser
+         ~endpoint:pod_end ())
+  done;
+  let report_b, knowledge_b = render () in
+  Alcotest.(check string) "same report" report_a report_b;
+  checkb "same knowledge bytes" true (String.equal knowledge_a knowledge_b)
+
 let test_platform_pool_size_invariant () =
   (* The hive's speculative gap-solver pool must not leak into any
      observable output: the full formatted report of a fault-free
@@ -245,7 +268,7 @@ let test_platform_duplicating_network_no_double_count () =
     }
   in
   let pod =
-    Pod.create ~config:pod_config ~sim ~rng:(Rng.split rng) ~program ~endpoint:pod_end ()
+    Pod.create ~config:pod_config ~cohort:0 ~sim ~rng:(Rng.split rng) ~program ~endpoint:pod_end ()
   in
   Hive.start hive;
   Pod.start pod;
@@ -366,6 +389,7 @@ let () =
         [
           Alcotest.test_case "full mode" `Quick test_platform_full_mode_runs;
           Alcotest.test_case "deterministic" `Quick test_platform_deterministic;
+          Alcotest.test_case "repeatable in process" `Quick test_platform_repeatable_in_process;
           Alcotest.test_case "pool size invariance" `Quick test_platform_pool_size_invariant;
           Alcotest.test_case "wer mode" `Quick test_platform_wer_mode_builds_no_tree;
           Alcotest.test_case "cbi mode" `Quick test_platform_cbi_mode_feeds_isolator;

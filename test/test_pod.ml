@@ -83,7 +83,7 @@ let make_pod ?(config = Pod.default_config) ?(program = Corpus.parser) () =
   let pod_end, hive_end = Transport.endpoint_pair ~sim ~rng:(Rng.create 7) () in
   let received = ref [] in
   Transport.on_receive hive_end (fun payload -> received := payload :: !received);
-  let pod = Pod.create ~config ~sim ~rng:(Rng.create 11) ~program ~endpoint:pod_end () in
+  let pod = Pod.create ~config ~cohort:0 ~sim ~rng:(Rng.create 11) ~program ~endpoint:pod_end () in
   (sim, pod, hive_end, received)
 
 let test_pod_session_uploads_trace () =
