@@ -3052,9 +3052,12 @@ let () =
     | _ :: (_ :: _ as ids) -> ids
     | _ -> List.map (fun (id, _, _) -> id) experiments
   in
-  List.iter
-    (fun id ->
-      match List.find_opt (fun (eid, _, _) -> eid = id) experiments with
-      | Some (_, _, f) -> f ()
-      | None -> Printf.eprintf "unknown experiment %s\n" id)
-    selected
+  (* Resolve every name before running anything: a misspelled name
+     exits 2, so a smoke rule naming it fails the build instead of
+     passing silently. *)
+  let find id = List.find_opt (fun (eid, _, _) -> eid = id) experiments in
+  match List.filter (fun id -> find id = None) selected with
+  | [] -> List.iter (fun id -> Option.iter (fun (_, _, f) -> f ()) (find id)) selected
+  | unknown ->
+    List.iter (Printf.eprintf "unknown experiment %s\n") unknown;
+    exit 2

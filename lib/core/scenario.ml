@@ -58,37 +58,28 @@ let with_chaos ?(chaos_seed = 1337) ?(crash_rate = 1.0 /. 400.0)
 let with_shards n config = { config with Platform.n_shards = n }
 
 (* Fleet-scale wire encoding: pods batch [batch] traces per frame and
-   (unless [delta = false]) delta-encode records against the
-   hive-announced prefix basis; the hive announces one basis per
-   program on its analysis tick.  [batch = 1, delta = false] leaves the
-   config untouched — the legacy one-frame-per-trace wire format. *)
-let with_fleet_encoding ?(batch = 16) ?(delta = true) ?(linger = 5.0) config =
-  if batch <= 1 && not delta then config
+   (unless [delta = false]) delta-encode records, first against the
+   batch's own leading record and, once the hive has seen their delta
+   records and announced a prefix basis, against that.  [batch = 1]
+   leaves the config untouched — the one-frame-per-trace wire format. *)
+let with_fleet_encoding ?(batch = 16) ?(delta = true) config =
+  if batch <= 1 then config
   else
     {
       config with
       Platform.pod_config =
-        {
-          config.Platform.pod_config with
-          Pod.upload_batch = max 1 batch;
-          delta_encode = delta;
-          (* The default 0.25s linger suits failure-latency SLOs, but a
-             batch only amortizes its header if it fills — give it a
-             few inter-arrival times. *)
-          batch_linger = linger;
-        };
-      hive_config = { config.Platform.hive_config with Hive.announce_basis = delta };
+        { config.Platform.pod_config with Pod.upload_batch = batch; delta_encode = delta };
     }
 
 (* Staged fix rollout: the hive holds every new fix in a canary cohort
    and judges it with the sequential health test before fleet-wide
-   promotion (or retraction).  Pods attribute uploads with their active
-   fix ids so the hive can split canary vs control evidence. *)
+   promotion (or retraction).  Pods need no setting: they attribute
+   uploads with their active fix ids once the hive's fix frames carry
+   a canary fraction. *)
 let with_rollout ?(rollout = Fix_lifecycle.default_config) config =
   {
     config with
     Platform.hive_config = { config.Platform.hive_config with Hive.rollout = Some rollout };
-    pod_config = { config.Platform.pod_config with Pod.attribute_fixes = true };
   }
 
 (* Script a saboteur: at [at], a plausible-but-wrong fix for

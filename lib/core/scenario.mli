@@ -54,20 +54,20 @@ val with_shards : int -> Platform.config -> Platform.config
     deterministic superstep merge ({!Softborg_hive.Federation});
     [with_shards 1] is the single-hive platform unchanged. *)
 
-val with_fleet_encoding :
-  ?batch:int -> ?delta:bool -> ?linger:float -> Platform.config -> Platform.config
+val with_fleet_encoding : ?batch:int -> ?delta:bool -> Platform.config -> Platform.config
 (** Turn on the fleet-scale wire encoding: pods send
     {!Softborg_hive.Protocol.Batch_upload} frames of [batch] traces
     (default 16) and, with [delta] (default true), delta-encode the
-    records against the hive-announced per-program prefix basis.
-    [linger] (default 5s) bounds how long a partial batch waits.
-    [~batch:1 ~delta:false] is the identity. *)
+    records — against the batch's leading record until the hive, having
+    decoded a delta record for the program, announces a per-program
+    prefix basis.  [~batch:1] (or less) is the identity. *)
 
 val with_rollout : ?rollout:Softborg_hive.Fix_lifecycle.config -> Platform.config -> Platform.config
 (** Stage every new fix through a canary cohort with health-verdict
     promotion/retraction (defaults to
-    {!Softborg_hive.Fix_lifecycle.default_config}), and turn on pod
-    fix attribution so uploads carry their active fix ids. *)
+    {!Softborg_hive.Fix_lifecycle.default_config}).  Only the hive
+    config changes: pods attribute their uploads with their active fix
+    ids once the hive's fix frames carry its canary fraction. *)
 
 val inject_bad_fix : ?at:float -> ?program:int -> ?variant:int -> Platform.config -> Platform.config
 (** Append a {!Softborg_net.Fault_plan.Bad_fix} saboteur event to the

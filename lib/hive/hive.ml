@@ -59,7 +59,6 @@ type config = {
   pool_size : int;
   overload : overload_config option;
   synthesize : bool;
-  announce_basis : bool;
   rollout : Fix_lifecycle.config option;
 }
 
@@ -75,11 +74,8 @@ let default_config mode =
     pool_size = 1;
     overload = None;
     synthesize = true;
-    (* Off by default: announcing bases broadcasts extra frames, which
-       would consume link RNG draws and perturb existing seeded runs. *)
-    announce_basis = false;
-    (* Off by default for the same reason: without a rollout config,
-       fixes deploy fleet-wide instantly, exactly as before. *)
+    (* Off by default: without a rollout config, fixes deploy
+       fleet-wide instantly. *)
     rollout = None;
     symexec_config =
       (* The hive analyzes many programs per tick; bound each symbolic
@@ -180,10 +176,14 @@ type t = {
      are not checkpointed, and a restarted hive simply announces fresh
      ones.  [bases] keeps every basis this hive ever announced (keyed
      by id, so pods holding an older announcement still decode), with
-     the fingerprint echoed back by batches. *)
+     the fingerprint echoed back by batches.  [delta_programs] holds
+     the programs a decoded batch carried a delta record for: only
+     their bases are worth announcing, since only a delta-encoding pod
+     uses one. *)
   bases : (string * int, Trace.t * int) Hashtbl.t;  (* (digest, basis id) *)
   basis_candidates : (string, Trace_store.prepared) Hashtbl.t;
   announced_basis : (string, int) Hashtbl.t;  (* digest -> latest basis id *)
+  delta_programs : (string, unit) Hashtbl.t;
   mutable next_basis_id : int;
   mutable batch_frames_received : int;
   mutable batch_records_received : int;
@@ -255,6 +255,7 @@ let create ?config ~sim () =
     bases = Hashtbl.create 8;
     basis_candidates = Hashtbl.create 8;
     announced_basis = Hashtbl.create 8;
+    delta_programs = Hashtbl.create 8;
     next_basis_id = 1;
     batch_frames_received = 0;
     batch_records_received = 0;
@@ -370,8 +371,7 @@ let process_work t work =
   | Trace_work { prep; recon } -> (
     let trace = prep.Trace_store.p_trace in
     if
-      t.config.announce_basis
-      && Bitvec.length trace.Trace.bits > 0
+      Bitvec.length trace.Trace.bits > 0
       && not (Hashtbl.mem t.basis_candidates trace.Trace.program_digest)
     then Hashtbl.replace t.basis_candidates trace.Trace.program_digest prep;
     match Hashtbl.find_opt t.programs trace.Trace.program_digest with
@@ -414,7 +414,6 @@ exception Bad_batch
    for any pool size.  Trace ids are minted afterwards on this thread,
    in record order ([Ids] counters are plain refs, not domain-safe). *)
 let decode_batch t ~caps ~program_digest ~basis_id ~basis_check records =
-  t.batch_frames_received <- t.batch_frames_received + 1;
   match
     (* Total-budget pre-pass over declared sizes: a batch of records
        that each clear the per-frame bit cap must also jointly clear
@@ -498,7 +497,12 @@ let decode_batch t ~caps ~program_digest ~basis_id ~basis_check records =
           let ((anchor_prep, _) as anchor) = decode_one first in
           anchor :: par_map (fun s -> decode_one ~basis:anchor_prep.Trace_store.p_trace s) rest)
     in
+    (* Counted only once the whole batch decoded: a quarantined batch
+       is neither a decoded frame nor evidence that pods delta-encode. *)
+    t.batch_frames_received <- t.batch_frames_received + 1;
     t.batch_records_received <- t.batch_records_received + List.length decoded;
+    if List.exists Wire.is_delta_record records then
+      Hashtbl.replace t.delta_programs program_digest ();
     List.map
       (fun (prep, recon) ->
         let trace =
@@ -722,17 +726,17 @@ let set_ingest_tap t tap = t.ingest_tap <- Some tap
 
 (* ---- Basis announcements ----------------------------------------------- *)
 
-(* Announce one prefix basis per program that has produced a trace with
-   branch bits: pods delta their future uploads against it.  The
-   announced payload is the candidate's canonical wire encoding; both
-   sides decode/encode from those exact bytes, so the XOR anchors
+(* Announce one prefix basis per [due] program that has produced a
+   trace with branch bits: pods delta their future uploads against it.
+   The announced payload is the candidate's canonical wire encoding;
+   both sides decode/encode from those exact bytes, so the XOR anchors
    agree.  Digest-sorted iteration keeps basis-id assignment
    deterministic across runs. *)
-let announce_bases t =
+let announce t ~due =
   Hashtbl.fold (fun digest _ acc -> digest :: acc) t.basis_candidates []
   |> List.sort String.compare
   |> List.iter (fun digest ->
-         if not (Hashtbl.mem t.announced_basis digest) then begin
+         if due digest && not (Hashtbl.mem t.announced_basis digest) then begin
            match Hashtbl.find_opt t.basis_candidates digest with
            | None -> ()
            | Some prep ->
@@ -746,6 +750,8 @@ let announce_bases t =
              Log.debug (fun m -> m "announcing basis %d for %s" basis_id digest);
              broadcast t (Protocol.Basis_update { program_digest = digest; basis_id; payload })
          end)
+
+let announce_bases t = announce t ~due:(fun _ -> true)
 
 (* ---- Human repair lab (Wer/Cbi modes) --------------------------------- *)
 
@@ -956,7 +962,9 @@ let guidance_tick t k =
 
 let tick t =
   t.analysis_ticks <- t.analysis_ticks + 1;
-  if t.config.announce_basis then announce_bases t;
+  (* A basis is announced only where pods are seen delta-encoding:
+     anywhere else it would be frames on the wire that nobody uses. *)
+  announce t ~due:(Hashtbl.mem t.delta_programs);
   (* Periodically forget the issued-guidance memory: directives can be
      lost with their pod, and a stale exclusion must not shadow a gap
      forever. *)

@@ -89,18 +89,14 @@ type config = {
           deploy fixes.  Federation shards run with [false]: fix ids
           and epochs are minted only by the merge coordinator, whose
           knowledge sees whole-program evidence. *)
-  announce_basis : bool;
-      (** [true] makes the analysis tick broadcast one
-          {!Protocol.Basis_update} per program (the first trace seen
-          with branch bits), so pods can delta-encode uploads against a
-          shared prefix basis.  Default [false]: the extra broadcasts
-          would perturb seeded runs.  Bases are a wire-plane
-          accelerator and are not checkpointed. *)
   rollout : Fix_lifecycle.config option;
       (** [Some _] stages every new fix through a canary cohort with
           health-verdict promotion/retraction (see {!Fix_lifecycle}).
-          Default [None]: fixes deploy fleet-wide instantly,
-          byte-identical to builds without staged rollout. *)
+          Its fix frames carry the config's [canary_mils], which is
+          what makes pods attribute their uploads, so setting this on
+          the hive alone gets the health test its exposed and control
+          evidence.  Default [None]: fixes deploy fleet-wide instantly
+          and pods send no attribution. *)
 }
 
 val default_config : mode -> config
@@ -123,7 +119,9 @@ type stats = {
   muted_drops : int;  (** Messages dropped because their pod was muted. *)
   pressure_updates_sent : int;  (** Standalone pressure broadcasts. *)
   peak_queue_depth : int;  (** High-water mark of the ingest queue. *)
-  batch_frames_received : int;  (** {!Protocol.Batch_upload} frames decoded. *)
+  batch_frames_received : int;
+      (** {!Protocol.Batch_upload} frames decoded (a quarantined batch
+          does not count). *)
   batch_records_received : int;  (** Trace records across all batches. *)
   basis_updates_sent : int;  (** {!Protocol.Basis_update} broadcasts. *)
   fix_promotions : int;  (** Canary fixes promoted fleet-wide. *)
@@ -182,9 +180,13 @@ val inject : t -> slot:int -> string -> unit
 
 val announce_bases : t -> unit
 (** Broadcast a {!Protocol.Basis_update} for every program that has a
-    basis candidate but no announced basis yet (normally done by the
-    analysis tick when [config.announce_basis] is set; exposed so
-    tests and benches can force announcement deterministically). *)
+    basis candidate (the first trace processed with branch bits) but no
+    announced basis yet.  The analysis tick does this on its own for a
+    program once a batch carrying a delta record for it has decoded —
+    proof that some pod delta-encodes; hives fed only single frames or
+    full-record batches announce nothing.  Exposed so tests and benches
+    can force announcement deterministically.  Bases are a wire-plane
+    accelerator and are not checkpointed. *)
 
 val pressure_level : t -> int
 (** Current load level (0–3; always 0 without overload protection). *)

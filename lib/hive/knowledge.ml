@@ -171,11 +171,12 @@ let quarantines t (trace : Trace.t) =
   | Some a -> List.exists (fun id -> List.mem id t.retracted) a.Trace.active_fixes
 
 (* Canary health accounting: every attributed run is a sample — exposed
-   for the canary fixes in its active set, control for the rest. *)
+   for the canary fixes in its active set, control for the rest.  Only
+   a rollout stages canaries, so without one this does nothing. *)
 let observe_health t (trace : Trace.t) =
-  match (t.rollout, trace.Trace.attribution) with
-  | None, _ | _, None -> ()
-  | Some _, Some a ->
+  match trace.Trace.attribution with
+  | None -> ()
+  | Some a ->
     let failed = Outcome.is_failure trace.Trace.outcome in
     let bucket = Outcome.bucket_key trace.Trace.outcome in
     List.iter

@@ -30,14 +30,27 @@ type config = {
   engine : Engine.t;
   anonymize : Anonymize.level;
   upload : upload_mode;
-  slow_threshold : int;
-  backpressure_base_rate : int;
-  backpressure_defer : float;
   upload_batch : int;
   delta_encode : bool;
-  batch_linger : float;
-  attribute_fixes : bool;
 }
+
+(* Steps beyond which users get frustrated. *)
+let slow_threshold = 15_000
+
+(* Sampled-report rate for success traces thinned under hive pressure;
+   the effective rate is [base × 2^level]. *)
+let backpressure_base_rate = 64
+
+(* Base seconds of jittered deferral for success-class uploads under
+   pressure; doubles per level.  Jitter draws come from a pod-local
+   stream, so level-0 runs are byte-identical to builds without
+   backpressure. *)
+let backpressure_defer = 0.5
+
+(* Max seconds a partially-filled batch waits before flushing: a batch
+   only amortizes its header if it fills, so it gets a few
+   inter-arrival times. *)
+let batch_linger = 5.0
 
 let default_config =
   {
@@ -48,17 +61,10 @@ let default_config =
     engine = Engine.Vm;
     anonymize = Anonymize.Full;
     upload = Full_traces;
-    slow_threshold = 15_000;
-    backpressure_base_rate = 64;
-    backpressure_defer = 0.5;
-    (* Batching and delta encoding are off by default: the legacy
-       single-frame upload path stays byte-for-byte unperturbed. *)
+    (* Batching and delta encoding are off by default: one
+       [Trace_upload] frame is the smallest framing for one trace. *)
     upload_batch = 1;
     delta_encode = false;
-    batch_linger = 0.25;
-    (* Attribution adds bytes to every upload; off by default so the
-       legacy wire stream is byte-for-byte unperturbed. *)
-    attribute_fixes = false;
   }
 
 type metrics = {
@@ -276,7 +282,7 @@ let guards fixes =
 let send_deferred t payload =
   if t.pressure = 0 then Transport.send t.endpoint payload
   else begin
-    let base = t.config.backpressure_defer *. float_of_int (1 lsl (t.pressure - 1)) in
+    let base = backpressure_defer *. float_of_int (1 lsl (t.pressure - 1)) in
     let delay = base *. (0.5 +. Rng.float t.pressure_rng 1.0) in
     t.deferred_uploads <- t.deferred_uploads + 1;
     Sim.schedule t.sim ~delay (fun () -> Transport.send t.endpoint payload)
@@ -305,9 +311,7 @@ let flush_batch t ~immediate =
       | false, _ -> (0, 0, List.map (fun tr -> Wire.encode_record tr) traces)
     in
     List.iter
-      (fun r ->
-        if String.length r > 0 && r.[0] = '\x01' then
-          t.delta_records <- t.delta_records + 1)
+      (fun r -> if Wire.is_delta_record r then t.delta_records <- t.delta_records + 1)
       records;
     t.batches_sent <- t.batches_sent + 1;
     let payload =
@@ -336,7 +340,7 @@ let upload t (result : Interp.result) ~label ?attribution () =
         flush_batch t ~immediate
       else if not t.batch_armed then begin
         t.batch_armed <- true;
-        Sim.schedule t.sim ~delay:t.config.batch_linger (fun () ->
+        Sim.schedule t.sim ~delay:batch_linger (fun () ->
             t.batch_armed <- false;
             flush_batch t ~immediate:false)
       end
@@ -364,7 +368,7 @@ let upload t (result : Interp.result) ~label ?attribution () =
       let keep_every = 1 lsl t.pressure in
       if t.success_streak mod keep_every = 0 then send_full ()
       else begin
-        let rate = t.config.backpressure_base_rate * (1 lsl t.pressure) in
+        let rate = backpressure_base_rate * (1 lsl t.pressure) in
         let report =
           Sampling.sample t.pressure_rng ~rate ~full_path:result.Interp.full_path
             ~outcome:label
@@ -415,12 +419,16 @@ let execute t ~user ~inputs ~fault_plan ~sched =
   t.deferred_acquisitions <- t.deferred_acquisitions + result.Interp.deferred_acquisitions;
   let signal =
     Feedback.signal_of_run ~outcome:result.Interp.outcome ~steps:result.Interp.steps
-      ~slow_threshold:t.config.slow_threshold
+      ~slow_threshold
   in
   bump_signal t signal;
   let label = Feedback.label_of_signal signal ~outcome:result.Interp.outcome in
+  (* Attribution follows the hive: a pod tags its uploads with the
+     active fix set exactly when the last fix frame it applied staged
+     canaries ([canary_mils > 0]), i.e. when the hive runs a rollout
+     health test that needs exposed-vs-control evidence. *)
   let attribution =
-    if t.config.attribute_fixes then
+    if t.canary_mils > 0 then
       Some
         {
           Trace.active_fixes =

@@ -5,7 +5,13 @@
     (optionally sampled and anonymized), relays them to the hive over
     the reliable transport, applies fix updates the hive pushes down,
     and executes guidance directives — all on the shared simulated
-    clock. *)
+    clock.
+
+    The hive, not the pod config, decides what rides along with an
+    upload: a pod tags its traces with the active fix ids and hook-fire
+    count ({!Softborg_trace.Trace.attribution}) exactly when the last
+    fix update or retraction it applied carried a canary fraction
+    ([canary_mils > 0]), i.e. when the hive runs a staged rollout. *)
 
 module Rng := Softborg_util.Rng
 module Ir := Softborg_prog.Ir
@@ -30,34 +36,18 @@ type config = {
           is a tested drop-in for the tree walk. *)
   anonymize : Anonymize.level;
   upload : upload_mode;
-  slow_threshold : int;  (** Steps beyond which users get frustrated. *)
-  backpressure_base_rate : int;
-      (** Sampled-report rate for success traces thinned under hive
-          pressure; the effective rate is [base × 2^level]. *)
-  backpressure_defer : float;
-      (** Base seconds of jittered deferral for success-class uploads
-          under pressure; doubles per level.  Jitter draws come from a
-          pod-local stream, so level-0 runs are byte-identical to
-          builds without backpressure. *)
   upload_batch : int;
       (** Traces per {!Softborg_hive.Protocol.Batch_upload} frame.  The
-          default 1 keeps the legacy one-frame-per-trace path
-          byte-for-byte unperturbed; [> 1] accumulates success-class
-          traces and flushes when full, when a failure joins the batch
-          (failures are immediate), or after [batch_linger]. *)
+          default 1 sends one {!Softborg_hive.Protocol.Trace_upload}
+          frame per trace, the smallest framing for a single trace;
+          [> 1] accumulates success-class traces and flushes when full,
+          when a failure joins the batch (failures are immediate), or
+          after a 5 s linger. *)
   delta_encode : bool;
       (** Delta-encode batch records against the hive-announced prefix
           basis (or, without one, against the batch's own first
           record).  Never worse than full encoding — the smaller of the
           two encodings is sent per record.  Default false. *)
-  batch_linger : float;
-      (** Max seconds a partially-filled batch waits before flushing. *)
-  attribute_fixes : bool;
-      (** Tag every upload with the active fix ids and hook-fire count
-          (see {!Softborg_trace.Trace.attribution}) — the hive's
-          rollout health telemetry.  Default false: attribution adds
-          bytes to every frame, and the legacy wire stream must stay
-          byte-for-byte unperturbed. *)
 }
 
 val default_config : config

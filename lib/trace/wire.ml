@@ -309,6 +309,7 @@ let decode ?caps s =
 
 let record_full = 0
 let record_delta = 1
+let is_delta_record s = String.length s > 0 && Char.code s.[0] = record_delta
 
 let write_delta_body w ~(basis : Trace.t) (t : Trace.t) =
   Codec.Writer.varint w t.pod;

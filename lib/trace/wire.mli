@@ -64,6 +64,13 @@ val encode_record : ?basis:Trace.t -> Trace.t -> string
     the full encoding plus its one tag byte.  Without a basis (or with
     a basis for another program) the record is always full. *)
 
+val is_delta_record : string -> bool
+(** Whether a record blob is tagged as a delta body — read from the tag
+    byte alone, without decoding.  Pods count the delta records they
+    send with it; the hive announces a program's prefix basis only once
+    a batch carrying one has decoded, proof that some pod
+    delta-encodes. *)
+
 val decode_record :
   ?caps:caps -> ?basis:Trace.t -> program_digest:string -> string -> (Trace.t, decode_error) result
 (** Total inverse of {!encode_record}.  The returned trace has

@@ -261,16 +261,9 @@ let fleet_traces ?(n = 24) ?(prog = Corpus.parser) () =
 
 let knowledge_bytes hive = Checkpoint.encode (Hive.knowledge_list hive)
 
-let make_hive ?(pool_size = 1) ?(announce = false) ?(prog = Corpus.parser) ?overload () =
+let make_hive ?(pool_size = 1) ?(prog = Corpus.parser) ?overload () =
   let sim = Sim.create () in
-  let config =
-    {
-      (Hive.default_config Hive.Full) with
-      Hive.pool_size;
-      announce_basis = announce;
-      overload;
-    }
-  in
+  let config = { (Hive.default_config Hive.Full) with Hive.pool_size; overload } in
   let hive = Hive.create ~config ~sim () in
   ignore (Hive.register_program hive prog);
   (sim, hive)
@@ -355,7 +348,7 @@ let test_announced_basis_batches () =
      must land on the same knowledge as singles.  Checksum traces keep
      a constant step count, so the delta candidate genuinely wins. *)
   let traces = fleet_traces ~prog:Corpus.checksum () in
-  let _, h = make_hive ~announce:true ~prog:Corpus.checksum () in
+  let _, h = make_hive ~prog:Corpus.checksum () in
   inject_singles h [ List.hd traces ];
   Hive.announce_bases h;
   checki "one basis announced" 1 (Hive.stats h).Hive.basis_updates_sent;
@@ -383,7 +376,7 @@ let test_announced_basis_batches () =
     (fun chunk ->
       let records = List.map (fun t -> Wire.encode_record ~basis t) chunk in
       checkb "some records delta-encoded" true
-        (List.exists (fun r -> r.[0] = '\x01') records);
+        (List.exists Wire.is_delta_record records);
       Hive.inject h ~slot:0
         (Protocol.encode
            (Protocol.Batch_upload
@@ -416,23 +409,31 @@ let test_announced_basis_batches () =
 let test_batch_total_bits_budget () =
   (* Per-record bits pass the per-frame cap, but the batch total is
      held to the same budget — batching must not smuggle volume past
-     quarantine accounting. *)
+     quarantine accounting.  The poison batch delta-encodes its tail
+     against its anchor, and a rejected batch must not count as a
+     decoded one, nor earn its program a basis announcement. *)
   let rng = Rng.create 29 in
   let base = trace_of Corpus.parser [| 1; 2; 3 |] in
   let overload = { Hive.default_overload_config with Hive.service_interval = 0.0 } in
   let caps = overload.Hive.caps in
   let per_record = caps.Wire.max_branch_bits / 2 in
   let n_records = (caps.Wire.max_batch_total_bits / per_record) + 2 in
+  let shared = random_bits rng per_record in
+  let anchor = with_bits base ~pod:1 shared in
   let records =
-    List.init n_records (fun i ->
-        Wire.encode_record (with_bits base ~pod:(1 + i) (random_bits rng per_record)))
+    Wire.encode_record anchor
+    :: List.init (n_records - 1) (fun i ->
+           Wire.encode_record ~basis:anchor (with_bits base ~pod:(2 + i) (Bitvec.copy shared)))
   in
+  checkb "poison batch carries delta records" true (List.exists Wire.is_delta_record records);
   let sim = Sim.create () in
   let config =
     { (Hive.default_config Hive.Full) with Hive.overload = Some overload }
   in
   let hive = Hive.create ~config ~sim () in
   ignore (Hive.register_program hive Corpus.parser);
+  (* One honest single first, so the program has a basis candidate. *)
+  Hive.inject hive ~slot:0 (Protocol.encode (Protocol.Trace_upload (Wire.encode base)));
   Hive.inject hive ~slot:0
     (Protocol.encode
        (Protocol.Batch_upload
@@ -443,22 +444,27 @@ let test_batch_total_bits_budget () =
             records;
           }));
   Sim.run sim;
+  Hive.tick hive;
   let s = Hive.stats hive in
   checki "budget-violating batch quarantined" 1 s.Hive.quarantined_frames;
-  checki "nothing ingested from it" 0 s.Hive.traces_received
+  checki "nothing ingested from it" 1 s.Hive.traces_received;
+  checki "not counted as decoded" 0 s.Hive.batch_frames_received;
+  checki "no basis announced" 0 s.Hive.basis_updates_sent
 
 (* ---- Pod-side batching over the wire ------------------------------------ *)
 
-let fleet_sim ?(pod_config = Pod.default_config) ?(announce = false)
-    ?(program = Corpus.parser) () =
+(* One pod wired to a default hive.  [frames] collects every upload
+   frame on its way into the hive's receive path, newest first. *)
+let fleet_sim ?(pod_config = Pod.default_config) ?(program = Corpus.parser) () =
   let sim = Sim.create () in
-  let hive_config =
-    { (Hive.default_config Hive.Full) with Hive.announce_basis = announce }
-  in
-  let hive = Hive.create ~config:hive_config ~sim () in
+  let hive = Hive.create ~config:(Hive.default_config Hive.Full) ~sim () in
   ignore (Hive.register_program hive program);
   let pod_end, hive_end = Transport.endpoint_pair ~sim ~rng:(Rng.create 7) () in
   Hive.attach_pod hive hive_end;
+  let frames = ref [] in
+  Transport.on_receive hive_end (fun payload ->
+      frames := payload :: !frames;
+      Hive.inject hive ~slot:0 payload);
   let config =
     {
       pod_config with
@@ -469,47 +475,78 @@ let fleet_sim ?(pod_config = Pod.default_config) ?(announce = false)
   let pod =
     Pod.create ~config ~cohort:0 ~sim ~rng:(Rng.create 11) ~program ~endpoint:pod_end ()
   in
-  (sim, hive, pod)
+  (sim, hive, pod, frames)
+
+let run_sessions sim pod n =
+  for _ = 1 to n do
+    Pod.run_session pod
+  done;
+  Sim.run sim
+
+let batch_basis_ids frames =
+  List.filter_map
+    (fun payload ->
+      match Protocol.decode payload with
+      | Ok (Protocol.Batch_upload { basis_id; _ }) -> Some basis_id
+      | _ -> None)
+    frames
 
 let test_pod_batches_and_deltas () =
+  (* A delta-encoding pod against a default hive: its first batch
+     anchors on its own leading record, and that delta record is what
+     earns the program a basis announcement on the next tick.  Later
+     batches delta against the announced basis. *)
   let pod_config =
     { Pod.default_config with Pod.upload_batch = 4; delta_encode = true }
   in
-  let sim, hive, pod = fleet_sim ~pod_config ~announce:true ~program:Corpus.checksum () in
-  (* First sessions seed the hive's basis candidate; the tick announces. *)
-  for _ = 1 to 4 do
-    Pod.run_session pod
-  done;
-  Sim.run sim;
+  let sim, hive, pod, frames = fleet_sim ~pod_config ~program:Corpus.checksum () in
+  run_sessions sim pod 4;
+  checkb "first batch self-anchored" true (batch_basis_ids !frames = [ 0 ]);
+  checkb "first batch carries a delta record" true ((Pod.metrics pod).Pod.delta_records >= 1);
+  checki "no basis before the tick" 0 (Hive.stats hive).Hive.basis_updates_sent;
   Hive.tick hive;
   Sim.run sim;
-  checkb "basis announced" true ((Hive.stats hive).Hive.basis_updates_sent >= 1);
-  for _ = 1 to 12 do
-    Pod.run_session pod
-  done;
-  Sim.run sim;
+  checki "basis announced" 1 (Hive.stats hive).Hive.basis_updates_sent;
+  frames := [];
+  run_sessions sim pod 12;
   let m = Pod.metrics pod in
   let s = Hive.stats hive in
-  checkb "pod sent batches" true (m.Pod.batches_sent >= 1);
-  checkb "pod delta-encoded records" true (m.Pod.delta_records >= 1);
-  checkb "hive decoded batch frames" true (s.Hive.batch_frames_received >= 1);
+  checkb "later batches use the announced basis" true
+    (List.for_all (fun id -> id = 1) (batch_basis_ids !frames));
+  checkb "pod sent batches" true (m.Pod.batches_sent >= 4);
+  checkb "pod delta-encoded records" true (m.Pod.delta_records >= 2);
+  checkb "hive decoded batch frames" true (s.Hive.batch_frames_received >= 4);
   checki "every trace arrived" 16 s.Hive.traces_received;
   checki "records add up" 16 s.Hive.batch_records_received
 
 let test_pod_default_config_sends_singles () =
-  (* The knobs default off: no batch frames, no deltas, the legacy
-     one-frame-per-trace path. *)
-  let sim, hive, pod = fleet_sim () in
-  for _ = 1 to 6 do
-    Pod.run_session pod
-  done;
+  (* The default pod sends one frame per trace; a hive fed only single
+     frames has no delta-encoding pod to serve and announces no
+     basis. *)
+  let sim, hive, pod, _ = fleet_sim () in
+  run_sessions sim pod 6;
+  Hive.tick hive;
   Sim.run sim;
   let m = Pod.metrics pod in
   let s = Hive.stats hive in
   checki "no batches" 0 m.Pod.batches_sent;
   checki "no deltas" 0 m.Pod.delta_records;
   checki "no batch frames at the hive" 0 s.Hive.batch_frames_received;
-  checki "singles arrived" 6 s.Hive.traces_received
+  checki "singles arrived" 6 s.Hive.traces_received;
+  checki "no basis announced" 0 s.Hive.basis_updates_sent
+
+let test_full_batches_announce_nothing () =
+  (* Batching without delta encoding: every record is full, so the hive
+     has no reason to announce a basis. *)
+  let pod_config = { Pod.default_config with Pod.upload_batch = 4 } in
+  let sim, hive, pod, _ = fleet_sim ~pod_config ~program:Corpus.checksum () in
+  run_sessions sim pod 8;
+  Hive.tick hive;
+  Sim.run sim;
+  let s = Hive.stats hive in
+  checki "batches decoded" 2 s.Hive.batch_frames_received;
+  checki "no delta records" 0 (Pod.metrics pod).Pod.delta_records;
+  checki "no basis announced" 0 s.Hive.basis_updates_sent
 
 let test_dead_batch_counts_every_record () =
   (* A batch frame the transport abandons loses every trace it
@@ -529,7 +566,6 @@ let test_dead_batch_counts_every_record () =
     {
       Pod.default_config with
       Pod.upload_batch = 4;
-      batch_linger = 1000.0;
       workload = Workload.Uniform_inputs { lo = 0; hi = 40 };
       fault_probability = 0.0;
     }
@@ -579,6 +615,8 @@ let () =
           Alcotest.test_case "batches and deltas" `Quick test_pod_batches_and_deltas;
           Alcotest.test_case "defaults send singles" `Quick
             test_pod_default_config_sends_singles;
+          Alcotest.test_case "full batches announce nothing" `Quick
+            test_full_batches_announce_nothing;
           Alcotest.test_case "dead batch counts records" `Quick
             test_dead_batch_counts_every_record;
         ] );

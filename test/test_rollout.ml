@@ -19,6 +19,7 @@ module Guidance = Softborg_hive.Guidance
 module Fixgen = Softborg_hive.Fixgen
 module Fix_lifecycle = Softborg_hive.Fix_lifecycle
 module Knowledge = Softborg_hive.Knowledge
+module Hive = Softborg_hive.Hive
 module Corpus_bench = Softborg_corpus.Corpus_bench
 module Pod = Softborg_pod.Pod
 module Rng = Softborg_util.Rng
@@ -310,9 +311,7 @@ let make_pod () =
   let sim = Sim.create () in
   let pod_end, hive_end = Transport.endpoint_pair ~sim ~rng:(Rng.create 7) () in
   let pod =
-    Pod.create
-      ~config:{ Pod.default_config with Pod.attribute_fixes = true }
-      ~cohort:0 ~sim ~rng:(Rng.create 11) ~program:Corpus.parser ~endpoint:pod_end ()
+    Pod.create ~cohort:0 ~sim ~rng:(Rng.create 11) ~program:Corpus.parser ~endpoint:pod_end ()
   in
   (sim, pod, hive_end)
 
@@ -385,9 +384,7 @@ let test_pod_canary_membership () =
     let sim = Sim.create () in
     let pod_end, hive_end = Transport.endpoint_pair ~sim ~rng:(Rng.create 7) () in
     let pod =
-      Pod.create
-        ~config:{ Pod.default_config with Pod.attribute_fixes = true }
-        ~cohort ~sim ~rng:(Rng.create 11) ~program:Corpus.parser ~endpoint:pod_end ()
+      Pod.create ~cohort ~sim ~rng:(Rng.create 11) ~program:Corpus.parser ~endpoint:pod_end ()
     in
     Transport.send hive_end
       (Protocol.encode
@@ -471,6 +468,51 @@ let test_rollout_on_stages_fixes () =
   checkb "some pod was exposed" true (f.Metrics.pods_exposed >= 1);
   checkb "exposure bounded by fleet" true (f.Metrics.pods_exposed <= config.Platform.n_pods)
 
+let test_rollout_is_a_hive_setting () =
+  (* Rollout set on the hive alone, with default pods: the pods start
+     attributing once the hive's fix frames carry its canary fraction,
+     so every canary's health test sees control runs, and a saboteur
+     guard that flags every benign run is retracted on evidence rather
+     than promoted when its hold times out. *)
+  let base = Scenario.single_program ~seed:42 Corpus.file_copy in
+  let rollout = { Fix_lifecycle.default_config with Fix_lifecycle.canary_mils = 250 } in
+  let config =
+    {
+      base with
+      Platform.duration = 300.0;
+      sample_interval = 30.0;
+      n_pods = 16;
+      hive_config = { base.Platform.hive_config with Hive.rollout = Some rollout };
+    }
+    |> Scenario.inject_bad_fix ~at:60.0 ~variant:1
+  in
+  let report = Platform.run config in
+  let k =
+    match report.Platform.knowledge with [ k ] -> k | _ -> Alcotest.fail "one program"
+  in
+  let entries = Knowledge.lifecycle k in
+  checkb "fixes were staged" true (entries <> []);
+  List.iter
+    (fun (e : Fix_lifecycle.entry) ->
+      checkb
+        (Printf.sprintf "fix %d saw control runs" e.Fix_lifecycle.fix_id)
+        true
+        (e.Fix_lifecycle.health.Fix_lifecycle.control_runs > 0))
+    entries;
+  let saboteur =
+    List.find
+      (fun (f : Fixgen.fix) ->
+        match f.Fixgen.kind with
+        | Fixgen.Input_guard { bucket; _ } -> bucket = "sabotage:guard"
+        | _ -> false)
+      (Knowledge.fixes k)
+  in
+  let entry =
+    List.find (fun (e : Fix_lifecycle.entry) -> e.Fix_lifecycle.fix_id = saboteur.Fixgen.id) entries
+  in
+  checkb "saboteur retracted, not promoted" true
+    (entry.Fix_lifecycle.stage = Fix_lifecycle.Retracted)
+
 let () =
   Alcotest.run "softborg_rollout"
     [
@@ -508,5 +550,6 @@ let () =
         [
           Alcotest.test_case "off is invisible" `Quick test_rollout_off_prints_nothing;
           Alcotest.test_case "on stages fixes" `Slow test_rollout_on_stages_fixes;
+          Alcotest.test_case "rollout is a hive setting" `Quick test_rollout_is_a_hive_setting;
         ] );
     ]
