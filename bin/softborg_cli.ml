@@ -409,7 +409,9 @@ let prove_cmd =
     for i = 1 to executions do
       let inputs = Array.init program.Ir.n_inputs (fun _ -> Rng.int_in rng (-64) 255) in
       let env = Env.make ~seed:i ~inputs () in
-      let r = Interp.run ~program ~env ~sched:(Sched.Random_sched (Rng.split rng)) () in
+      let r =
+        Engine.run ~engine:Engine.Vm ~program ~env ~sched:(Sched.Random_sched (Rng.split rng)) ()
+      in
       ignore
         (Knowledge.ingest_trace k
            (Trace.of_result ~program_digest:(Knowledge.digest k) ~pod:0 ~fix_epoch:0 r))

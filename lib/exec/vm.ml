@@ -28,10 +28,11 @@ type mode =
 
 (* Values are (int, taint-bit) pairs split across parallel arrays; a
    value is known iff the run records or the taint bit is clear (the
-   tree walk's [tainted <=> None] replay invariant, flattened).  All
-   by-product accumulators are packed int buffers sized >= 512 words so
-   every growth allocation lands directly on the major heap — the
-   dispatch loop itself allocates nothing in the minor heap. *)
+   tree walk's [tainted <=> None] replay invariant, flattened).
+   By-products accumulate into packed int buffers that start small and
+   double when full, so a run pays for what it records rather than for
+   [max_steps]; the dispatch loop allocates only when a push fills a
+   buffer. *)
 type machine = {
   prog : B.t;
   mode : mode;
@@ -63,16 +64,19 @@ type machine = {
   mutable n_lev : int;
 }
 
-(* Initial by-product capacity: enough that short runs never grow, low
-   enough that zeroing it isn't a per-execution tax when [max_steps] is
-   large.  >= 512 words so both the initial arrays and every doubling
-   land directly on the major heap (Max_young_wosize), keeping the
-   minor heap quiet; decision-heavy runs grow amortized-O(1). *)
-let buf_size ~max_steps = max 512 (min (max max_steps 16) 4_096)
+(* Initial by-product capacities, in words.  A fleet session runs
+   ~14 steps and records ~3 decisions, so these cover most runs without
+   a doubling.  All stay far below Max_young_wosize (256 words): a
+   run's buffers are minor-heap bump allocations that die young.
+   Sizing them from [max_steps] would put thousands of words per run
+   straight onto the major heap, a setup cost larger than a short
+   run's whole dispatch.  Longer runs grow amortized-O(1). *)
+let dec_capacity = 32
+let sys_capacity = 8
+let lev_capacity = 16 (* stride 2: 8 lock events *)
 
-let make_machine ~prog ~mode ~hooks ~max_steps =
+let make_machine ~prog ~mode ~hooks =
   let n_threads = Array.length prog.B.threads in
-  let cap = buf_size ~max_steps in
   {
     prog;
     mode;
@@ -93,12 +97,12 @@ let make_machine ~prog ~mode ~hooks ~max_steps =
     deferred = 0;
     suppressed = 0;
     out_bits = Bitvec.create ();
-    dec = Array.make cap 0;
+    dec = Array.make dec_capacity 0;
     n_dec = 0;
-    sys_kind = Array.make 512 0;
-    sys_val = Array.make 512 0;
+    sys_kind = Array.make sys_capacity 0;
+    sys_val = Array.make sys_capacity 0;
     n_sys = 0;
-    lev = Array.make 1024 0;
+    lev = Array.make lev_capacity 0;
     n_lev = 0;
   }
 
@@ -586,7 +590,7 @@ let lock_events_list m =
 let execute ?(max_steps = 20_000) ?(hooks = Interp.no_hooks) ?(cache = B.shared_cache) ~program
     ~env ~sched () =
   let prog = B.find_or_compile cache program in
-  let m = make_machine ~prog ~mode:(Record env) ~hooks ~max_steps in
+  let m = make_machine ~prog ~mode:(Record env) ~hooks in
   let scheduler = Sched.create sched in
   let n_threads = Array.length m.status in
   let rec loop () =
@@ -620,7 +624,7 @@ let execute ?(max_steps = 20_000) ?(hooks = Interp.no_hooks) ?(cache = B.shared_
 let reconstruct ?(hooks = Interp.no_hooks) ?(cache = B.shared_cache) ~program ~bits ~schedule
     ~total_decisions ~total_steps () =
   let prog = B.find_or_compile cache program in
-  let m = make_machine ~prog ~mode:(Replay { bits; bit_pos = 0 }) ~hooks ~max_steps:total_steps in
+  let m = make_machine ~prog ~mode:(Replay { bits; bit_pos = 0 }) ~hooks in
   let scheduler = Sched.create (Sched.Replay schedule) in
   let n_threads = Array.length m.status in
   let rec loop () =

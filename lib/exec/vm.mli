@@ -4,13 +4,18 @@
     semantics — taint tracking, branch-bit emission/consumption, crash
     hooks and suppression, syscall summaries, lock events, and the
     decision-count stop — but dispatching {!Bytecode} int opcodes over
-    dense slot arrays.  After the per-run setup, the dispatch loop
-    allocates no minor words per iteration: values live in
-    preallocated int arrays, taint in bytes, and trace by-products
-    accumulate into packed int buffers whose growth goes straight to
-    the major heap.  That matters because pods share a process with
-    racing solver domains, and OCaml 5 minor collections stop every
-    domain.
+    dense slot arrays.  Pods execute on it and the hive replays on it;
+    {!Interp} is the reference it is tested against.
+
+    A run costs what it records, not what [max_steps] permits: values
+    live in int arrays sized by the program, taint in bytes, and trace
+    by-products in packed int buffers that start at a few dozen words
+    and double when full.  A short run's setup is a handful of small
+    minor-heap allocations that die young, with nothing placed directly
+    on the major heap; the dispatch loop allocates only when a push
+    fills a buffer, never per instruction.  That matters because pods
+    share a process with racing solver domains, and OCaml 5 minor
+    collections stop every domain.
 
     Equivalence with {!Interp} is a tested property (identical
     {!Outcome.t}, bits, decisions, syscall summaries, lock events, and

@@ -2,6 +2,7 @@ module Ir = Softborg_prog.Ir
 module Outcome = Softborg_exec.Outcome
 module Env = Softborg_exec.Env
 module Interp = Softborg_exec.Interp
+module Vm = Softborg_exec.Vm
 module Wire = Softborg_trace.Wire
 module Trace = Softborg_trace.Trace
 module Bitvec = Softborg_util.Bitvec
@@ -469,7 +470,7 @@ let decode_batch t ~caps ~program_digest ~basis_id ~basis_check records =
                 Fixgen.runtime_hooks ~epoch:trace.Trace.fix_epoch live
             in
             match
-              Interp.reconstruct ~hooks ~program ~bits:trace.Trace.bits
+              Vm.reconstruct ~hooks ~program ~bits:trace.Trace.bits
                 ~schedule:trace.Trace.schedule ~total_decisions:trace.Trace.n_decisions
                 ~total_steps:trace.Trace.steps ()
             with

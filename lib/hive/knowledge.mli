@@ -65,7 +65,7 @@ val failures_observed : t -> int
 val replay_errors : t -> int
 
 val replay_cache_hits : t -> int
-(** Ingestions that skipped {!Softborg_exec.Interp.reconstruct} because
+(** Ingestions that skipped {!Softborg_exec.Vm.reconstruct} because
     the decoded-trace cache already held the reconstruction. *)
 
 val gap_memo : t -> Gap_memo.t

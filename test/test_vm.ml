@@ -75,6 +75,46 @@ let gen_env prog iseed () =
   let fault_plan = if iseed mod 3 = 0 then Env.Random_faults 0.2 else Env.No_faults in
   Env.make ~fault_plan ~seed:(iseed + 5) ~inputs ()
 
+(* One program whose by-products overflow every initial buffer many
+   times over: a tainted loop of 1,000-1,600 iterations (the trip count
+   derives from input 0, so every loop test records a decision bit),
+   each making a syscall and taking and releasing a lock, while a second
+   thread contends on the same lock. *)
+let long_loop =
+  let open Build in
+  let open Build.Infix in
+  program ~name:"long-loop" ~globals:[ "g" ] ~n_inputs:1 ~n_locks:1
+    [
+      [
+        assign (lvar "i") (input 0 -: const 1500);
+        while_
+          (local "i" <: const 0)
+          [
+            syscall Ir.Sys_read (lvar "x");
+            lock 0;
+            assign (gvar "g") (glob "g" +: local "x");
+            unlock 0;
+            assign (lvar "i") (local "i" +: const 1);
+          ];
+      ];
+      [
+        assign (lvar "j") (const 0);
+        while_
+          (local "j" <: const 50)
+          [
+            lock 0;
+            assign (gvar "g") (glob "g" +: const 1);
+            unlock 0;
+            assign (lvar "j") (local "j" +: const 1);
+          ];
+      ];
+    ]
+
+(* Inputs of the record and replay properties: a generated program, or
+   in one case of eight [long_loop] at the default step budget. *)
+let property_program pseed =
+  if pseed mod 8 = 7 then (long_loop, 20_000) else (gen_program pseed, 3000)
+
 (* ---- Corpus unit tests -------------------------------------------- *)
 
 let test_corpus_equivalence () =
@@ -165,9 +205,9 @@ let prop_vm_equals_tree_record =
   QCheck.Test.make ~name:"vm = tree-walk (record mode, random programs)" ~count:150
     QCheck.(triple small_nat small_nat small_nat)
     (fun (pseed, iseed, sseed) ->
-      let prog = gen_program pseed in
+      let prog, max_steps = property_program pseed in
       let tree, vm =
-        run_both ~max_steps:3000 ~program:prog ~make_env:(gen_env prog iseed)
+        run_both ~max_steps ~program:prog ~make_env:(gen_env prog iseed)
           ~make_sched:(fun () -> Sched.Random_sched (Rng.create (sseed + 77)))
           ()
       in
@@ -182,9 +222,9 @@ let prop_vm_replay_parity =
   QCheck.Test.make ~name:"vm reconstruct = tree reconstruct (incl. cross-engine)" ~count:120
     QCheck.(triple small_nat small_nat small_nat)
     (fun (pseed, iseed, sseed) ->
-      let prog = gen_program pseed in
+      let prog, max_steps = property_program pseed in
       let r =
-        Interp.run ~max_steps:3000 ~program:prog ~env:(gen_env prog iseed ())
+        Interp.run ~max_steps ~program:prog ~env:(gen_env prog iseed ())
           ~sched:(Sched.Random_sched (Rng.create (sseed + 77)))
           ()
       in
@@ -235,6 +275,56 @@ let prop_vm_replay_error_parity =
         te = ve || QCheck.Test.fail_reportf "different errors: tree=%s vm=%s" te ve
       | Ok _, Error e -> QCheck.Test.fail_reportf "tree ok, vm error: %s" e
       | Error e, Ok _ -> QCheck.Test.fail_reportf "vm ok, tree error: %s" e)
+
+(* ---- Per-run allocation ------------------------------------------- *)
+
+(* A run costs what it records, not what [max_steps] permits: at the
+   default budget a short run puts next to nothing directly on the
+   major heap.  Direct major words (major minus promoted) are a count,
+   so the bound is deterministic. *)
+let direct_major_words_per_run run =
+  run ();
+  let runs = 1_000 in
+  (* A full major collection first: it folds the domain's pending
+     major allocations into [major_words], which otherwise lags. *)
+  let direct () =
+    Gc.full_major ();
+    let s = Gc.quick_stat () in
+    s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let before = direct () in
+  for _ = 1 to runs do
+    run ()
+  done;
+  (direct () -. before) /. float_of_int runs
+
+let test_per_run_major_words () =
+  let prog = gen_program 0 in
+  let make_env = gen_env prog 1 in
+  let make_sched () = Sched.Random_sched (Rng.create 5) in
+  let r = Interp.run ~program:prog ~env:(make_env ()) ~sched:(make_sched ()) () in
+  checkb "short run" true (r.Interp.steps < 200);
+  let reconstruct f () =
+    match
+      f ~program:prog ~bits:r.Interp.bits ~schedule:r.Interp.schedule
+        ~total_decisions:(List.length r.Interp.full_path) ~total_steps:r.Interp.steps ()
+    with
+    | Ok (_ : Interp.reconstruction) -> ()
+    | Error e -> Alcotest.fail e
+  in
+  let words =
+    List.map
+      (fun (name, run) -> (name, direct_major_words_per_run run))
+      [
+        ("Vm.execute", fun () -> ignore (Vm.execute ~program:prog ~env:(make_env ()) ~sched:(make_sched ()) ()));
+        ("Vm.reconstruct", reconstruct (Vm.reconstruct ?hooks:None ?cache:None));
+        ("Interp.run", fun () -> ignore (Interp.run ~program:prog ~env:(make_env ()) ~sched:(make_sched ()) ()));
+        ("Interp.reconstruct", reconstruct (Interp.reconstruct ?hooks:None));
+      ]
+  in
+  if List.exists (fun (_, w) -> w > 16.0) words then
+    Alcotest.failf "direct major-heap words per run above 16: %s"
+      (String.concat ", " (List.map (fun (name, w) -> Printf.sprintf "%s %.1f" name w) words))
 
 (* ---- Compile cache ------------------------------------------------ *)
 
@@ -297,6 +387,8 @@ let () =
           q prop_vm_replay_parity;
           q prop_vm_replay_error_parity;
         ] );
+      ( "allocation",
+        [ Alcotest.test_case "direct major words per short run" `Quick test_per_run_major_words ] );
       ( "cache",
         [
           Alcotest.test_case "memoizes" `Quick test_cache_memoizes;
