@@ -1980,7 +1980,6 @@ let repair_suite ?(smoke = false) () =
   if not smoke then begin
     let oc = open_out "BENCH_repair.json" in
     Printf.fprintf oc "{\n  \"suite\": \"repair\",\n";
-    Printf.fprintf oc "  \"engine\": \"%s\",\n" (Engine.to_string config.Repair_score.engine);
     Printf.fprintf oc "  \"seeds\": [%s],\n"
       (String.concat ", " (List.map string_of_int seeds));
     Printf.fprintf oc "  \"runs_per_instance\": %d,\n" config.Repair_score.runs;
@@ -2334,19 +2333,10 @@ let fed_suite ?(smoke = false) () =
 
 (* ==================================================================== *)
 (* fleet — fleet-scale ingestion: delta/prefix records, batched        *)
-(* frames, parallel decode, sustained load.  The smoke variant runs    *)
-(* the wire-reduction and knowledge byte-identity asserts (for         *)
-(* @fleet-smoke / `dune runtest`); the full run adds the decode        *)
-(* scaling model, a 10^5-pod pressure sweep, and time-to-first-fix,    *)
-(* and writes BENCH_fleet.json.                                        *)
-(*                                                                     *)
-(* Decode scaling is reported in the same BSP style as the fed suite:  *)
-(* the parallelizable per-record work (decode + canonicalize + replay  *)
-(* precompute — exactly the closure [Hive.decode_batch] ships to the   *)
-(* pool) and the serial commit residue are timed separately, so the    *)
-(* pool-P throughput (D/P + C) is measurable on any machine —          *)
-(* including single-core CI hosts, where a wall-clock pool run can     *)
-(* only show time-sharing parity.                                      *)
+(* frames, sustained load.  The smoke variant runs the wire-reduction  *)
+(* and knowledge byte-identity asserts (for @fleet-smoke /             *)
+(* `dune runtest`); the full run adds a 10^5-pod pressure sweep and    *)
+(* time-to-first-fix, and writes BENCH_fleet.json.                     *)
 (* ==================================================================== *)
 
 let fleet_suite ?(smoke = false) () =
@@ -2452,155 +2442,10 @@ let fleet_suite ?(smoke = false) () =
     [
       ("batch-16 delta", batch_frames ~size:16 id_traces, 1);
       ("batch-16 full", batch_frames ~delta:false ~size:16 id_traces, 1);
-      ("batch-16 delta, pool-4 decode", batch_frames ~size:16 id_traces, 4);
+      ("batch-16 delta, pool-4 hive", batch_frames ~size:16 id_traces, 4);
       ("batch-5 delta", batch_frames ~size:5 id_traces, 1);
     ];
   if not smoke then begin
-    (* ---- Parallel decode: serial baseline + BSP model ------------------ *)
-    (* A pod-shaped service program for the scaling measurement: the
-       same two input-dependent branches as [Corpus.checksum] but a
-       much longer deterministic compute loop, so the per-trace replay
-       the pool precomputes costs more than the serial commit residue
-       (tree merge + store admit) — as it does for real services, whose
-       step counts dwarf their decision counts. *)
-    let fleet_prog =
-      let open Build in
-      let open Build.Infix in
-      (* Shape matters twice here.  Straight-line mixing keeps the full
-         decision path short (every branch evaluation lands in it, and
-         the commit-side tree merge walks it per trace) while steps
-         climb past a thousand, so replay — the work the pool
-         precomputes — dominates the serial residue.  And the sixteen
-         input-tainted branches spread the fleet's traces across 2^16
-         path signatures: near-every trace is novel content, which is
-         precisely when the replay cache cannot help and parallel
-         decode earns its keep. *)
-      let mix i =
-        assign (lvar "acc") ((local "acc" *: const 3) +: const ((i * 7) mod 31))
-      in
-      let round r =
-        List.init 75 (fun i -> mix ((r * 75) + i))
-        @ [
-            (* Mod an odd prime, not 2: an affine mix only permutes the
-               low bit, and a parity branch would collapse the fleet to
-               two path signatures. *)
-            if_
-              (local "acc" %: const 97 >: const 48)
-              [ assign (lvar "acc") (local "acc" +: const 1) ]
-              [ assign (lvar "acc") (local "acc" -: const 1) ];
-          ]
-      in
-      program ~name:"fleet-service" ~n_inputs:2
-        [
-          (assign (lvar "acc") (input 0) :: List.concat (List.init 16 round))
-          @ [
-              if_
-                (input 1 >: const 100)
-                [ assign (lvar "mode") (const 2) ]
-                [ assign (lvar "mode") (const 1) ];
-            ];
-        ]
-    in
-    let fleet_digest = Ir.digest fleet_prog in
-    let heavy_traces =
-      let rng = Rng.create 29 in
-      List.init 6400 (fun i ->
-          let inputs = [| Rng.int rng 1_000_000; Rng.int rng 200 |] in
-          let env = Env.make ~seed:7 ~inputs () in
-          Trace.of_result ~program_digest:fleet_digest ~pod:(1 + (i mod 977)) ~fix_epoch:0
-            (Interp.run ~program:fleet_prog ~env ~sched:Sched.Round_robin ()))
-    in
-    let heavy_frames =
-      List.map (fun c -> batch_frame ~digest:fleet_digest c) (chunks 64 heavy_traces)
-    in
-    let n_heavy = List.length heavy_traces in
-    (match heavy_traces with
-    | t :: _ ->
-      Printf.printf "decode workload: %d-step, %d-decision traces\n" t.Trace.steps
-        t.Trace.n_decisions
-    | [] -> ());
-    let pool_run pool_size =
-      let _, h = make_hive ~pool_size () in
-      ignore (Hive.register_program h fleet_prog);
-      let (), wall = timed (fun () -> List.iter (Hive.inject h ~slot:0) heavy_frames) in
-      let bytes = knowledge_bytes h in
-      let n = (Hive.stats h).Hive.traces_received in
-      Hive.shutdown h;
-      assert (n = n_heavy);
-      (bytes, wall)
-    in
-    let serial_bytes, t_serial = pool_run 1 in
-    (* Pre-encoded record chunks, so the timed region below decodes the
-       exact bytes the hive would without paying re-encode cost. *)
-    let record_chunks =
-      List.map
-        (fun chunk ->
-          match chunk with
-          | [] -> assert false
-          | first :: rest ->
-            (Wire.encode_record first, List.map (fun t -> Wire.encode_record ~basis:first t) rest))
-        (chunks 64 heavy_traces)
-    in
-    let decode_one ?basis s =
-      match Wire.decode_record ?basis ~program_digest:fleet_digest s with
-      | Error _ -> assert false
-      | Ok trace ->
-        let prep = Trace_store.prepare trace in
-        let hooks = Fixgen.runtime_hooks ~epoch:trace.Trace.fix_epoch [] in
-        (match
-           Engine.reconstruct ~hooks ~engine:Engine.Vm ~program:fleet_prog ~bits:trace.Trace.bits
-             ~schedule:trace.Trace.schedule ~total_decisions:trace.Trace.n_decisions
-             ~total_steps:trace.Trace.steps ()
-         with
-        | Ok _ -> ()
-        | Error _ -> assert false);
-        prep
-    in
-    let (), t_par =
-      timed (fun () ->
-          List.iter
-            (fun (anchor_rec, rest_recs) ->
-              let anchor = decode_one anchor_rec in
-              List.iter
-                (fun s -> ignore (decode_one ~basis:anchor.Trace_store.p_trace s))
-                rest_recs)
-            record_chunks)
-    in
-    let t_commit = Float.max 0.0 (t_serial -. t_par) in
-    let modeled_tp pool =
-      float_of_int n_heavy /. ((t_par /. float_of_int pool) +. t_commit)
-    in
-    let measured =
-      List.map
-        (fun pool_size ->
-          let bytes, wall = pool_run pool_size in
-          assert (String.equal serial_bytes bytes);
-          (pool_size, float_of_int n_heavy /. wall))
-        [ 2; 4 ]
-    in
-    let measured_tp p =
-      if p = 1 then Some (float_of_int n_heavy /. t_serial)
-      else List.assoc_opt p measured
-    in
-    Tabular.print
-      ~title:
-        (Printf.sprintf
-           "parallel batch decode, %d traces in %d-record frames (parallel fraction %.2f)"
-           n_heavy 64 (t_par /. Float.max 1e-9 t_serial))
-      [ rcol "pool"; rcol "modeled-traces/s"; rcol "modeled-speedup"; rcol "measured-traces/s" ]
-      (List.map
-         (fun p ->
-           [
-             string_of_int p;
-             fmt_f ~decimals:0 (modeled_tp p);
-             fmt_f ~decimals:2 (modeled_tp p /. modeled_tp 1);
-             (match measured_tp p with Some tp -> fmt_f ~decimals:0 tp | None -> "-");
-           ])
-         [ 1; 2; 4; 8 ]);
-    let decode_speedup4 = modeled_tp 4 /. modeled_tp 1 in
-    if decode_speedup4 < 1.5 then
-      Printf.printf "WARNING: modeled 4-worker decode speedup %.2fx is below the 1.5x target\n"
-        decode_speedup4;
     (* ---- Sustained-load pressure sweep, 10^5 pod slots ----------------- *)
     (* Arrival shape per target level: bursts sized so queue occupancy
        lands in the wanted pressure quartile (level = 4*queue/bound),
@@ -2739,24 +2584,6 @@ let fleet_suite ?(smoke = false) () =
     Printf.fprintf out "  \"bytes_per_trace_batched_delta\": %.2f,\n" batched_per;
     Printf.fprintf out "  \"wire_reduction\": %.2f,\n" reduction;
     Printf.fprintf out "  \"knowledge_identity\": true,\n";
-    Printf.fprintf out "  \"decode\": {\n";
-    Printf.fprintf out "    \"batch_records\": 64,\n";
-    Printf.fprintf out "    \"traces\": %d,\n" n_heavy;
-    Printf.fprintf out "    \"parallel_fraction\": %.3f,\n"
-      (t_par /. Float.max 1e-9 t_serial);
-    Printf.fprintf out "    \"modeled_speedup_pool4\": %.2f,\n" decode_speedup4;
-    Printf.fprintf out "    \"pools\": [\n";
-    List.iteri
-      (fun i p ->
-        Printf.fprintf out
-          "      { \"pool\": %d, \"modeled_traces_per_sec\": %.0f, \"modeled_speedup\": \
-           %.2f, \"measured_traces_per_sec\": %s }%s\n"
-          p (modeled_tp p)
-          (modeled_tp p /. modeled_tp 1)
-          (match measured_tp p with Some tp -> Printf.sprintf "%.0f" tp | None -> "null")
-          (if i = 3 then "" else ","))
-      [ 1; 2; 4; 8 ];
-    Printf.fprintf out "    ]\n  },\n";
     Printf.fprintf out "  \"ttff_singles_seconds\": %s,\n" (json_ttff ttff_single);
     Printf.fprintf out "  \"ttff_batched_seconds\": %s,\n" (json_ttff ttff_batched);
     Printf.fprintf out "  \"results\": [\n";
@@ -3045,7 +2872,7 @@ let experiments =
       fun () -> fed_suite ());
     ("fed-smoke", "N-shard-equals-single-hive merge asserts for @fed-smoke",
       fun () -> fed_suite ~smoke:true ());
-    ("fleet", "fleet-scale ingestion: wire reduction, parallel decode, pressure sweep (writes BENCH_fleet.json)",
+    ("fleet", "fleet-scale ingestion: wire reduction, pressure sweep (writes BENCH_fleet.json)",
       fun () -> fleet_suite ());
     ("fleet-smoke", "wire-reduction + knowledge byte-identity asserts for @fleet-smoke",
       fun () -> fleet_suite ~smoke:true ());

@@ -20,7 +20,7 @@ module Generator = Softborg_prog.Generator
 module Env = Softborg_exec.Env
 module Sched = Softborg_exec.Sched
 module Interp = Softborg_exec.Interp
-module Engine = Softborg_exec.Engine
+module Vm = Softborg_exec.Vm
 module Outcome = Softborg_exec.Outcome
 module Trace = Softborg_trace.Trace
 module Wire = Softborg_trace.Wire
@@ -37,7 +37,6 @@ module Fix_lifecycle = Softborg_hive.Fix_lifecycle
 module Knowledge = Softborg_hive.Knowledge
 module Fixgen = Softborg_hive.Fixgen
 module Prover = Softborg_hive.Prover
-module Pod = Softborg_pod.Pod
 module Platform = Softborg.Platform
 module Scenario = Softborg.Scenario
 module Metrics = Softborg.Metrics
@@ -84,16 +83,6 @@ let program_arg =
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Deterministic random seed.")
 
-let engine_conv = Arg.enum [ ("vm", Engine.Vm); ("tree", Engine.Tree) ]
-
-let engine_arg =
-  Arg.(
-    value & opt engine_conv Engine.Vm
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:
-          "Execution engine: $(b,vm) (compiled bytecode, the default) or $(b,tree) (the \
-           reference tree-walk interpreter).")
-
 (* ---- list -------------------------------------------------------------- *)
 
 let list_cmd =
@@ -124,11 +113,11 @@ let inputs_arg =
     & info [ "inputs" ] ~docv:"N,N,..." ~doc:"Program input vector (missing slots are 0).")
 
 let run_cmd =
-  let run program inputs seed engine =
+  let run program inputs seed =
     let padded = Array.make program.Ir.n_inputs 0 in
     List.iteri (fun i v -> if i < Array.length padded then padded.(i) <- v) inputs;
     let env = Env.make ~seed ~inputs:padded () in
-    let r = Engine.run ~engine ~program ~env ~sched:Sched.Round_robin () in
+    let r = Vm.execute ~program ~env ~sched:Sched.Round_robin () in
     Format.printf "program:  %s@." program.Ir.name;
     Format.printf "inputs:   [%s]@."
       (String.concat "; " (Array.to_list (Array.map string_of_int padded)));
@@ -147,7 +136,7 @@ let run_cmd =
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Execute a program once and show its by-products.")
-    Term.(const run $ program_arg $ inputs_arg $ seed_arg $ engine_arg)
+    Term.(const run $ program_arg $ inputs_arg $ seed_arg)
 
 (* ---- simulate ----------------------------------------------------------- *)
 
@@ -227,14 +216,11 @@ let simulate_cmd =
           ~doc:"With $(b,--rollout canary), the fleet fraction in each fix's cohort.")
   in
   let run verbose program mode duration pods seed chaos chaos_seed overload shards batch
-      no_delta rollout canary_fraction engine =
+      no_delta rollout canary_fraction =
     setup_logs verbose;
     let config = Scenario.single_program ~mode ~seed program in
     let config =
       { config with Platform.duration; n_pods = pods; sample_interval = duration /. 10.0 }
-    in
-    let config =
-      { config with Platform.pod_config = { config.Platform.pod_config with Pod.engine } }
     in
     let config = if chaos then Scenario.with_chaos ~chaos_seed config else config in
     let config =
@@ -280,7 +266,7 @@ let simulate_cmd =
     Term.(
       const run $ verbose_flag $ program_arg $ mode_arg $ duration_arg $ pods_arg $ seed_arg
       $ chaos_flag $ chaos_seed_arg $ overload_flag $ shards_arg $ batch_arg $ no_delta_flag
-      $ rollout_arg $ canary_fraction_arg $ engine_arg)
+      $ rollout_arg $ canary_fraction_arg)
 
 (* ---- explore -------------------------------------------------------------- *)
 
@@ -336,11 +322,11 @@ let schedules_cmd =
   let max_runs_arg =
     Arg.(value & opt int 200 & info [ "max-runs" ] ~docv:"N" ~doc:"Execution budget.")
   in
-  let run program inputs max_runs seed engine =
+  let run program inputs max_runs seed =
     let padded = Array.make program.Ir.n_inputs 0 in
     List.iteri (fun i v -> if i < Array.length padded then padded.(i) <- v) inputs;
     let make_env () = Env.make ~seed ~inputs:padded () in
-    let result = Schedule_explore.explore ~max_runs ~engine ~program ~make_env () in
+    let result = Schedule_explore.explore ~max_runs ~program ~make_env () in
     Format.printf "runs: %d, distinct schedules: %d, failing: %d@." result.Schedule_explore.runs
       result.Schedule_explore.distinct_schedules
       (List.length result.Schedule_explore.failures);
@@ -352,7 +338,7 @@ let schedules_cmd =
   in
   Cmd.v
     (Cmd.info "schedules" ~doc:"Systematically explore thread interleavings.")
-    Term.(const run $ program_arg $ inputs_arg $ max_runs_arg $ seed_arg $ engine_arg)
+    Term.(const run $ program_arg $ inputs_arg $ max_runs_arg $ seed_arg)
 
 (* ---- immunize ------------------------------------------------------------------ *)
 
@@ -409,9 +395,7 @@ let prove_cmd =
     for i = 1 to executions do
       let inputs = Array.init program.Ir.n_inputs (fun _ -> Rng.int_in rng (-64) 255) in
       let env = Env.make ~seed:i ~inputs () in
-      let r =
-        Engine.run ~engine:Engine.Vm ~program ~env ~sched:(Sched.Random_sched (Rng.split rng)) ()
-      in
+      let r = Vm.execute ~program ~env ~sched:(Sched.Random_sched (Rng.split rng)) () in
       ignore
         (Knowledge.ingest_trace k
            (Trace.of_result ~program_digest:(Knowledge.digest k) ~pod:0 ~fix_epoch:0 r))

@@ -3,7 +3,6 @@ type t =
   | Vm
 
 let to_string = function Tree -> "tree" | Vm -> "vm"
-let of_string = function "tree" -> Some Tree | "vm" -> Some Vm | _ -> None
 
 let run ?max_steps ?hooks ?cache ~engine ~program ~env ~sched () =
   match engine with

@@ -1,9 +1,11 @@
-(** Execution-engine selection.
+(** Engine selection for oracle comparisons.
 
-    Both engines implement the same record/replay semantics (a tested
-    equivalence); pods default to the bytecode {!Vm} for throughput,
-    while the tree-walk {!Interp} remains the reference semantics and a
-    debugging fallback. *)
+    Both engines implement the same record/replay semantics.  Production
+    code (pods, the hive, the CLI) calls {!Vm} directly; this module
+    exists so the equivalence tests, the bug corpus's two-engine
+    certification and the benchmarks can run one workload on either
+    engine and compare, with the tree-walk {!Interp} as the reference
+    semantics. *)
 
 module Bitvec := Softborg_util.Bitvec
 module Ir := Softborg_prog.Ir
@@ -14,8 +16,6 @@ type t =
 
 val to_string : t -> string
 (** ["tree"] or ["vm"]. *)
-
-val of_string : string -> t option
 
 val run :
   ?max_steps:int ->

@@ -15,8 +15,8 @@ let encode_knowledge knowledge =
   Knowledge.write w knowledge;
   Codec.Writer.contents w
 
-let decode_knowledge ?replay_cache data =
-  match Knowledge.read ?replay_cache (Codec.Reader.of_string data) with
+let decode_knowledge data =
+  match Knowledge.read (Codec.Reader.of_string data) with
   | knowledge -> Ok knowledge
   | exception Codec.Truncated -> Error "truncated knowledge snapshot"
   | exception Codec.Malformed msg -> Error (Printf.sprintf "malformed knowledge snapshot: %s" msg)
@@ -36,7 +36,7 @@ let encode knowledge_list =
 
 let read_magic r = String.init (String.length magic) (fun _ -> Char.chr (Codec.Reader.byte r))
 
-let decode ?replay_cache data =
+let decode data =
   let r = Codec.Reader.of_string data in
   match
     let seen = read_magic r in
@@ -45,7 +45,7 @@ let decode ?replay_cache data =
       let version = Codec.Reader.varint r in
       if version <> format_version then
         Error (Printf.sprintf "unsupported checkpoint version %d" version)
-      else Ok (Codec.Reader.list r (fun r -> Knowledge.read ?replay_cache r))
+      else Ok (Codec.Reader.list r Knowledge.read)
   with
   | result -> result
   | exception Codec.Truncated -> Error "truncated checkpoint"

@@ -19,13 +19,12 @@ val format_version : int
 val encode : Knowledge.t list -> string
 (** Serialize a set of knowledge bases (sorted internally by digest). *)
 
-val decode : ?replay_cache:int -> string -> (Knowledge.t list, string) result
-(** Inverse of {!encode}.  [replay_cache] sizes each restored
-    knowledge base's decoded-trace cache (which always restarts
-    cold). *)
+val decode : string -> (Knowledge.t list, string) result
+(** Inverse of {!encode}.  Each restored knowledge base's decoded-trace
+    cache restarts cold at the default size. *)
 
 val encode_knowledge : Knowledge.t -> string
 (** One knowledge base, unframed — the unit the property tests
     round-trip. *)
 
-val decode_knowledge : ?replay_cache:int -> string -> (Knowledge.t, string) result
+val decode_knowledge : string -> (Knowledge.t, string) result

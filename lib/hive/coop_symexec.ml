@@ -185,7 +185,6 @@ module Coordinator = struct
     gaps_per_job : int;
     budget_per_gap : int;
     policy : Allocate.policy;
-    engine : Softborg_exec.Engine.t;
   }
 
   let default_config =
@@ -194,7 +193,6 @@ module Coordinator = struct
       gaps_per_job = 4;
       budget_per_gap = 20_000;
       policy = Allocate.Mean_variance { risk_aversion = 0.5 };
-      engine = Softborg_exec.Engine.Vm;
     }
 
   type progress = {
@@ -275,7 +273,7 @@ module Coordinator = struct
                 ()
             in
             let r =
-              Softborg_exec.Engine.run ~engine:t.config.engine ~program:t.program ~env
+              Softborg_exec.Vm.execute ~program:t.program ~env
                 ~sched:Softborg_exec.Sched.Round_robin ()
             in
             let covers =

@@ -67,8 +67,6 @@ module Coordinator : sig
     gaps_per_job : int;  (** Frontier gaps batched into one job. *)
     budget_per_gap : int;
     policy : Allocate.policy;
-    engine : Softborg_exec.Engine.t;
-        (** Engine for the central validation runs (default VM). *)
   }
 
   val default_config : config

@@ -1,8 +1,6 @@
 module Ir = Softborg_prog.Ir
 module Outcome = Softborg_exec.Outcome
 module Env = Softborg_exec.Env
-module Interp = Softborg_exec.Interp
-module Vm = Softborg_exec.Vm
 module Wire = Softborg_trace.Wire
 module Trace = Softborg_trace.Trace
 module Bitvec = Softborg_util.Bitvec
@@ -117,27 +115,14 @@ type stats = {
   quarantined_fix_traces : int;
 }
 
-(* A reconstruction precomputed on a decode worker, stamped with the
-   fix-list value it was built against.  It is only usable while the
-   program's fix list is still that exact value (physical equality —
-   the list is replaced wholesale on every change) and the retracted
-   set is unchanged (retraction mutates the retracted list without
-   replacing the fixes), because replay hooks derive from both. *)
-type precomputed = {
-  pc_fixes : Fixgen.fix list;
-  pc_retracted : int list;
-  pc_recon : Interp.reconstruction;
-}
-
 (* One admitted-but-not-yet-processed upload.  The frame is decoded at
    admission (that is where poison is detected and the outcome class
    read), so the drain only has to ingest.  Traces carry their
    prepared canonical bytes (one encode at decode time serves the
-   trace store, the replay cache key, and the federation tap) and,
-   when they arrived in a batch decoded on the worker pool, a
-   precomputed replay. *)
+   trace store, the replay cache key, and the federation tap); the
+   replay itself happens at ingest, in [Knowledge.ingest_trace]. *)
 type work =
-  | Trace_work of { prep : Trace_store.prepared; recon : precomputed option }
+  | Trace_work of Trace_store.prepared
   | Sampled_work of { program_digest : string; report : Softborg_trace.Sampling.t }
 
 type queued = {
@@ -360,8 +345,7 @@ let inject_fix t ~digest kind =
    were already produced once at decode time ([Trace_store.prepare]) —
    the tap reuses them instead of re-encoding per shard. *)
 let canonical_payload = function
-  | Trace_work { prep; _ } ->
-    Protocol.encode (Protocol.Trace_upload prep.Trace_store.p_encoded)
+  | Trace_work prep -> Protocol.encode (Protocol.Trace_upload prep.Trace_store.p_encoded)
   | Sampled_work { program_digest; report } ->
     Protocol.encode (Protocol.Sampled_report { program_digest; report })
 
@@ -369,7 +353,7 @@ let process_work t work =
   t.traces_received <- t.traces_received + 1;
   (match t.ingest_tap with None -> () | Some tap -> tap (canonical_payload work));
   match work with
-  | Trace_work { prep; recon } -> (
+  | Trace_work prep -> (
     let trace = prep.Trace_store.p_trace in
     if
       Bitvec.length trace.Trace.bits > 0
@@ -379,20 +363,7 @@ let process_work t work =
     | None -> ()
     | Some k -> (
       match t.config.mode with
-      | Full ->
-        (* A precomputed replay is only trustworthy while the fix list
-           is still the exact value the worker saw — hooks derive from
-           it.  Stale precomputes fall back to the normal replay path
-           (identical result, just slower). *)
-        let reconstruction =
-          match recon with
-          | Some pc
-            when pc.pc_fixes == Knowledge.fixes k
-                 && pc.pc_retracted = Knowledge.retracted_ids k ->
-            Some pc.pc_recon
-          | _ -> None
-        in
-        ignore (Knowledge.ingest_trace ~prepared:prep ?reconstruction k trace)
+      | Full -> ignore (Knowledge.ingest_trace ~prepared:prep k trace)
       | Wer | Cbi -> Knowledge.ingest_outcome_only k trace))
   | Sampled_work { program_digest; report } -> (
     match Hashtbl.find_opt t.programs program_digest with
@@ -408,12 +379,9 @@ exception Bad_batch
    total budget damns the whole batch — parse-then-commit, nothing
    partial is ingested).
 
-   Records after the anchor are decoded, canonicalized, and optionally
-   replay-precomputed on the worker pool; [Pool.map] preserves input
-   order and every per-record function is pure, so the resulting work
-   list — and therefore all downstream knowledge bytes — is identical
-   for any pool size.  Trace ids are minted afterwards on this thread,
-   in record order ([Ids] counters are plain refs, not domain-safe). *)
+   Records are decoded and canonicalized in order; replay waits for
+   ingest.  Trace ids are minted once the whole batch has decoded, in
+   record order, so a poison batch mints none. *)
 let decode_batch t ~caps ~program_digest ~basis_id ~basis_check records =
   match
     (* Total-budget pre-pass over declared sizes: a batch of records
@@ -436,58 +404,14 @@ let decode_batch t ~caps ~program_digest ~basis_id ~basis_check records =
         | Some (b, fp) when fp = basis_check -> Some b
         | Some _ | None -> raise Bad_batch
     in
-    let knowledge = Hashtbl.find_opt t.programs program_digest in
-    (* Precompute replays on the workers only when there is real
-       parallelism to exploit; the snapshot gate in [process_work]
-       keeps the result byte-identical either way. *)
-    let precompute =
-      match (knowledge, t.pool, t.config.mode) with
-      | Some k, Some _, Full ->
-        Some (Knowledge.program k, Knowledge.fixes k, Knowledge.retracted_ids k)
-      | _ -> None
-    in
     let decode_one ?basis s =
       match Wire.decode_record ~caps ?basis ~program_digest s with
       | Error _ -> raise Bad_batch
-      | Ok trace ->
-        let prep = Trace_store.prepare trace in
-        let recon =
-          match precompute with
-          | Some (program, fixes, retracted)
-            when not (trace.Trace.steps = 0 && trace.Trace.n_decisions = 0) -> (
-            (* Mirror [Knowledge.replay_hooks] exactly: an attributed
-               trace names its active fix set, an unattributed one gets
-               the epoch approximation over the non-retracted fixes. *)
-            let hooks =
-              match trace.Trace.attribution with
-              | Some a -> Fixgen.runtime_hooks_for_ids ~ids:a.Trace.active_fixes fixes
-              | None ->
-                let live =
-                  if retracted = [] then fixes
-                  else
-                    List.filter (fun f -> not (List.mem f.Fixgen.id retracted)) fixes
-                in
-                Fixgen.runtime_hooks ~epoch:trace.Trace.fix_epoch live
-            in
-            match
-              Vm.reconstruct ~hooks ~program ~bits:trace.Trace.bits
-                ~schedule:trace.Trace.schedule ~total_decisions:trace.Trace.n_decisions
-                ~total_steps:trace.Trace.steps ()
-            with
-            | Ok r -> Some { pc_fixes = fixes; pc_retracted = retracted; pc_recon = r }
-            | Error _ -> None)
-          | _ -> None
-        in
-        (prep, recon)
-    in
-    let par_map f xs =
-      match t.pool with
-      | Some pool when List.length xs > 1 -> Pool.map pool f xs
-      | _ -> List.map f xs
+      | Ok trace -> Trace_store.prepare trace
     in
     let decoded =
       match basis with
-      | Some b -> par_map (fun s -> decode_one ~basis:b s) records
+      | Some b -> List.map (fun s -> decode_one ~basis:b s) records
       | None -> (
         match records with
         | [] -> []
@@ -495,8 +419,8 @@ let decode_batch t ~caps ~program_digest ~basis_id ~basis_check records =
           (* No announced basis: the leading record anchors the batch
              and must be full (a delta tag with no basis is malformed
              inside [decode_one]). *)
-          let ((anchor_prep, _) as anchor) = decode_one first in
-          anchor :: par_map (fun s -> decode_one ~basis:anchor_prep.Trace_store.p_trace s) rest)
+          let anchor = decode_one first in
+          anchor :: List.map (fun s -> decode_one ~basis:anchor.Trace_store.p_trace s) rest)
     in
     (* Counted only once the whole batch decoded: a quarantined batch
        is neither a decoded frame nor evidence that pods delta-encode. *)
@@ -505,12 +429,11 @@ let decode_batch t ~caps ~program_digest ~basis_id ~basis_check records =
     if List.exists Wire.is_delta_record records then
       Hashtbl.replace t.delta_programs program_digest ();
     List.map
-      (fun (prep, recon) ->
+      (fun prep ->
         let trace =
           { prep.Trace_store.p_trace with Trace.trace_id = Ids.Trace_id.fresh () }
         in
-        let prep = Trace_store.with_trace prep trace in
-        (Outcome.is_failure trace.Trace.outcome, Trace_work { prep; recon }))
+        (Outcome.is_failure trace.Trace.outcome, Trace_work (Trace_store.with_trace prep trace)))
       decoded
   with
   | works -> Ok works
@@ -677,7 +600,7 @@ let admit t (oc : overload_config) slot payload =
           {
             q_slot = slot;
             q_failing = Outcome.is_failure trace.Trace.outcome;
-            q_work = Trace_work { prep = Trace_store.prepare trace; recon = None };
+            q_work = Trace_work (Trace_store.prepare trace);
           })
     | Ok (Protocol.Batch_upload { program_digest; basis_id; basis_check; records }) -> (
       (* [Protocol.decode ~caps] already bounded the record count and
@@ -1118,7 +1041,7 @@ let checkpoint t =
   t.checkpoints_taken <- t.checkpoints_taken + 1;
   Codec.Writer.contents w
 
-let restore ?replay_cache t data =
+let restore t data =
   let r = Codec.Reader.of_string data in
   match
     let seen =
@@ -1158,7 +1081,7 @@ let restore ?replay_cache t data =
               let epoch = Codec.Reader.varint r in
               (digest, (tree_version, epoch)))
         in
-        match Checkpoint.decode ?replay_cache (Codec.Reader.bytes r) with
+        match Checkpoint.decode (Codec.Reader.bytes r) with
         | Error msg -> Error msg
         | Ok restored ->
           (* Parse fully before mutating: a malformed checkpoint leaves

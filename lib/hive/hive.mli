@@ -217,7 +217,7 @@ val checkpoint : t -> string
     and the simulator are deliberately excluded — a restored hive
     reattaches to whatever pods are alive. *)
 
-val restore : ?replay_cache:int -> t -> string -> (int, string) result
+val restore : t -> string -> (int, string) result
 (** Replace the hive's durable state with a checkpoint's, as after a
     crash and restart.  Returns the number of programs restored.  A
     malformed or truncated checkpoint returns [Error] and leaves the

@@ -56,7 +56,11 @@ type t = {
   verdict_cache : Softborg_solver.Verdict_cache.t;
 }
 
-let create ?(replay_cache = 256) program =
+(* Decoded-trace LRU entries; [read] restores knowledge with a cold
+   cache of this size. *)
+let default_replay_cache = 256
+
+let create ?(replay_cache = default_replay_cache) program =
   {
     program;
     digest = Ir.digest program;
@@ -196,7 +200,7 @@ let replay_hooks t (trace : Trace.t) =
   | Some a -> Fixgen.runtime_hooks_for_ids ~ids:a.Trace.active_fixes t.fixes
   | None -> hooks_for_epoch t trace.Trace.fix_epoch
 
-let ingest_trace ?prepared ?reconstruction t (trace : Trace.t) =
+let ingest_trace ?prepared t (trace : Trace.t) =
   if quarantines t trace then begin
     t.quarantined <- t.quarantined + 1;
     Ok ()
@@ -218,29 +222,18 @@ let ingest_trace ?prepared ?reconstruction t (trace : Trace.t) =
         merge_reconstruction t trace reconstruction;
         Ok ()
       | None -> (
-        match reconstruction with
-        | Some reconstruction ->
-          (* Precomputed off-thread (batch decode on the worker pool).
-             The caller guarantees it was built against the current fix
-             set, so it equals what the replay below would produce — the
-             cache and merge behave exactly as in a sequential run. *)
+        match
+          Vm.reconstruct ~hooks:(replay_hooks t trace) ~program:t.program ~bits:trace.Trace.bits
+            ~schedule:trace.Trace.schedule ~total_decisions:trace.Trace.n_decisions
+            ~total_steps:trace.Trace.steps ()
+        with
+        | Ok reconstruction ->
           Option.iter (fun cache -> Lru.add cache content_key reconstruction) t.replay_cache;
           merge_reconstruction t trace reconstruction;
           Ok ()
-        | None -> (
-          let hooks = replay_hooks t trace in
-          match
-            Vm.reconstruct ~hooks ~program:t.program ~bits:trace.Trace.bits
-              ~schedule:trace.Trace.schedule ~total_decisions:trace.Trace.n_decisions
-              ~total_steps:trace.Trace.steps ()
-          with
-          | Ok reconstruction ->
-            Option.iter (fun cache -> Lru.add cache content_key reconstruction) t.replay_cache;
-            merge_reconstruction t trace reconstruction;
-            Ok ()
-          | Error msg ->
-            t.replay_errors <- t.replay_errors + 1;
-            Error msg))
+        | Error msg ->
+          t.replay_errors <- t.replay_errors + 1;
+          Error msg)
   end
 
 let ingest_sampled t sampled =
@@ -465,7 +458,7 @@ let write w t =
   Codec.Writer.list w (Codec.Writer.varint w) t.retracted;
   Fix_lifecycle.write_entries w t.lifecycle
 
-let read ?(replay_cache = 256) r =
+let read r =
   let program = Ir_codec.read_program r in
   let digest = Codec.Reader.bytes r in
   let epoch = Codec.Reader.varint r in
@@ -526,7 +519,7 @@ let read ?(replay_cache = 256) r =
     failures;
     replay_errors;
     proofs;
-    replay_cache = (if replay_cache <= 0 then None else Some (Lru.create replay_cache));
+    replay_cache = Some (Lru.create default_replay_cache);
     replay_cache_hits = 0;
     gap_memo = Gap_memo.create ();
     verdict_cache = Softborg_solver.Verdict_cache.create ();

@@ -93,19 +93,12 @@ val store : t -> Trace_store.t
 (** The content-addressed store backing full-trace ingestion; exposes
     dedup/storage accounting. *)
 
-val ingest_trace :
-  ?prepared:Trace_store.prepared ->
-  ?reconstruction:Interp.reconstruction ->
-  t ->
-  Trace.t ->
-  (unit, string) result
-(** Full ingestion: replay the by-products, merge the path into the
-    tree, feed the deadlock miner and the isolator, bucket failures.
-    [prepared] skips re-encoding at admission (see
-    {!Trace_store.prepare}); [reconstruction] skips the replay on a
-    cache miss — the caller must guarantee it was computed against the
-    current fix set, or knowledge bytes would diverge from a
-    sequential ingest. *)
+val ingest_trace : ?prepared:Trace_store.prepared -> t -> Trace.t -> (unit, string) result
+(** Full ingestion: replay the by-products on
+    {!Softborg_exec.Vm.reconstruct} (the hive's one replay site),
+    merge the path into the tree, feed the deadlock miner and the
+    isolator, bucket failures.  [prepared] skips re-encoding at
+    admission (see {!Trace_store.prepare}). *)
 
 val ingest_sampled : t -> Sampling.t -> unit
 (** CBI-mode ingestion: sparse predicate counts and an outcome label;
@@ -161,9 +154,10 @@ val write : Softborg_util.Codec.Writer.t -> t -> unit
     equal bytes.  The replay cache is not persisted (it restarts
     cold). *)
 
-val read : ?replay_cache:int -> Softborg_util.Codec.Reader.t -> t
+val read : Softborg_util.Codec.Reader.t -> t
 (** Inverse of {!write}: the restored value is observationally
     identical to the original (same tree version and epoch, same
-    subsequent ingest/analyze behaviour).
+    subsequent ingest/analyze behaviour).  Its decoded-trace cache
+    restarts cold at the default size of 256.
     @raise Softborg_util.Codec.Malformed on invalid input.
     @raise Softborg_util.Codec.Truncated on premature end. *)

@@ -8,7 +8,7 @@ module Ir = Softborg_prog.Ir
 module Env = Softborg_exec.Env
 module Sched = Softborg_exec.Sched
 module Interp = Softborg_exec.Interp
-module Engine = Softborg_exec.Engine
+module Vm = Softborg_exec.Vm
 module Outcome = Softborg_exec.Outcome
 module Trace = Softborg_trace.Trace
 module Sampling = Softborg_trace.Sampling
@@ -16,7 +16,6 @@ module Exec_tree = Softborg_tree.Exec_tree
 module Corpus_bench = Softborg_corpus.Corpus_bench
 
 type config = {
-  engine : Engine.t;
   runs : int;
   trigger_every : int;
   isolation_top : int;
@@ -25,7 +24,7 @@ type config = {
 }
 
 let default_config =
-  { engine = Engine.Vm; runs = 80; trigger_every = 8; isolation_top = 3; input_hi = 191; seed = 9 }
+  { runs = 80; trigger_every = 8; isolation_top = 3; input_hi = 191; seed = 9 }
 
 type instance_score = {
   name : string;
@@ -90,7 +89,7 @@ let drive ~config ~(inst : Corpus_bench.instance) ~program ~know ~on_run =
       else Sched.Round_robin
     in
     let env = Env.make ~fault_plan ~seed:(Rng.int rng 1_000_000) ~inputs () in
-    let r = Engine.run ~engine:config.engine ~program ~env ~sched () in
+    let r = Vm.execute ~program ~env ~sched () in
     let trace = Trace.of_result ~program_digest:digest ~pod:0 ~fix_epoch:0 r in
     (match Knowledge.ingest_trace know trace with Ok () -> () | Error _ -> ());
     on_run i r
@@ -186,9 +185,7 @@ let score_instance ?(config = default_config) (inst : Corpus_bench.instance) =
       Env.make ~fault_plan:inst.Corpus_bench.fault_plan ~seed:11
         ~inputs:inst.Corpus_bench.trigger_inputs ()
     in
-    let r =
-      Engine.run ~hooks ~engine:config.engine ~program:inst.Corpus_bench.buggy ~env ~sched ()
-    in
+    let r = Vm.execute ~hooks ~program:inst.Corpus_bench.buggy ~env ~sched () in
     not (Outcome.is_failure r.Interp.outcome)
   in
   let know_f = Knowledge.create inst.Corpus_bench.fixed in

@@ -42,16 +42,13 @@
       ([Proved]/[Tested] assert safety for single-threaded instances,
       deadlock freedom for threaded ones).
 
-    Scoring runs on one {!Softborg_exec.Engine.t}; the corpus
-    certifies both engines agree on every instance, and the
-    equivalence tests cover the harness programs, so the choice only
-    affects speed. *)
+    Scoring runs on the bytecode {!Softborg_exec.Vm}; the corpus
+    certifies that it agrees with the tree-walk reference on every
+    instance. *)
 
-module Engine := Softborg_exec.Engine
 module Corpus_bench := Softborg_corpus.Corpus_bench
 
 type config = {
-  engine : Engine.t;
   runs : int;  (** Executions driven per instance (buggy and fixed). *)
   trigger_every : int;  (** Every n-th run uses the certified trigger recipe. *)
   isolation_top : int;  (** Rank window for time-to-isolation. *)
@@ -60,7 +57,7 @@ type config = {
 }
 
 val default_config : config
-(** VM engine, 80 runs, trigger every 8th, top-3 isolation window,
+(** 80 runs, trigger every 8th, top-3 isolation window,
     inputs over [0, 191] (the workload/solver default domain), seed 9. *)
 
 type instance_score = {

@@ -3,7 +3,7 @@ module Ir = Softborg_prog.Ir
 module Env = Softborg_exec.Env
 module Sched = Softborg_exec.Sched
 module Interp = Softborg_exec.Interp
-module Engine = Softborg_exec.Engine
+module Vm = Softborg_exec.Vm
 module Outcome = Softborg_exec.Outcome
 module Trace = Softborg_trace.Trace
 module Wire = Softborg_trace.Wire
@@ -27,7 +27,6 @@ type config = {
   workload : Workload.profile;
   fault_probability : float;
   max_steps : int;
-  engine : Engine.t;
   anonymize : Anonymize.level;
   upload : upload_mode;
   upload_batch : int;
@@ -58,7 +57,6 @@ let default_config =
     workload = Workload.default;
     fault_probability = 0.02;
     max_steps = 20_000;
-    engine = Engine.Vm;
     anonymize = Anonymize.Full;
     upload = Full_traces;
     (* Batching and delta encoding are off by default: one
@@ -409,8 +407,7 @@ let execute t ~user ~inputs ~fault_plan ~sched =
   in
   if flagged then t.guard_flags <- t.guard_flags + 1;
   let result =
-    Engine.run ~max_steps:t.config.max_steps ~hooks ~engine:t.config.engine ~program:t.program
-      ~env ~sched ()
+    Vm.execute ~max_steps:t.config.max_steps ~hooks ~program:t.program ~env ~sched ()
   in
   if Outcome.is_failure result.Interp.outcome then
     if user then t.user_failures <- t.user_failures + 1

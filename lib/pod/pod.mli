@@ -1,11 +1,11 @@
 (** The pod: the per-instance agent of Figure 1.
 
     A pod "lies underneath" one instance of a program: it runs user
-    sessions against the instrumented interpreter, captures by-products
-    (optionally sampled and anonymized), relays them to the hive over
-    the reliable transport, applies fix updates the hive pushes down,
-    and executes guidance directives — all on the shared simulated
-    clock.
+    sessions on the instrumented bytecode {!Softborg_exec.Vm},
+    captures by-products (optionally sampled and anonymized), relays
+    them to the hive over the reliable transport, applies fix updates
+    the hive pushes down, and executes guidance directives — all on
+    the shared simulated clock.
 
     The hive, not the pod config, decides what rides along with an
     upload: a pod tags its traces with the active fix ids and hook-fire
@@ -30,10 +30,6 @@ type config = {
   workload : Workload.profile;
   fault_probability : float;  (** Ambient environment-fault rate. *)
   max_steps : int;  (** Watchdog budget per session. *)
-  engine : Softborg_exec.Engine.t;
-      (** Execution engine; defaults to the bytecode {!Softborg_exec.Vm}
-          — executions/sec is the pod's traffic multiplier, and the VM
-          is a tested drop-in for the tree walk. *)
   anonymize : Anonymize.level;
   upload : upload_mode;
   upload_batch : int;

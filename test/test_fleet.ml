@@ -2,7 +2,7 @@
    frames, basis announcement, batch-aware dead-letter accounting, and
    the central invariant — the hive's knowledge bytes are a pure
    function of the trace multiset, independent of how the pods framed
-   it (singles, batches, deltas) and of the decode pool size. *)
+   it (singles, batches, deltas) and of the hive's pool size. *)
 
 module Rng = Softborg_util.Rng
 module Bitvec = Softborg_util.Bitvec

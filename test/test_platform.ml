@@ -170,9 +170,9 @@ let test_platform_repeatable_in_process () =
 let test_platform_pool_size_invariant () =
   (* The hive's speculative gap-solver pool must not leak into any
      observable output: the full formatted report of a fault-free
-     simulation is byte-identical for every pool size. *)
-  let render pool_size =
-    let config = quick_config Corpus.parser in
+     simulation is byte-identical for every pool size, whether the
+     hive receives one frame per trace or 16-trace batches. *)
+  let render config pool_size =
     let config =
       {
         config with
@@ -181,13 +181,20 @@ let test_platform_pool_size_invariant () =
     in
     Format.asprintf "%a" Platform.pp_report (Platform.run config)
   in
-  let baseline = render 1 in
-  checkb "report not empty" true (String.length baseline > 0);
   List.iter
-    (fun size ->
-      Alcotest.(check string) (Printf.sprintf "pool_size %d byte-identical" size) baseline
-        (render size))
-    [ 2; 4 ]
+    (fun (label, config) ->
+      let baseline = render config 1 in
+      checkb (label ^ " report not empty") true (String.length baseline > 0);
+      List.iter
+        (fun size ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s pool_size %d byte-identical" label size)
+            baseline (render config size))
+        [ 2; 4 ])
+    [
+      ("singles", quick_config Corpus.parser);
+      ("batch-16", Scenario.with_fleet_encoding ~batch:16 (quick_config Corpus.parser));
+    ]
 
 let test_platform_wer_mode_builds_no_tree () =
   let report = Platform.run (quick_config ~mode:Hive.Wer Corpus.fig2_write) in
