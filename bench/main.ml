@@ -1229,9 +1229,9 @@ let micro_ingest ?(smoke = false) () =
   end
 
 (* ==================================================================== *)
-(* micro-solver: wall-clock of the racing modes — whole-budget vs       *)
-(* preemptive sliced vs parallel (pool 2/4) — and verdict-cache hit vs  *)
-(* miss on a feasibility query.  Emits BENCH_solver.json.               *)
+(* micro-solver: wall-clock of the preemptive sliced race against the   *)
+(* whole-budget baseline, and verdict-cache hit vs miss on a            *)
+(* feasibility query.  Emits BENCH_solver.json.                         *)
 (* ==================================================================== *)
 
 let micro_solver ?(smoke = false) () =
@@ -1242,31 +1242,14 @@ let micro_solver ?(smoke = false) () =
   let limit = if smoke then 4 else 100 in
   let budget = if smoke then 100_000 else 500_000 in
   let rng = Rng.create 2024 in
-  (* Near the phase transition all three members run long, so the
-     sequential race pays for every loser's slices serially — the
-     configuration where domains buy wall-clock. *)
+  (* E3's phase-mix shape: near the phase transition all three members
+     run long before one decides, so the race still pays for many loser
+     slices.  Of E3's families it has the smallest preemption gain. *)
   let instances =
     if smoke then [ random_3sat rng ~n_vars:40 ~n_clauses:170 ]
     else List.init 3 (fun _ -> random_3sat rng ~n_vars:60 ~n_clauses:255)
   in
   let members () = Portfolio.standard_three ~budget ~seed:5 in
-  let race_all ?pool () =
-    List.iter (fun f -> ignore (Portfolio.race ?pool (members ()) f)) instances
-  in
-  let pool2 = Softborg_util.Pool.create ~size:2 in
-  let pool4 = Softborg_util.Pool.create ~size:4 in
-  (* Determinism oracle: every pool size must reproduce the sequential
-     race result exactly — this assert is what @bench-smoke contributes
-     beyond the unit tests (a different formula mix every bump of the
-     seed above).  [force_parallel] pins the physical domain-racing
-     path so the oracle is meaningful on single-core hosts too, where
-     plain [race ~pool] degrades to the sequential engine. *)
-  List.iter
-    (fun f ->
-      let seq = Portfolio.race (members ()) f in
-      assert (Portfolio.race ~pool:pool2 ~force_parallel:true (members ()) f = seq);
-      assert (Portfolio.race ~pool:pool4 ~force_parallel:true (members ()) f = seq))
-    instances;
   (* Verdict-cache oracle: a hit answers identically and instantly. *)
   let module Pc_solve = Softborg_solver.Pc_solve in
   let module Verdict_cache = Softborg_solver.Verdict_cache in
@@ -1292,9 +1275,9 @@ let micro_solver ?(smoke = false) () =
         Test.make ~name:"race-whole-budget"
           (Staged.stage (fun () ->
                List.iter (fun f -> ignore (Portfolio.race_whole_budget (members ()) f)) instances));
-        Test.make ~name:"race-sliced-seq" (Staged.stage (fun () -> race_all ()));
-        Test.make ~name:"race-parallel-pool2" (Staged.stage (fun () -> race_all ~pool:pool2 ()));
-        Test.make ~name:"race-parallel-pool4" (Staged.stage (fun () -> race_all ~pool:pool4 ()));
+        Test.make ~name:"race-sliced-seq"
+          (Staged.stage (fun () ->
+               List.iter (fun f -> ignore (Portfolio.race (members ()) f)) instances));
         Test.make ~name:"pc-solve-cache-miss"
           (Staged.stage (fun () ->
                ignore (Pc_solve.solve ~cache:(Verdict_cache.create ()) ~domain ~n_inputs:2 feas_cond)));
@@ -1303,8 +1286,6 @@ let micro_solver ?(smoke = false) () =
                ignore (Pc_solve.solve ~cache:warm ~domain ~n_inputs:2 feas_cond)));
       ]
   in
-  Softborg_util.Pool.shutdown pool2;
-  Softborg_util.Pool.shutdown pool4;
   let results = List.sort compare results in
   Tabular.print ~title:"solver racing wall-clock"
     [ col "benchmark"; rcol "ns/run"; rcol "us/run" ]
@@ -1329,24 +1310,13 @@ let micro_solver ?(smoke = false) () =
     | None -> Printf.printf "%s: estimate unavailable\n" label
   in
   let preempt = ratio "race-whole-budget" "race-sliced-seq" in
-  let par2 = ratio "race-sliced-seq" "race-parallel-pool2" in
-  let par4 = ratio "race-sliced-seq" "race-parallel-pool4" in
   let cache = ratio "pc-solve-cache-miss" "pc-solve-cache-hit" in
-  let cores = Domain.recommended_domain_count () in
   report "preemption wall-clock gain (whole-budget vs sliced)" preempt;
-  report "parallel wall-clock speedup (pool=2 vs sequential)" par2;
-  report "parallel wall-clock speedup (pool=4 vs sequential)" par4;
   report "verdict-cache hit vs miss" cache;
-  if cores <= 1 then
-    Printf.printf
-      "note: single-core host (%d recommended domains) — racing domains could only \
-       time-share the CPU, so [race] degrades to the sequential engine and the \
-       pool benchmarks measure that fallback (~1x parity).  Multicore hosts run \
-       the physical race and see genuine speedup.\n"
-      cores;
   if not smoke then begin
     let oc = open_out "BENCH_solver.json" in
-    Printf.fprintf oc "{\n  \"suite\": \"micro-solver\",\n  \"cores\": %d,\n" cores;
+    Printf.fprintf oc "{\n  \"suite\": \"micro-solver\",\n  \"cores\": %d,\n"
+      (Domain.recommended_domain_count ());
     let field name = function
       | Some (x, y, r) ->
         Printf.fprintf oc
@@ -1355,8 +1325,6 @@ let micro_solver ?(smoke = false) () =
       | None -> ()
     in
     field "preemption" preempt;
-    field "parallel_pool2" par2;
-    field "parallel_pool4" par4;
     field "verdict_cache" cache;
     Printf.fprintf oc "  \"results\": [\n";
     let last = List.length results - 1 in

@@ -61,11 +61,9 @@ let start ?(heuristic = Max_occurrence) formula =
 
 let steps st = st.steps
 
-(* Literal value as an unboxed int (1 true, -1 false, 0 unset).  The
-   solvers race on separate domains, and in OCaml 5 every minor
-   collection synchronizes all domains — an [option] here would
-   allocate once per literal examined and serialize the whole
-   portfolio on the GC. *)
+(* Literal value as an unboxed int (1 true, -1 false, 0 unset).  An
+   [option] here would allocate once per literal examined, the
+   innermost operation of every search. *)
 let ivalue st lit =
   match st.assign.(abs lit) with
   | Unset -> 0
@@ -98,8 +96,7 @@ let scan st =
     (* Count unassigned literals instead of collecting them: the scan
        only needs to distinguish 0 / 1 / many.  Plain loops, no
        closures — a closure per clause here costs a dozen words per
-       step, enough to put a racing domain in near-permanent minor
-       GC (see [ivalue]). *)
+       step (see [ivalue]). *)
     let satisfied = ref false in
     let n_unassigned = ref 0 in
     let unit_lit = ref 0 in

@@ -1,5 +1,4 @@
 module Rng = Softborg_util.Rng
-module Pool = Softborg_util.Pool
 
 type verdict =
   | V_sat
@@ -31,7 +30,7 @@ let dpll_solver ?heuristic ~budget name =
       (fun formula ->
         (* Each instance branches from its own split stream: how far a
            run advances before being cancelled can then never leak into
-           the next race, which the parallel mode's determinism needs. *)
+           the next race. *)
         let heuristic =
           match heuristic with
           | Some (Dpll.Random_branch rng) -> Some (Dpll.Random_branch (Rng.split rng))
@@ -92,275 +91,52 @@ let default_slice = 4096
 
 (* ---- Preemptive sliced race ------------------------------------------- *)
 
-(* Per-member account of a race: the decision (if any) with the round
-   it landed in, and cumulative steps at every slice boundary.  The
-   sequential scheduler records exactly what it ran; the parallel mode
-   may overrun (it learns of the winner late) but the history lets the
-   result be computed for the logical schedule, so both modes report
-   identical accounting. *)
-type account = {
-  a_decision : (int * verdict) option;  (* (round, verdict) *)
-  a_hist : int array;  (* cumulative steps after rounds 1..k *)
-  a_total : int;
-}
-
-(* Cumulative steps of a member after [rounds] rounds of the logical
-   schedule.  Past the recorded history the member had already stopped
-   (decided or exhausted), so its count no longer grows. *)
-let cum account rounds =
-  let k = Array.length account.a_hist in
-  if rounds <= 0 || k = 0 then if rounds <= 0 then 0 else account.a_total
-  else account.a_hist.(min rounds k - 1)
-
-let result_of_accounts members accounts =
-  let n = Array.length members in
-  let best = ref None in
-  Array.iteri
-    (fun i account ->
-      match account.a_decision with
-      | None -> ()
-      | Some (round, verdict) -> (
-        match !best with
-        | Some (r, j, _) when (r, j) <= (round, i) -> ()
-        | _ -> best := Some (round, i, verdict)))
-    accounts;
-  match !best with
-  | None ->
-    (* Nobody decided: the race runs until every member gives up. *)
-    let runs =
-      List.init n (fun i ->
-          { solver = members.(i).name; verdict = V_unknown; steps = accounts.(i).a_total })
-    in
-    let wall = List.fold_left (fun acc (r : run) -> max acc r.steps) 0 runs in
-    let resources = List.fold_left (fun acc (r : run) -> acc + r.steps) 0 runs in
-    { verdict = V_unknown; winner = None; wall_steps = wall; resource_steps = resources; runs }
-  | Some (round, index, verdict) ->
-    (* In round [round] the schedule reaches member [index]'s slice and
-       it decides; members before it have run [round] slices, members
-       after it one fewer. *)
-    let runs =
-      List.init n (fun i ->
-          let steps = cum accounts.(i) (if i <= index then round else round - 1) in
-          { solver = members.(i).name; verdict = (if i = index then verdict else V_unknown); steps })
-    in
-    let wall = cum accounts.(index) round in
-    let resources = List.fold_left (fun acc (r : run) -> acc + r.steps) 0 runs in
-    {
-      verdict;
-      winner = Some members.(index).name;
-      wall_steps = wall;
-      resource_steps = resources;
-      runs;
-    }
-
-let start_members members formula =
-  let n = Array.length members in
-  let states = Array.make n None in
-  for i = 0 to n - 1 do
-    states.(i) <- Some (members.(i).start formula)
-  done;
-  Array.map (function Some m -> m | None -> assert false) states
-
-let race_sequential ~slice members formula =
-  let n = Array.length members in
-  let states = start_members members formula in
-  let hist = Array.make n [] in
-  let decision = Array.make n None in
-  let stopped = Array.make n false in
-  let decided = ref None in
-  let rec run_round round =
-    let rec member i =
-      if i < n && !decided = None then begin
-        if not stopped.(i) then begin
-          let spent = states.(i).steps () in
-          if spent >= members.(i).budget then stopped.(i) <- true
-          else
-          let fuel = min slice (members.(i).budget - spent) in
-          (match states.(i).step ~fuel with
-          | `Done verdict ->
-            hist.(i) <- states.(i).steps () :: hist.(i);
-            decision.(i) <- Some (round, verdict);
-            decided := Some ();
-            stopped.(i) <- true
-          | `More ->
-            hist.(i) <- states.(i).steps () :: hist.(i);
-            if states.(i).steps () >= members.(i).budget then stopped.(i) <- true)
-        end;
-        member (i + 1)
-      end
-    in
-    member 0;
-    if !decided = None && Array.exists not stopped then run_round (round + 1)
-  in
-  run_round 1;
-  let accounts =
-    Array.init n (fun i ->
-        {
-          a_decision = decision.(i);
-          a_hist = Array.of_list (List.rev hist.(i));
-          a_total = states.(i).steps ();
-        })
-  in
-  result_of_accounts members accounts
-
-(* Parallel mode: one task per member, sliced runs guarded by a shared
-   {!Pool.Race_cell} holding the best decision's rank in the
-   sequential schedule.  The cell only decreases, so no member ever
-   stops before the slice at which the sequential schedule would have
-   stopped it — its history always covers what [result_of_accounts]
-   needs, and the computed result is identical to the sequential one.
-
-   Two refinements keep the wall-clock honest:
-
-   - {e Sprint}: round 1 runs inline, exactly as the sequential
-     scheduler would.  Races decided within one slice — common for
-     loose conditions — never pay pool dispatch at all.
-
-   - {e Bounded lag}: a member may run at most [max_lead] rounds ahead
-     of the slowest still-running member.  Without the bound, losers
-     free-run toward their full budgets before they observe the
-     winner's proposal (on few-core hosts the OS can run a loser for a
-     whole timeslice first), burning CPU on work the logical schedule
-     discards.  Members that get ahead block on a condition variable,
-     yielding the core to the member the schedule actually needs. *)
-
-let max_lead = 2
-
-type gate = {
-  g_lock : Mutex.t;
-  g_cond : Condition.t;
-  g_progress : int array;  (* rounds completed; max_int once stopped *)
-}
-
-let gate_create progress =
-  { g_lock = Mutex.create (); g_cond = Condition.create (); g_progress = progress }
-
-let gate_publish g i rounds =
-  Mutex.lock g.g_lock;
-  g.g_progress.(i) <- rounds;
-  Condition.broadcast g.g_cond;
-  Mutex.unlock g.g_lock
-
-let gate_stop g i = gate_publish g i max_int
-
-(* Block until member [i] may run [round]: within [max_lead] of the
-   slowest live member, or its rank already lost the race (the caller
-   re-checks the cell and stops).  Waiters are woken by every publish,
-   and every worker exit path publishes, so no wait outlives the
-   race. *)
-let gate_wait g cell ~rank_mine round =
-  Mutex.lock g.g_lock;
-  let can_run () =
-    rank_mine > Pool.Race_cell.current cell
-    || round - max_lead <= Array.fold_left min max_int g.g_progress
-  in
-  while not (can_run ()) do
-    Condition.wait g.g_cond g.g_lock
-  done;
-  Mutex.unlock g.g_lock
-
-let race_parallel ~slice ~pool members formula =
-  let n = Array.length members in
-  let states = start_members members formula in
-  let hist = Array.make n [] in
-  let decision = Array.make n None in
-  let stopped = Array.make n false in
-  let decided = ref false in
-  (* Sprint: round 1, replicating the sequential scheduler exactly
-     (including its budget-entry check and decided-abort). *)
-  for i = 0 to n - 1 do
-    if (not !decided) && not stopped.(i) then begin
-      let spent = states.(i).steps () in
-      if spent >= members.(i).budget then stopped.(i) <- true
-      else begin
-        let fuel = min slice (members.(i).budget - spent) in
-        match states.(i).step ~fuel with
-        | `Done verdict ->
-          hist.(i) <- states.(i).steps () :: hist.(i);
-          decision.(i) <- Some (1, verdict);
-          decided := true;
-          stopped.(i) <- true
-        | `More ->
-          hist.(i) <- states.(i).steps () :: hist.(i);
-          if states.(i).steps () >= members.(i).budget then stopped.(i) <- true
-      end
-    end
-  done;
-  let account_of i =
-    {
-      a_decision = decision.(i);
-      a_hist = Array.of_list (List.rev hist.(i));
-      a_total = states.(i).steps ();
-    }
-  in
-  if !decided || Array.for_all Fun.id stopped then
-    result_of_accounts members (Array.init n account_of)
-  else begin
-    let cell = Pool.Race_cell.create () in
-    let rank round i = (round * n) + i in
-    (* Progress starts at [max_int] for everyone: with fewer workers
-       than members a task may queue behind running ones, and gating on
-       a member whose task has not started would deadlock.  Workers
-       publish their real progress when their task begins, so the lag
-       bound binds exactly the concurrently-running subset. *)
-    let gate = gate_create (Array.make n max_int) in
-    let accounts =
-      Pool.map pool
-        (fun i ->
-          if stopped.(i) then account_of i
-          else begin
-            gate_publish gate i 1;
-            let member = states.(i) in
-            let budget = members.(i).budget in
-            let my_hist = ref hist.(i) in
-            let my_decision = ref None in
-            let rec go round =
-              if member.steps () >= budget then ()
-              else begin
-                gate_wait gate cell ~rank_mine:(rank round i) round;
-                if rank round i > Pool.Race_cell.current cell then ()
-                else begin
-                  let fuel = min slice (budget - member.steps ()) in
-                  match member.step ~fuel with
-                  | `Done verdict ->
-                    my_hist := member.steps () :: !my_hist;
-                    my_decision := Some (round, verdict);
-                    ignore (Pool.Race_cell.propose cell (rank round i))
-                  | `More ->
-                    my_hist := member.steps () :: !my_hist;
-                    gate_publish gate i round;
-                    go (round + 1)
-                end
-              end
-            in
-            (* Every exit (decide, cancel, exhaust, exception) must
-               publish, or a gated peer would wait forever. *)
-            Fun.protect ~finally:(fun () -> gate_stop gate i) (fun () -> go 2);
-            {
-              a_decision = !my_decision;
-              a_hist = Array.of_list (List.rev !my_hist);
-              a_total = member.steps ();
-            }
-          end)
-        (List.init n (fun i -> i))
-    in
-    result_of_accounts members (Array.of_list accounts)
-  end
-
-let race ?(slice = default_slice) ?pool ?(force_parallel = false) members formula =
+let race ?(slice = default_slice) members formula =
   if members = [] then invalid_arg "Portfolio.race: empty portfolio";
   if slice <= 0 then invalid_arg "Portfolio.race: slice must be positive";
   let members = Array.of_list members in
-  (* On a single-core host domains only time-share the CPU, so the
-     physical race can't beat the sequential engine — it just pays
-     scheduling overhead for the same logical result.  Degrade to the
-     sequential engine there unless a caller (e.g. the determinism
-     tests) explicitly forces the physical path. *)
-  let parallel_pays = force_parallel || Domain.recommended_domain_count () > 1 in
-  match pool with
-  | Some pool when Pool.size pool > 1 && parallel_pays ->
-    race_parallel ~slice ~pool members formula
-  | Some _ | None -> race_sequential ~slice members formula
+  let n = Array.length members in
+  let states = Array.map (fun solver -> solver.start formula) members in
+  (* What each member is charged: its steps when the schedule last
+     visited it.  A member the race never reached is charged 0, even if
+     its [start] already did work. *)
+  let charged = Array.make n 0 in
+  let stopped = Array.make n false in
+  (* Visit member [i] of the current round; past the last member, start
+     the next round while anyone can still run.  A member is stopped at
+     the first visit that finds its budget spent.  Returns the first
+     decision in schedule order. *)
+  let rec visit i =
+    if i = n then if Array.exists not stopped then visit 0 else None
+    else if stopped.(i) then visit (i + 1)
+    else begin
+      let state = states.(i) and budget = members.(i).budget in
+      let spent = state.steps () in
+      charged.(i) <- spent;
+      if spent >= budget then begin
+        stopped.(i) <- true;
+        visit (i + 1)
+      end
+      else
+        let outcome = state.step ~fuel:(min slice (budget - spent)) in
+        charged.(i) <- state.steps ();
+        match outcome with `Done verdict -> Some (i, verdict) | `More -> visit (i + 1)
+    end
+  in
+  let decision = visit 0 in
+  let verdict_of i = match decision with Some (j, verdict) when j = i -> verdict | _ -> V_unknown in
+  let runs =
+    List.init n (fun i ->
+        { solver = members.(i).name; verdict = verdict_of i; steps = charged.(i) })
+  in
+  let resource_steps = Array.fold_left ( + ) 0 charged in
+  match decision with
+  | None ->
+    (* Nobody decided: the race ran until every member gave up. *)
+    let wall_steps = Array.fold_left max 0 charged in
+    { verdict = V_unknown; winner = None; wall_steps; resource_steps; runs }
+  | Some (i, verdict) ->
+    { verdict; winner = Some members.(i).name; wall_steps = charged.(i); resource_steps; runs }
 
 (* ---- Whole-budget baseline -------------------------------------------- *)
 

@@ -18,7 +18,6 @@
     shared machine-independent unit. *)
 
 module Rng := Softborg_util.Rng
-module Pool := Softborg_util.Pool
 
 type verdict =
   | V_sat
@@ -30,7 +29,10 @@ type run = {
   verdict : verdict;
       (** [V_unknown] for members that were cancelled or exhausted
           their budget. *)
-  steps : int;  (** Steps the member had executed when the race ended. *)
+  steps : int;
+      (** Steps charged to the member: its count when {!race} last
+          visited it (0 if never reached), or its whole run in
+          {!race_whole_budget}. *)
 }
 
 type member = {
@@ -38,7 +40,8 @@ type member = {
   steps : unit -> int;
 }
 (** One racing instance: a paused search plus its step counter.  States
-    must be independent — a race may run members on different domains. *)
+    must be independent: the race interleaves members' slices, and one
+    member's slices must not move another's search. *)
 
 type solver = {
   name : string;
@@ -71,25 +74,12 @@ type race_result = {
 val default_slice : int
 (** Steps per slice of the round-robin schedule (4096). *)
 
-val race :
-  ?slice:int ->
-  ?pool:Pool.t ->
-  ?force_parallel:bool ->
-  solver list ->
-  Cnf.formula ->
-  race_result
-(** Preemptive race: members advance [slice] steps at a time in
-    round-robin order; the first [`Done] in schedule order wins and
-    every other member stops.  With a [pool] of size > 1, members run
-    on worker domains instead, cooperatively cancelled through a
-    {!Pool.Race_cell} checked at slice boundaries — the result
-    (verdict, winner, and all step accounting) is guaranteed identical
-    to the sequential schedule for any pool size; only wall-clock
-    changes.  On a single-core host ({!Domain.recommended_domain_count}
-    = 1) the pool is ignored and the sequential engine runs — physical
-    domains can only time-share the CPU there — unless [force_parallel]
-    (default [false]) insists on the physical path, which the
-    determinism tests use to exercise it everywhere.
+val race : ?slice:int -> solver list -> Cnf.formula -> race_result
+(** Preemptive race on the calling domain: members advance [slice]
+    steps at a time in round-robin portfolio order; the first [`Done]
+    in schedule order wins and every other member stops.  Each member
+    is charged the steps it had made when the schedule last visited it,
+    so a member the race never reached counts 0.
     @raise Invalid_argument on an empty portfolio or [slice <= 0]. *)
 
 val race_whole_budget : solver list -> Cnf.formula -> race_result

@@ -63,11 +63,9 @@ let recount st =
       if trues = 0 then unsat_add st c)
     st.clauses
 
-(* The flip loop and break counts run on racing domains; like
-   [Dpll.ivalue] they must not allocate — a closure per call here
-   turns into stop-the-world minor collections that stall every
-   portfolio member, so both walk their occurrence lists with plain
-   while loops. *)
+(* The flip loop and break counts run once per flip; like
+   [Dpll.ivalue] they must not allocate, so both walk their occurrence
+   lists with plain while loops instead of closures. *)
 let flip st v =
   st.assignment.(v) <- not st.assignment.(v);
   let rest = ref st.occurrences.(v) in

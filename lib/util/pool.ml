@@ -82,20 +82,6 @@ let map t f xs =
          (function Some (Ok v) -> v | Some (Error e) -> raise e | None -> assert false)
          results)
 
-module Race_cell = struct
-  type t = int Atomic.t
-
-  let create () = Atomic.make max_int
-
-  let current = Atomic.get
-
-  let rec propose t rank =
-    let seen = Atomic.get t in
-    if rank >= seen then false
-    else if Atomic.compare_and_set t seen rank then true
-    else propose t rank
-end
-
 let shutdown t =
   if t.workers <> [] then begin
     Mutex.lock t.mutex;

@@ -1,10 +1,11 @@
 (** Fixed-size [Domain] worker pool.
 
     The hive's symbolic gap queries are pure (no shared mutable state),
-    so they can be farmed out to OCaml 5 domains.  A pool owns its
-    domains for its whole lifetime — spawning a domain costs far more
-    than one solver call, so the workers are created once and fed
-    through a queue.
+    so they can be farmed out to OCaml 5 domains: guidance speculation
+    ([Guidance.plan]) and the federation's compute phase run them here.
+    A pool owns its domains for its whole lifetime — spawning a domain
+    costs far more than one solver call, so the workers are created
+    once and fed through a queue.
 
     Determinism contract: {!map} preserves input order in its result
     list, so callers that fold over the results observe exactly the
@@ -32,28 +33,3 @@ val map : t -> ('a -> 'b) -> 'a list -> 'b list
 val shutdown : t -> unit
 (** Stop accepting work, drain the queue, and join the worker domains.
     Idempotent; an inert pool shuts down as a no-op. *)
-
-(** Cooperative cancellation for racing tasks: a monotone minimum cell.
-
-    A race assigns each potential finish a totally-ordered integer rank
-    (for the solver portfolio, [round * n_members + member_index] — the
-    position of that slice in the sequential round-robin schedule).  A
-    task that decides {!propose}s its rank; every task polls {!current}
-    at slice boundaries and abandons work ranked after the best known
-    finish.  The cell only ever decreases, so a stale read can only
-    delay cancellation, never cancel a slice the sequential schedule
-    would have run — which is what makes the parallel race's outcome
-    identical to the sequential one. *)
-module Race_cell : sig
-  type t
-
-  val create : unit -> t
-  (** No finish proposed yet: {!current} reads [max_int]. *)
-
-  val current : t -> int
-  (** Best (lowest) rank proposed so far. *)
-
-  val propose : t -> int -> bool
-  (** Atomically lower the cell to [rank] if it improves on the best
-      known; returns whether it did. *)
-end

@@ -287,16 +287,16 @@ let prop_interval_unsat_means_no_model =
 
 (* ---- Portfolio ---------------------------------------------------------- *)
 
-(* A deterministic fake member: performs steps until [total], then (if
-   [verdict] is a decision) reports it.  V_unknown fakes never decide
-   and just burn budget. *)
-let fake ?(budget = 1_000_000) name total verdict =
+(* A deterministic fake member: [start] performs [start_steps] steps,
+   then it performs steps until [total] and (if [verdict] is a decision)
+   reports it.  V_unknown fakes never decide and just burn budget. *)
+let fake ?(budget = 1_000_000) ?(start_steps = 0) name total verdict =
   {
     Portfolio.name;
     budget;
     start =
       (fun _ ->
-        let steps = ref 0 in
+        let steps = ref start_steps in
         {
           Portfolio.step =
             (fun ~fuel ->
@@ -318,12 +318,13 @@ let test_race_preempts_losers () =
       [
         fake "slow" 1000 Portfolio.V_sat;
         fake "fast" 10 Portfolio.V_sat;
-        fake "lost" 5000 Portfolio.V_unknown;
+        fake ~start_steps:100 "lost" 5000 Portfolio.V_unknown;
       ]
       f
   in
   (* Round 1: slow burns one 16-step slice, fast decides at 10 — so
-     fast wins and lost is never started on a slice. *)
+     fast wins and lost is never started on a slice.  The race never
+     reached lost, so the work its [start] did is not charged. *)
   Alcotest.(check (option string)) "winner" (Some "fast") result.Portfolio.winner;
   checki "wall steps" 10 result.Portfolio.wall_steps;
   checki "resource steps" 26 result.Portfolio.resource_steps;
@@ -331,8 +332,8 @@ let test_race_preempts_losers () =
 
 let test_race_round_tie_break () =
   (* Two members decide within the same round: the one earlier in
-     portfolio order wins, even with a worse step count — that is the
-     deterministic schedule order the parallel mode reproduces. *)
+     portfolio order wins, even with a worse step count — the schedule
+     order, not the step count, picks the winner. *)
   let f = Cnf.make ~n_vars:1 [ [ 1 ] ] in
   let result =
     Portfolio.race ~slice:16 [ fake "a" 10 Portfolio.V_sat; fake "b" 5 Portfolio.V_sat ] f
@@ -433,25 +434,34 @@ let prop_race_verdicts_agree =
       agrees sliced.Portfolio.verdict && agrees whole.Portfolio.verdict
       && sliced.Portfolio.verdict = whole.Portfolio.verdict)
 
-(* Satellite: the parallel race must be byte-identical to the
-   sequential one — verdict, winner, and every step count — for any
-   pool size. *)
-let prop_race_parallel_matches_sequential pool =
-  QCheck.Test.make
-    ~name:(Printf.sprintf "parallel race (pool=%d) = sequential" (Softborg_util.Pool.size pool))
-    ~count:40 QCheck.small_nat
-    (fun seed ->
-      let rng = Rng.create (seed + 41) in
-      let n_vars = 3 + Rng.int rng 7 in
-      let f = random_formula rng ~n_vars ~n_clauses:(2 + Rng.int rng 20) ~clause_len:3 in
-      let slice = 1 + Rng.int rng 300 in
-      let members () = Portfolio.standard_three ~budget:500_000 ~seed:(seed + 2) in
-      let sequential = Portfolio.race ~slice (members ()) f in
-      (* [force_parallel] so the physical domain-racing path is
-         exercised even on single-core CI hosts, where [race] would
-         otherwise degrade to the sequential engine. *)
-      let parallel = Portfolio.race ~slice ~pool ~force_parallel:true (members ()) f in
-      sequential = parallel)
+(* Per-member accounting on real solvers: the winner's run is its
+   whole-budget run, every loser stops no later than its whole-budget
+   run, and [resource_steps] sums what the race charged.  Steps are not
+   bounded by [budget]: DPLL can overshoot it by one step granule. *)
+let prop_race_accounting_within_whole_budget =
+  QCheck.Test.make ~name:"race accounting within whole-budget runs" ~count:100
+    QCheck.small_nat (fun seed ->
+      let rng = Rng.create (seed + 61) in
+      let n_vars = 3 + Rng.int rng 10 in
+      let f =
+        random_formula rng ~n_vars ~n_clauses:(2 + Rng.int rng (5 * n_vars)) ~clause_len:3
+      in
+      let slice = 1 + Rng.int rng 500 in
+      let budget = 1 + Rng.int rng 20_000 in
+      let members () = Portfolio.standard_three ~budget ~seed:(seed + 3) in
+      let race = Portfolio.race ~slice (members ()) f in
+      let whole = Portfolio.race_whole_budget (members ()) f in
+      let charged (r : Portfolio.run) (w : Portfolio.run) =
+        if Some r.Portfolio.solver = race.Portfolio.winner then
+          r.Portfolio.verdict = w.Portfolio.verdict
+          && r.Portfolio.steps = w.Portfolio.steps
+          && race.Portfolio.wall_steps = w.Portfolio.steps
+        else r.Portfolio.steps <= w.Portfolio.steps
+      in
+      List.for_all2 charged race.Portfolio.runs whole.Portfolio.runs
+      && race.Portfolio.resource_steps
+         = List.fold_left (fun acc (r : Portfolio.run) -> acc + r.Portfolio.steps) 0
+             race.Portfolio.runs)
 
 (* ---- Step slicing ------------------------------------------------------- *)
 
@@ -617,12 +627,6 @@ let test_path_cond_digest () =
 
 let () =
   let q = QCheck_alcotest.to_alcotest in
-  let pool1 = Softborg_util.Pool.create ~size:1 in
-  let pool2 = Softborg_util.Pool.create ~size:2 in
-  let pool4 = Softborg_util.Pool.create ~size:4 in
-  Fun.protect
-    ~finally:(fun () -> List.iter Softborg_util.Pool.shutdown [ pool1; pool2; pool4 ])
-  @@ fun () ->
   Alcotest.run "softborg_solver"
     [
       ( "cnf",
@@ -678,9 +682,7 @@ let () =
             test_race_preemption_saves_resources;
           Alcotest.test_case "speedup guard" `Quick test_speedup_guard;
           q prop_race_verdicts_agree;
-          q (prop_race_parallel_matches_sequential pool1);
-          q (prop_race_parallel_matches_sequential pool2);
-          q (prop_race_parallel_matches_sequential pool4);
+          q prop_race_accounting_within_whole_budget;
         ] );
       ( "slicing",
         [

@@ -455,31 +455,6 @@ let test_pool_inert_and_idempotent_shutdown () =
   Pool.shutdown pool;
   Pool.shutdown pool
 
-let test_race_cell () =
-  let cell = Pool.Race_cell.create () in
-  checki "fresh cell" max_int (Pool.Race_cell.current cell);
-  checkb "first proposal wins" true (Pool.Race_cell.propose cell 10);
-  checki "after first" 10 (Pool.Race_cell.current cell);
-  checkb "worse rank rejected" false (Pool.Race_cell.propose cell 12);
-  checkb "equal rank rejected" false (Pool.Race_cell.propose cell 10);
-  checki "unchanged" 10 (Pool.Race_cell.current cell);
-  checkb "better rank accepted" true (Pool.Race_cell.propose cell 3);
-  checki "after improvement" 3 (Pool.Race_cell.current cell)
-
-let test_race_cell_concurrent () =
-  (* Concurrent CAS-min: the minimum of all proposals must win no
-     matter how the domains interleave. *)
-  let cell = Pool.Race_cell.create () in
-  let domains =
-    List.init 4 (fun d ->
-        Domain.spawn (fun () ->
-            for k = 0 to 99 do
-              ignore (Pool.Race_cell.propose cell ((100 * (d + 1)) - k))
-            done))
-  in
-  List.iter Domain.join domains;
-  checki "min proposal survives" 1 (Pool.Race_cell.current cell)
-
 let prop_varint_len_matches_writer =
   QCheck.Test.make ~name:"varint_len matches Writer.varint output size" ~count:500
     QCheck.(map abs int)
@@ -580,7 +555,5 @@ let () =
           Alcotest.test_case "exception propagates" `Quick test_pool_exception_propagates;
           Alcotest.test_case "inert + idempotent shutdown" `Quick
             test_pool_inert_and_idempotent_shutdown;
-          Alcotest.test_case "race cell monotone min" `Quick test_race_cell;
-          Alcotest.test_case "race cell concurrent min" `Quick test_race_cell_concurrent;
         ] );
     ]
