@@ -1230,8 +1230,9 @@ let micro_ingest ?(smoke = false) () =
 
 (* ==================================================================== *)
 (* micro-solver: wall-clock of the preemptive sliced race against the   *)
-(* whole-budget baseline, and verdict-cache hit vs miss on a            *)
-(* feasibility query.  Emits BENCH_solver.json.                         *)
+(* whole-budget baseline, verdict-cache hit vs miss on a feasibility    *)
+(* query, and gap-verdict derivation at the hive's symexec config.     *)
+(* Emits BENCH_solver.json.                                             *)
 (* ==================================================================== *)
 
 let micro_solver ?(smoke = false) () =
@@ -1268,6 +1269,46 @@ let micro_solver ?(smoke = false) () =
   let hit_outcome = Pc_solve.solve ~cache:warm ~domain ~n_inputs:2 feas_cond in
   assert (miss_outcome.Softborg_solver.Interval.verdict = hit_outcome.Softborg_solver.Interval.verdict);
   assert (hit_outcome.Softborg_solver.Interval.steps = 0);
+  (* Gap verdicts as the hive derives them: both directions of every
+     branch site at [Hive.default_config]'s symexec config, with a fresh
+     verdict cache per program per run (as a new knowledge has), so the
+     row times derivation rather than cache lookups.  The full suite
+     runs the [analysis] benchmark population, the smoke the corpus. *)
+  let gap_config = Option.get (Hive.default_config Hive.Full).Hive.symexec_config in
+  let gap_programs =
+    if smoke then List.map snd Corpus.all
+    else
+      let _, population =
+        Scenario.buggy_population ~seed:42 ~n_programs:8
+          ~bugs:
+            [ Generator.Rare_assert; Generator.Unchecked_syscall; Generator.Div_by_zero;
+              Generator.Deadlock_pair ]
+          ()
+      in
+      List.map fst population
+  in
+  let gap_directions =
+    List.map
+      (fun program ->
+        ( program,
+          List.concat_map (fun site -> [ (site, true); (site, false) ]) (Ir.branch_sites program) ))
+      gap_programs
+  in
+  let derive_gap_verdicts () =
+    List.iter
+      (fun (program, directions) ->
+        let cache = Verdict_cache.create () in
+        List.iter
+          (fun (site, direction) ->
+            ignore
+              (Softborg_symexec.Testgen.for_direction ~config:gap_config ~cache program ~site
+                 ~direction))
+          directions)
+      gap_directions
+  in
+  Printf.printf "gap-verdicts: %d directions over %d programs\n"
+    (List.fold_left (fun acc (_, directions) -> acc + List.length directions) 0 gap_directions)
+    (List.length gap_programs);
   let open Bechamel in
   let results =
     ns_per_run ~quota ~limit
@@ -1286,7 +1327,13 @@ let micro_solver ?(smoke = false) () =
                ignore (Pc_solve.solve ~cache:warm ~domain ~n_inputs:2 feas_cond)));
       ]
   in
-  let results = List.sort compare results in
+  (* One derivation takes a good part of a second, so it gets its own
+     quota. *)
+  let gap_results =
+    ns_per_run ~quota:(if smoke then 0.02 else 5.0) ~limit
+      [ Test.make ~name:"gap-verdicts" (Staged.stage derive_gap_verdicts) ]
+  in
+  let results = List.sort compare (results @ gap_results) in
   Tabular.print ~title:"solver racing wall-clock"
     [ col "benchmark"; rcol "ns/run"; rcol "us/run" ]
     (List.map

@@ -28,8 +28,6 @@ let mem t ~site ~direction = Hashtbl.mem t.table (site, direction)
 
 let add t ~site ~direction verdict = Hashtbl.replace t.table (site, direction) verdict
 
-let clear t = Hashtbl.reset t.table
-
 let length t = Hashtbl.length t.table
 let hits t = t.hits
 let misses t = t.misses

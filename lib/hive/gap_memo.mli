@@ -7,13 +7,14 @@
     both walk the frontier), so one per-knowledge table keyed by
     [(site, direction)] removes all repeat solving.
 
-    The cache is semantics-transparent as long as it is cleared
-    whenever the program's analyzed behavior could change — i.e. on
-    every fix-epoch bump ({!Knowledge} wires this up) — and as long as
-    all users of one table pass the same symexec configuration (the
+    The table is semantics-transparent as long as it serves one
+    program and all its users pass the same symexec configuration (the
     hive uses [config.symexec_config] for both planner and prover).
-    Like the replay cache, it is a pure accelerator: never serialized
-    into checkpoints, restarts cold. *)
+    Fixes never enter the query — pods apply them, symbolic analysis
+    reads only the program — so {!Knowledge} keeps one table for the
+    program's whole life, across fix epochs.  Like the replay cache, it
+    is a pure accelerator: never serialized into checkpoints, so a
+    restored hive starts it cold. *)
 
 module Ir := Softborg_prog.Ir
 module Testgen := Softborg_symexec.Testgen
@@ -38,7 +39,6 @@ val mem : t -> site:Ir.site -> direction:bool -> bool
     speculative parallel batch). *)
 
 val add : t -> site:Ir.site -> direction:bool -> verdict -> unit
-val clear : t -> unit
 
 val length : t -> int
 val hits : t -> int

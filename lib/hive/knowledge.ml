@@ -49,10 +49,11 @@ type t = {
   replay_cache : (string, Interp.reconstruction) Lru.t option;
   mutable replay_cache_hits : int;
   (* Symbolic gap verdicts, shared by guidance planning and gap
-     closing; cleared with the replay cache on every epoch bump. *)
+     closing.  A verdict reads only [program], which never changes, so
+     the table lives as long as this value; a restore starts it cold. *)
   gap_memo : Gap_memo.t;
   (* Path-condition solver verdicts, shared by every symbolic query
-     the hive runs against this program; same clearing discipline. *)
+     the hive runs against this program; same lifetime. *)
   verdict_cache : Softborg_solver.Verdict_cache.t;
 }
 
@@ -283,11 +284,9 @@ let bump_epoch t =
   t.epoch <- t.epoch + 1;
   (* Replay depends on the hooks in force at a trace's fix epoch; a new
      epoch can change the hook set, so cached reconstructions are
-     dropped rather than risked.  Same for the symbolic gap verdicts:
-     a new fix set means a new analyzed behavior. *)
+     dropped rather than risked.  The symbolic verdict tables stay: no
+     fix hook reaches symbolic analysis, which reads only the program. *)
   Option.iter Lru.clear t.replay_cache;
-  Gap_memo.clear t.gap_memo;
-  Softborg_solver.Verdict_cache.clear t.verdict_cache;
   ignore (Prover.invalidate t.proofs ~current_epoch:t.epoch)
 
 (* With rollout active, every newly deployed fix enters the ledger as
@@ -377,8 +376,8 @@ let lifecycle_tick t =
 (* Federation: a shard adopts the coordinator's deployed fix set
    wholesale, so its replay hooks for a given epoch match what the
    pods (and the merged knowledge) compute.  Invalidation mirrors
-   [bump_epoch] — a new fix set means previously cached verdicts and
-   reconstructions describe a different analyzed behavior.
+   [bump_epoch]: a new fix set can change the replay hooks, so cached
+   reconstructions go, and proofs of an older epoch lapse.
 
    Monotonic: a stale or reordered adoption (epoch ≤ ours) is dropped,
    never applied — a duplicated/delayed [Fix_update] on a lossy link
@@ -390,8 +389,6 @@ let adopt_fixes t ~fixes ~epoch ~retracted =
     t.epoch <- epoch;
     t.retracted <- List.sort_uniq Int.compare retracted;
     Option.iter Lru.clear t.replay_cache;
-    Gap_memo.clear t.gap_memo;
-    Softborg_solver.Verdict_cache.clear t.verdict_cache;
     ignore (Prover.invalidate t.proofs ~current_epoch:t.epoch)
   end
 

@@ -70,14 +70,15 @@ val replay_cache_hits : t -> int
 
 val gap_memo : t -> Gap_memo.t
 (** Memoized symbolic gap verdicts for this program, shared by
-    guidance planning and the prover's gap closing; cleared whenever
-    the fix epoch bumps.  Not persisted in checkpoints. *)
+    guidance planning and the prover's gap closing.  Kept across fix
+    epochs (no fix reaches symbolic analysis); not persisted in
+    checkpoints, so a restored value starts it cold. *)
 
 val verdict_cache : t -> Softborg_solver.Verdict_cache.t
 (** Memoized path-condition solver verdicts for this program, shared
     by every symbolic query the hive runs (guidance, gap closing,
-    proof attempts, cooperating provers); cleared whenever the fix
-    epoch bumps.  Not persisted in checkpoints. *)
+    proof attempts, cooperating provers).  Same lifetime as
+    {!gap_memo}. *)
 
 val hooks_for_epoch : t -> int -> Interp.hooks
 (** The runtime instrumentation (deadlock immunity + crash
@@ -138,8 +139,8 @@ val lifecycle_tick : t -> int list * (int * string) list
 val adopt_fixes : t -> fixes:Fixgen.fix list -> epoch:int -> retracted:int list -> unit
 (** Replace the fix set, epoch, and retracted set wholesale with the
     federation coordinator's, so replay hooks computed here for any
-    epoch match the merged knowledge's.  Clears the replay/memo/verdict
-    caches and invalidates stale proofs (as {!analyze} would).
+    epoch match the merged knowledge's.  Clears the replay cache and
+    invalidates stale proofs (as {!analyze} would).
     {b Monotonic}: adoptions at an epoch ≤ the current one are dropped
     — a duplicated or reordered update can never regress the fix set. *)
 

@@ -11,9 +11,9 @@
     The cache is mutex-guarded and safe to share between pool worker
     domains: because every cached value equals what recomputation
     would produce, hit/miss nondeterminism under concurrency is
-    invisible in outputs.  Like {!Softborg_hive.Gap_memo}, it must be
-    cleared whenever the knowledge epoch bumps — verdicts mention the
-    subject program, which a patch changes. *)
+    invisible in outputs.  Since a key pins down the whole query, an
+    entry never goes stale: the hive keeps one cache per program for
+    the program's whole life, fix epochs included. *)
 
 type entry =
   | Check of [ `Feasible | `Infeasible | `Unknown ]
@@ -40,7 +40,7 @@ val find : t -> string -> entry option
 val add : t -> string -> entry -> unit
 
 val clear : t -> unit
-(** Drop all entries (epoch bump); hit/miss counters persist. *)
+(** Drop all entries; hit/miss counters persist. *)
 
 val length : t -> int
 val hits : t -> int

@@ -92,7 +92,7 @@ type explorer = {
   mutable pruned : int;
   mutable total_steps : int;
   mutable solver_steps : int;
-  mutable any_timeout : bool;
+  mutable target_timeout : bool;
   mutable truncated : bool;
   target : (Ir.site * bool) option;
   mutable found : (int array * sym_origin array) option;
@@ -183,24 +183,23 @@ let feasible ex m =
 let push_child ex child =
   if feasible ex child then ex.stack <- child :: ex.stack else ex.pruned <- ex.pruned + 1
 
-let solve_path ex m =
+(* [path.origins] holds one entry per symbol, so its length is the
+   condition's arity. *)
+let solve_path ex (path : path) =
   if not ex.config.solve_models then (None, `Unsolved)
   else begin
     let outcome =
       Pc_solve.solve ?cache:ex.cache ~budget:ex.config.solver_budget ~domain:ex.config.domain
-        ~n_inputs:m.next_sym (List.rev m.cond)
+        ~n_inputs:(Array.length path.origins) path.condition
     in
     ex.solver_steps <- ex.solver_steps + outcome.Interval.steps;
     match outcome.Interval.verdict with
     | Interval.Sat model -> (Some model, `Sat)
     | Interval.Unsat -> (None, `Unsat)
-    | Interval.Timeout ->
-      ex.any_timeout <- true;
-      (None, `Timeout)
+    | Interval.Timeout -> (None, `Timeout)
   end
 
 let finalize ex m outcome =
-  let model, solver_verdict = solve_path ex m in
   (* Unsat paths are over-approximation artifacts; keep them in the
      report (they carry information for E8) unless they crashed —
      an infeasible crash is a false alarm we still want to count. *)
@@ -210,9 +209,19 @@ let finalize ex m outcome =
       condition = List.rev m.cond;
       outcome;
       origins = Array.of_list (List.rev m.origins);
-      model;
-      solver_verdict;
+      model = None;
+      solver_verdict = `Unsolved;
     }
+  in
+  let path =
+    match ex.target with
+    (* A directed query records its paths unsolved: only
+       [direction_feasible]'s Infeasible-or-Unknown decision reads
+       their solves, and it runs them itself once it gets there. *)
+    | Some _ -> path
+    | None ->
+      let model, solver_verdict = solve_path ex path in
+      { path with model; solver_verdict }
   in
   ex.emitted <- path :: ex.emitted
 
@@ -233,7 +242,7 @@ let check_target ex m =
       | Interval.Sat model ->
         ex.found <- Some (model, Array.of_list (List.rev m.origins))
       | Interval.Unsat -> ()
-      | Interval.Timeout -> ex.any_timeout <- true)
+      | Interval.Timeout -> ex.target_timeout <- true)
     | _ -> ())
 
 let record_decision ex m site taken =
@@ -410,7 +419,7 @@ let explore_gen ?(config = default_config) ?cache ?target program level =
       pruned = 0;
       total_steps = 0;
       solver_steps = 0;
-      any_timeout = false;
+      target_timeout = false;
       truncated = false;
       target;
       found = None;
@@ -454,4 +463,10 @@ let direction_feasible ?config ?cache program ~site ~direction =
   | Some (model, origins) -> Feasible { model; origins }
   | None ->
     let multi_threaded = Array.length program.Ir.threads > 1 in
-    if ex.truncated || ex.any_timeout || multi_threaded then Unknown else Infeasible
+    (* The deferred end-of-path solves, in emission order: a timeout
+       among them is all that can still turn Infeasible into Unknown. *)
+    let path_timeout () =
+      List.exists (fun path -> snd (solve_path ex path) = `Timeout) (List.rev ex.emitted)
+    in
+    if ex.truncated || ex.target_timeout || multi_threaded || path_timeout () then Unknown
+    else Infeasible

@@ -78,4 +78,8 @@ val direction_feasible :
   direction:bool ->
   direction_verdict
 (** Directed query: can some execution take branch [site] in
-    [direction]?  Returns with the first SAT model found. *)
+    [direction]?  Returns with the first SAT model found.  A finished
+    path's end-of-path solve runs only when it decides between
+    [Infeasible] and [Unknown] — nothing found, exploration exhaustive,
+    single-threaded, no timeout while solving the target — and then in
+    path order, up to the first timeout. *)

@@ -27,6 +27,7 @@ module Codec = Softborg_util.Codec
 module Rng = Softborg_util.Rng
 module Pool = Softborg_util.Pool
 module Gap_memo = Softborg_hive.Gap_memo
+module Verdict_cache = Softborg_solver.Verdict_cache
 
 let checki = Alcotest.check Alcotest.int
 let checkb = Alcotest.check Alcotest.bool
@@ -783,6 +784,31 @@ let test_knowledge_replay_cache_cleared_on_epoch () =
   ignore (Knowledge.ingest_trace k (trace_of ~pod:4 Corpus.fig2_write r));
   checki "cache refills afterwards" 2 (Knowledge.replay_cache_hits k)
 
+(* Symbolic verdicts read only the program, and a fix never changes
+   it: fix epochs must leave both verdict tables as they were. *)
+let test_knowledge_gap_verdicts_survive_epochs () =
+  let k = Knowledge.create Corpus.fig2_write in
+  List.iter
+    (fun input ->
+      let r = run_once Corpus.fig2_write [| input |] in
+      ignore (Knowledge.ingest_trace k (trace_of Corpus.fig2_write r)))
+    [ 5; 150 ];
+  let memo = Knowledge.gap_memo k and cache = Knowledge.verdict_cache k in
+  let close_gaps () =
+    ignore (Prover.close_gaps ~cache ~memo (Knowledge.program k) (Knowledge.tree k))
+  in
+  close_gaps ();
+  let memo_length = Gap_memo.length memo and cache_length = Verdict_cache.length cache in
+  checkb "close_gaps filled the memo" true (memo_length > 0);
+  ignore (Knowledge.add_fix k (Fixgen.Deadlock_immunity [ 0; 1 ]));
+  Knowledge.adopt_fixes k ~fixes:(Knowledge.fixes k) ~epoch:(Knowledge.epoch k + 1) ~retracted:[];
+  checki "two epoch bumps" 2 (Knowledge.epoch k);
+  checki "memo kept" memo_length (Gap_memo.length memo);
+  checki "verdict cache kept" cache_length (Verdict_cache.length cache);
+  let misses = Gap_memo.misses memo in
+  close_gaps ();
+  checki "repeat close_gaps solves nothing" misses (Gap_memo.misses memo)
+
 let test_knowledge_store_accounting () =
   let k = Knowledge.create Corpus.fig2_write in
   for _ = 1 to 50 do
@@ -961,6 +987,8 @@ let () =
             test_knowledge_replay_cache_skips_replay;
           Alcotest.test_case "replay cache cleared on epoch" `Quick
             test_knowledge_replay_cache_cleared_on_epoch;
+          Alcotest.test_case "gap verdicts survive epochs" `Quick
+            test_knowledge_gap_verdicts_survive_epochs;
           Alcotest.test_case "knowledge accounting" `Quick test_knowledge_store_accounting;
         ] );
       ( "report",

@@ -15,6 +15,8 @@ module Consistency = Softborg_symexec.Consistency
 module Testgen = Softborg_symexec.Testgen
 module Path_cond = Softborg_solver.Path_cond
 module Rng = Softborg_util.Rng
+module Hive = Softborg_hive.Hive
+module Scenario = Softborg.Scenario
 
 let checki = Alcotest.check Alcotest.int
 let checkb = Alcotest.check Alcotest.bool
@@ -190,16 +192,67 @@ let test_direction_infeasible_detected () =
   let sites = Ir.branch_sites Corpus.fig2_write in
   (* The p>3 site is the branch reached only when p<100 fails; find it
      by asking symexec for each site's false direction and expecting
-     exactly one Infeasible among them. *)
-  let verdicts =
-    List.map
-      (fun site -> Sym_exec.direction_feasible Corpus.fig2_write ~site ~direction:false)
-      sites
+     exactly one verdict other than Feasible among them. *)
+  let not_feasible config =
+    List.filter
+      (function Sym_exec.Feasible _ -> false | Sym_exec.Infeasible | Sym_exec.Unknown -> true)
+      (List.map
+         (fun site -> Sym_exec.direction_feasible ~config Corpus.fig2_write ~site ~direction:false)
+         sites)
   in
-  let infeasible =
-    List.filter (fun v -> v = Sym_exec.Infeasible) verdicts
+  checkb "one infeasible direction" true
+    (not_feasible Sym_exec.default_config = [ Sym_exec.Infeasible ]);
+  (* At a budget of 10 steps the dead direction's target is never
+     reached, so no target solve runs; one of its finished paths'
+     solves times out, and that alone makes the verdict Unknown. *)
+  checkb "unknown once an end-of-path solve times out" true
+    (not_feasible { Sym_exec.default_config with Sym_exec.solver_budget = 10 }
+    = [ Sym_exec.Unknown ])
+
+(* Every verdict [Testgen.for_direction] gives at the hive's symexec
+   config, over both directions of every branch site of the corpus and
+   of the [analysis] benchmark population, serialized and hashed.  The
+   constant was computed by an implementation that solved each finished
+   path as soon as the path ended. *)
+let directed_verdicts_digest = "1e30d624f9adc58ffa05fcb6dcb9fe77"
+
+let test_directed_verdicts_pinned () =
+  let config = Option.get (Hive.default_config Hive.Full).Hive.symexec_config in
+  let _, population =
+    Scenario.buggy_population ~seed:42 ~n_programs:8
+      ~bugs:
+        [ Generator.Rare_assert; Generator.Unchecked_syscall; Generator.Div_by_zero;
+          Generator.Deadlock_pair ]
+      ()
   in
-  checki "one infeasible direction" 1 (List.length infeasible)
+  let programs = List.map snd Corpus.all @ List.map fst population in
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun program ->
+      List.iter
+        (fun (site : Ir.site) ->
+          List.iter
+            (fun direction ->
+              Printf.bprintf buf "%d:%d:%b=" site.Ir.thread site.Ir.pc direction;
+              (match Testgen.for_direction ~config program ~site ~direction with
+              | `Test { Testgen.inputs; fault_plan } ->
+                Printf.bprintf buf "test[%s]"
+                  (String.concat "," (Array.to_list (Array.map string_of_int inputs)));
+                (match fault_plan with
+                | Env.No_faults -> ()
+                | Env.Random_faults p -> Printf.bprintf buf "random %h" p
+                | Env.Targeted indices ->
+                  Printf.bprintf buf "faults[%s]"
+                    (String.concat "," (List.map string_of_int indices)))
+              | `Infeasible -> Buffer.add_string buf "infeasible"
+              | `Unknown -> Buffer.add_string buf "unknown");
+              Buffer.add_char buf '\n')
+            [ true; false ])
+        (Ir.branch_sites program))
+    programs;
+  Alcotest.(check string)
+    "verdict digest" directed_verdicts_digest
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
 let test_direction_unknown_for_multithreaded () =
   let sites = Ir.branch_sites Corpus.worker_pool in
@@ -353,5 +406,6 @@ let () =
           Alcotest.test_case "detects infeasible" `Quick test_direction_infeasible_detected;
           Alcotest.test_case "unknown for multithreaded" `Quick
             test_direction_unknown_for_multithreaded;
+          Alcotest.test_case "hive-config verdicts pinned" `Quick test_directed_verdicts_pinned;
         ] );
     ]
