@@ -1274,7 +1274,7 @@ let micro_solver ?(smoke = false) () =
      verdict cache per program per run (as a new knowledge has), so the
      row times derivation rather than cache lookups.  The full suite
      runs the [analysis] benchmark population, the smoke the corpus. *)
-  let gap_config = Option.get (Hive.default_config Hive.Full).Hive.symexec_config in
+  let gap_config = (Hive.default_config Hive.Full).Hive.symexec_config in
   let gap_programs =
     if smoke then List.map snd Corpus.all
     else
@@ -2148,7 +2148,7 @@ let fed_suite ?(smoke = false) () =
           shard_hive =
             {
               (Federation.default_config ~n_shards ()).Federation.shard_hive with
-              Hive.symexec_config = Some shard_symexec;
+              Hive.symexec_config = shard_symexec;
             };
         }
       in

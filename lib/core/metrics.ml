@@ -39,7 +39,7 @@ type snapshot = {
   verdict_cache_hits : int;
   verdict_cache_misses : int;
   (* Staged-rollout counters; all zero (and silent in [pp_snapshot])
-     when the run has no rollout config. *)
+     when the run deploys fixes instantly. *)
   canary_fixes : int;
   fix_promotions : int;
   fix_retractions : int;

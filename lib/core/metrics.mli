@@ -52,7 +52,7 @@ type snapshot = {
   pods_exposed : int;
       (** Pods that ever ran a session with a canary fix active.  All
           five rollout counters are zero — and silent in
-          {!pp_snapshot} — when the run has no rollout config. *)
+          {!pp_snapshot} — when the run deploys fixes instantly. *)
 }
 
 val failure_rate : snapshot -> float

@@ -295,11 +295,11 @@ let install_chaos ~sim ~config fleet plan =
               (all_links ()))
       | Fault_plan.Bad_fix { at; program; variant } ->
         (* The saboteur: a plausible-but-wrong fix enters the ingesting
-           hive as if synthesis (or a human) produced it.  With a
-           rollout config it lands in a canary cohort and must be
-           retracted; without one it deploys fleet-wide — exactly the
-           hazard staging removes.  Shards and pods of a federation
-           learn the fix, and its fate, in superstep order. *)
+           hive as if synthesis (or a human) produced it.  Under a
+           staging rollout it lands in a canary cohort and must be
+           retracted; under instant deployment it goes fleet-wide —
+           exactly the hazard staging removes.  Shards and pods of a
+           federation learn the fix, and its fate, in superstep order. *)
         Sim.schedule_at sim ~time:at (fun () ->
             let p = List.nth config.programs (program mod List.length config.programs) in
             let kind =
@@ -385,14 +385,14 @@ let pp_report fmt report =
      rollout-off runs' reports stay byte-identical to older builds. *)
   (let f = report.final in
    if
-     h.Hive.fix_promotions + h.Hive.fix_retractions + h.Hive.retracts_sent
-     + h.Hive.quarantined_fix_traces + f.Metrics.canary_fixes + f.Metrics.pods_exposed
+     h.Hive.fix_promotions + h.Hive.fix_retractions + h.Hive.quarantined_fix_traces
+     + f.Metrics.canary_fixes + f.Metrics.pods_exposed
      > 0
    then
      Format.fprintf fmt
-       "rollout: canary=%d promoted=%d retracted=%d retract-frames=%d quarantined-traces=%d exposed-pods=%d@."
+       "rollout: canary=%d promoted=%d retracted=%d quarantined-traces=%d exposed-pods=%d@."
        f.Metrics.canary_fixes h.Hive.fix_promotions h.Hive.fix_retractions
-       h.Hive.retracts_sent h.Hive.quarantined_fix_traces f.Metrics.pods_exposed);
+       h.Hive.quarantined_fix_traces f.Metrics.pods_exposed);
   (* The federation section exists only for sharded runs, so printing
      per-shard cache efficiency here never perturbs the single-hive
      byte-identity invariants. *)

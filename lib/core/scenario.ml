@@ -79,7 +79,7 @@ let with_fleet_encoding ?(batch = 16) ?(delta = true) config =
 let with_rollout ?(rollout = Fix_lifecycle.default_config) config =
   {
     config with
-    Platform.hive_config = { config.Platform.hive_config with Hive.rollout = Some rollout };
+    Platform.hive_config = { config.Platform.hive_config with Hive.rollout = rollout };
   }
 
 (* Script a saboteur: at [at], a plausible-but-wrong fix for

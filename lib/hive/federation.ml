@@ -73,7 +73,6 @@ type stats = {
   deltas_committed : int;
   payloads_merged : int;
   fix_updates_sent : int;
-  retracts_sent : int;
   per_shard : shard_stats list;
 }
 
@@ -90,13 +89,8 @@ type t = {
      order — the fixed total order of the merge. *)
   inboxes : (int, string list) Hashtbl.t array;
   next_expected : int array;
-  frontier : (string * int * int) list array;
   mutable attachments : attachment list;
   published_epoch : (string, int) Hashtbl.t;
-  (* Retracted ids already pushed per digest: a retraction is decided
-     only here at the coordinator, and the delta against this table
-     picks Fix_retract over Fix_update for the downstream frame. *)
-  published_retracted : (string, int list) Hashtbl.t;
   (* (shard, digest) -> knowledge state at the last compute phase, so
      unchanged shards skip re-running symbolic gap closing. *)
   compute_state : (int * string, int * int) Hashtbl.t;
@@ -106,7 +100,6 @@ type t = {
   mutable deltas_committed : int;
   mutable payloads_merged : int;
   mutable fix_updates_sent : int;
-  mutable retracts_sent : int;
 }
 
 (* ---- Coordinator receive path ----------------------------------------- *)
@@ -120,9 +113,6 @@ let stash t payload =
        rewound its counter. *)
     if seq >= t.next_expected.(shard) && not (Hashtbl.mem t.inboxes.(shard) seq) then
       Hashtbl.replace t.inboxes.(shard) seq payloads
-  | Ok (Protocol.Frontier_summary { shard; programs })
-    when shard >= 0 && shard < Array.length t.shards ->
-    t.frontier.(shard) <- programs
   | Ok _ | Error _ -> ()
 
 let create ~config ~sim ~rng () =
@@ -157,10 +147,8 @@ let create ~config ~sim ~rng () =
       downlinks = Array.map snd uplinks;
       inboxes = Array.init n (fun _ -> Hashtbl.create 8);
       next_expected = Array.make n 0;
-      frontier = Array.make n [];
       attachments = [];
       published_epoch = Hashtbl.create 4;
-      published_retracted = Hashtbl.create 4;
       compute_state = Hashtbl.create 8;
       pool = (if config.pool_size > 1 then Some (Pool.create ~size:config.pool_size) else None);
       supersteps = 0;
@@ -168,7 +156,6 @@ let create ~config ~sim ~rng () =
       deltas_committed = 0;
       payloads_merged = 0;
       fix_updates_sent = 0;
-      retracts_sent = 0;
     }
   in
   Array.iter (fun endpoint -> Transport.on_receive endpoint (stash t)) t.downlinks;
@@ -188,8 +175,8 @@ let register_program t program =
 let relay_down pod_link payload =
   match Protocol.decode payload with
   | Ok
-      ( Protocol.Fix_update _ | Protocol.Fix_retract _ | Protocol.Guidance_update _
-      | Protocol.Pressure_update _ | Protocol.Basis_update _ ) ->
+      ( Protocol.Fix_update _ | Protocol.Guidance_update _ | Protocol.Pressure_update _
+      | Protocol.Basis_update _ ) ->
     Transport.send pod_link payload
   | Ok _ | Error _ -> ()
 
@@ -232,11 +219,7 @@ let attach_pod t pod_link =
   in
   let a = { pod_link; to_shard } in
   t.attachments <- t.attachments @ [ a ];
-  Transport.on_receive pod_link (route t a);
-  (* Tell the pod which routing table its uploads will travel under;
-     current pods ignore the frame, but it keeps the map on the wire
-     (and under chaos) rather than implicit in router state. *)
-  Transport.send pod_link (Protocol.encode (Protocol.Shard_map_update { map = t.map }))
+  Transport.on_receive pod_link (route t a)
 
 (* ---- The superstep ------------------------------------------------------ *)
 
@@ -270,7 +253,7 @@ let compute_phase t =
       = shard
     in
     ignore
-      (Prover.close_gaps ?config:t.config.shard_hive.Hive.symexec_config
+      (Prover.close_gaps ~config:t.config.shard_hive.Hive.symexec_config
          ~cache:(Knowledge.verdict_cache k) ~memo:(Knowledge.gap_memo k) ~owned
          ~limit:t.config.gap_limit (Knowledge.program k) (Knowledge.tree k));
     (key, (Exec_tree.version (Knowledge.tree k), Knowledge.epoch k))
@@ -279,14 +262,6 @@ let compute_phase t =
     match t.pool with Some pool -> Pool.map pool close jobs | None -> List.map close jobs
   in
   List.iter (fun (key, state) -> Hashtbl.replace t.compute_state key state) results
-
-let frontier_of s =
-  Hive.knowledge_list s.s_hive
-  |> List.map (fun k ->
-         ( Knowledge.digest k,
-           Exec_tree.n_distinct_paths (Knowledge.tree k),
-           Knowledge.traces_ingested k ))
-  |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
 
 let flush t =
   Array.iter
@@ -298,9 +273,6 @@ let flush t =
         s.s_next_seq <- seq + 1;
         Transport.send s.s_uplink
           (Protocol.encode (Protocol.Knowledge_delta { shard = s.s_index; seq; payloads }));
-        Transport.send s.s_uplink
-          (Protocol.encode
-             (Protocol.Frontier_summary { shard = s.s_index; programs = frontier_of s }));
         t.deltas_sent <- t.deltas_sent + 1;
         Log.debug (fun m ->
             m "shard %d delta seq=%d payloads=%d" s.s_index seq (List.length payloads))
@@ -333,9 +305,10 @@ let commit t =
 (* Publish fixes the merged analysis deployed — or retracted — since
    the last superstep: shards adopt the full set plus the retracted ids
    (so their replay hooks and ingest quarantine for any epoch match the
-   coordinator's), pods get the deployable subset exactly as a
-   standalone hive would send it.  Retraction is decided only here at
-   the coordinator; shards and pods learn of it in superstep order. *)
+   coordinator's), pods get the frame a standalone hive would send
+   ({!Hive.fix_update}; the coordinator serves no pods, so its pressure
+   level stays 0).  Retraction is decided only here at the coordinator;
+   shards and pods learn of it in superstep order, as a higher epoch. *)
 let publish t =
   Hive.knowledge_list t.merged
   |> List.sort (fun a b -> String.compare (Knowledge.digest a) (Knowledge.digest b))
@@ -347,43 +320,10 @@ let publish t =
            Hashtbl.replace t.published_epoch digest epoch;
            let fixes = Knowledge.fixes k in
            let retracted = Knowledge.retracted_ids k in
-           let prev_retracted =
-             Option.value ~default:[] (Hashtbl.find_opt t.published_retracted digest)
-           in
-           Hashtbl.replace t.published_retracted digest retracted;
            Array.iter
              (fun s -> Hive.adopt_fixes s.s_hive ~digest ~fixes ~epoch ~retracted)
              t.shards;
-           let deployable = List.filter Fixgen.is_deployable (Knowledge.live_fixes k) in
-           let canary = Knowledge.canary_ids k in
-           let canary_mils = Knowledge.canary_mils k in
-           let payload =
-             if retracted <> prev_retracted then begin
-               t.retracts_sent <- t.retracts_sent + 1;
-               Protocol.encode
-                 (Protocol.Fix_retract
-                    {
-                      program_digest = digest;
-                      epoch;
-                      retracted;
-                      fixes = deployable;
-                      canary;
-                      canary_mils;
-                      pressure = 0;
-                    })
-             end
-             else
-               Protocol.encode
-                 (Protocol.Fix_update
-                    {
-                      program_digest = digest;
-                      epoch;
-                      fixes = deployable;
-                      canary;
-                      canary_mils;
-                      pressure = 0;
-                    })
-           in
+           let payload = Protocol.encode (Hive.fix_update t.merged k) in
            List.iter (fun a -> Transport.send a.pod_link payload) t.attachments;
            t.fix_updates_sent <- t.fix_updates_sent + 1
          end)
@@ -424,7 +364,6 @@ let stats t =
     deltas_committed = t.deltas_committed;
     payloads_merged = t.payloads_merged;
     fix_updates_sent = t.fix_updates_sent;
-    retracts_sent = t.retracts_sent;
     per_shard =
       Array.to_list t.shards
       |> List.map (fun s ->
@@ -444,8 +383,6 @@ let stats t =
                    s;
              });
   }
-
-let frontier t shard = t.frontier.(shard)
 
 let links t =
   let endpoints =

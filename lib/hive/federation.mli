@@ -72,8 +72,7 @@ type stats = {
   deltas_sent : int;
   deltas_committed : int;
   payloads_merged : int;
-  fix_updates_sent : int;  (** Fix broadcasts from the coordinator. *)
-  retracts_sent : int;  (** {!Protocol.Fix_retract} broadcasts (coordinator only). *)
+  fix_updates_sent : int;  (** Fix broadcasts from the coordinator, retractions included. *)
   per_shard : shard_stats list;
 }
 
@@ -104,9 +103,9 @@ val superstep : t -> unit
     Also called by the schedule. *)
 
 val flush : t -> unit
-(** Send each shard's pending payloads as a {!Protocol.Knowledge_delta}
-    (with a {!Protocol.Frontier_summary} alongside); no-op for shards
-    with nothing pending.  Exposed for deterministic test driving. *)
+(** Send each shard's pending payloads as a {!Protocol.Knowledge_delta};
+    no-op for shards with nothing pending.  Exposed for deterministic
+    test driving. *)
 
 val commit : t -> int
 (** Drain complete inbox deltas into the merged hive in (shard, seq)
@@ -117,10 +116,6 @@ val shutdown : t -> unit
     Idempotent. *)
 
 val stats : t -> stats
-
-val frontier : t -> int -> (string * int * int) list
-(** Latest {!Protocol.Frontier_summary} rows received from a shard:
-    program digest, distinct paths, traces ingested. *)
 
 val links : t -> Link.t list
 (** Every federation link (pod↔router, router↔shard, shard↔coordinator)

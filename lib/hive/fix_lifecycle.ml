@@ -1,12 +1,6 @@
 module Codec = Softborg_util.Codec
 
-type stage = Candidate | Canary | Fleet | Retracted
-
-let stage_name = function
-  | Candidate -> "candidate"
-  | Canary -> "canary"
-  | Fleet -> "fleet"
-  | Retracted -> "retracted"
+type stage = Canary | Fleet | Retracted
 
 type config = {
   canary_mils : int;
@@ -32,6 +26,8 @@ let default_config =
     promote_after = 24;
     max_hold_ticks = 2;
   }
+
+let instant = { default_config with canary_mils = 0 }
 
 (* Same FNV-1a as [Protocol.basis_fingerprint]: seed-free, so cohort
    membership depends only on (cohort id, fix id) — never on pool
@@ -126,7 +122,7 @@ let novel_bucket config h =
 
 let decide config entry =
   match entry.stage with
-  | Candidate | Fleet | Retracted -> Hold
+  | Fleet | Retracted -> Hold
   | Canary -> (
     let h = entry.health in
     let sampled = h.exposed_runs >= config.min_exposed && h.control_runs >= config.min_control in
@@ -161,10 +157,11 @@ let decide config entry =
 (* Codec — sorted, counts via sorted bindings, so serialized bytes are
    a pure function of the observed multiset. *)
 
-let stage_tag = function Candidate -> 0 | Canary -> 1 | Fleet -> 2 | Retracted -> 3
+(* Tags start at 1 so that checkpoints keep their stage bytes; 0 is
+   malformed and must not be reused. *)
+let stage_tag = function Canary -> 1 | Fleet -> 2 | Retracted -> 3
 
 let stage_of_tag = function
-  | 0 -> Candidate
   | 1 -> Canary
   | 2 -> Fleet
   | 3 -> Retracted

@@ -1,19 +1,20 @@
 (** Staged fix rollout: lifecycle stages, deterministic canary
     cohorts, and the sequential canary-vs-control health test.
 
-    Every synthesized fix moves Candidate → Canary → Fleet, or is
-    pulled back with {!Retracted} when the canary cohort's
+    Under a staging config every deployed fix moves Canary → Fleet,
+    or is pulled back with {!Retracted} when the canary cohort's
     fix-attributed telemetry shows it does harm.  All decisions are
     integer tests over commutative counters, so the outcome is a pure
     function of the observed run multiset — identical for any decode
     pool size or shard count, and replayable from a checkpoint. *)
 
-type stage = Candidate | Canary | Fleet | Retracted
-
-val stage_name : stage -> string
+type stage = Canary | Fleet | Retracted
 
 type config = {
-  canary_mils : int;  (** Canary cohort fraction, in thousandths of the fleet. *)
+  canary_mils : int;
+      (** Canary cohort fraction, in thousandths of the fleet.  [0]
+          means no canary stage: every fix deploys fleet-wide at once
+          and no lifecycle entry is kept. *)
   min_exposed : int;  (** Minimum exposed runs before any verdict. *)
   min_control : int;  (** Minimum control runs before any verdict. *)
   harm_ratio_mils : int;
@@ -35,6 +36,11 @@ type config = {
 }
 
 val default_config : config
+(** Canary staging at 125 mils. *)
+
+val instant : config
+(** {!default_config} with [canary_mils = 0]: instant fleet-wide
+    deployment, the hive's default. *)
 
 val cohort_hash : cohort:int -> fix_id:int -> int
 (** Seed-free FNV-1a over (cohort id, fix id) — the same construction

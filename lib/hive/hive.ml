@@ -54,11 +54,11 @@ type config = {
   human_fix_delay : float;
   cbi_localization_speedup : float;
   prove : bool;
-  symexec_config : Sym_exec.config option;
+  symexec_config : Sym_exec.config;
   pool_size : int;
   overload : overload_config option;
   synthesize : bool;
-  rollout : Fix_lifecycle.config option;
+  rollout : Fix_lifecycle.config;
 }
 
 let default_config mode =
@@ -73,19 +73,16 @@ let default_config mode =
     pool_size = 1;
     overload = None;
     synthesize = true;
-    (* Off by default: without a rollout config, fixes deploy
-       fleet-wide instantly. *)
-    rollout = None;
+    rollout = Fix_lifecycle.instant;
     symexec_config =
       (* The hive analyzes many programs per tick; bound each symbolic
          operation tightly and rely on repetition across ticks. *)
-      Some
-        {
-          Sym_exec.default_config with
-          Sym_exec.max_paths = 96;
-          max_steps_per_path = 1500;
-          solver_budget = 20_000;
-        };
+      {
+        Sym_exec.default_config with
+        Sym_exec.max_paths = 96;
+        max_steps_per_path = 1500;
+        solver_budget = 20_000;
+      };
   }
 
 type stats = {
@@ -111,7 +108,6 @@ type stats = {
   basis_updates_sent : int;
   fix_promotions : int;
   fix_retractions : int;
-  retracts_sent : int;
   quarantined_fix_traces : int;
 }
 
@@ -199,7 +195,6 @@ type t = {
   mutable fix_updates_sent : int;
   mutable fix_promotions : int;
   mutable fix_retractions : int;
-  mutable retracts_sent : int;
   mutable guidance_sent : int;
   mutable proofs_established : int;
   mutable human_fixes_scheduled : int;
@@ -261,7 +256,6 @@ let create ?config ~sim () =
     fix_updates_sent = 0;
     fix_promotions = 0;
     fix_retractions = 0;
-    retracts_sent = 0;
     guidance_sent = 0;
     proofs_established = 0;
     human_fixes_scheduled = 0;
@@ -296,36 +290,26 @@ let broadcast t message =
 let pressure_level t = t.pressure_level
 let queue_length t = t.queue_len
 
+(* The one fix-state frame.  A retraction needs no frame of its own:
+   it is a higher epoch whose fix set lacks the retracted fix, which
+   the pods' monotonic epoch guard applies like any other update. *)
+let fix_update t k =
+  Protocol.Fix_update
+    {
+      program_digest = Knowledge.digest k;
+      epoch = Knowledge.epoch k;
+      fixes = List.filter Fixgen.is_deployable (Knowledge.live_fixes k);
+      canary = Knowledge.canary_ids k;
+      canary_mils = Knowledge.canary_mils k;
+      pressure = t.pressure_level;
+    }
+
 let send_fix_update t k =
-  let deployable = List.filter Fixgen.is_deployable (Knowledge.live_fixes k) in
-  broadcast t
-    (Protocol.Fix_update
-       {
-         program_digest = Knowledge.digest k;
-         epoch = Knowledge.epoch k;
-         fixes = deployable;
-         canary = Knowledge.canary_ids k;
-         canary_mils = Knowledge.canary_mils k;
-         pressure = t.pressure_level;
-       });
+  broadcast t (fix_update t k);
   t.fix_updates_sent <- t.fix_updates_sent + 1
 
-let send_fix_retract t k =
-  broadcast t
-    (Protocol.Fix_retract
-       {
-         program_digest = Knowledge.digest k;
-         epoch = Knowledge.epoch k;
-         retracted = Knowledge.retracted_ids k;
-         fixes = List.filter Fixgen.is_deployable (Knowledge.live_fixes k);
-         canary = Knowledge.canary_ids k;
-         canary_mils = Knowledge.canary_mils k;
-         pressure = t.pressure_level;
-       });
-  t.retracts_sent <- t.retracts_sent + 1
-
 (* An externally-decided fix lands exactly as a synthesized one would:
-   minted into the knowledge (canary-staged when rollout is attached)
+   minted into the knowledge (canary-staged under a staging rollout)
    and pushed downstream.  The chaos harness injects sabotaged fixes
    through this to prove the rollout machinery retracts them. *)
 let inject_fix t ~digest kind =
@@ -583,10 +567,8 @@ let admit t (oc : overload_config) slot payload =
     match Protocol.decode ~caps:oc.caps payload with
     | Error _ -> quarantine t oc slot
     | Ok
-        ( Protocol.Fix_update _ | Protocol.Fix_retract _ | Protocol.Guidance_update _
-        | Protocol.Pressure_update _ | Protocol.Shard_map_update _
-        | Protocol.Knowledge_delta _ | Protocol.Frontier_summary _ | Protocol.Basis_update _
-          ) ->
+        ( Protocol.Fix_update _ | Protocol.Guidance_update _ | Protocol.Pressure_update _
+        | Protocol.Knowledge_delta _ | Protocol.Basis_update _ ) ->
       (* Downstream-only and federation-plane messages; ignore if echoed
          back.  A shard hive never ingests a Knowledge_delta directly —
          the federation coordinator unpacks deltas itself so commit
@@ -737,11 +719,11 @@ let knowledge_state k = (Exec_tree.version (Knowledge.tree k), Knowledge.epoch k
 let prove_tick t k =
   let program = Knowledge.program k in
   ignore
-    (Prover.close_gaps ?config:t.config.symexec_config ~cache:(Knowledge.verdict_cache k)
+    (Prover.close_gaps ~config:t.config.symexec_config ~cache:(Knowledge.verdict_cache k)
        ~memo:(Knowledge.gap_memo k) program (Knowledge.tree k));
   if not (has_valid_proof k Prover.Assert_safety) then begin
     match
-      Prover.attempt_assert_safety ?config:t.config.symexec_config
+      Prover.attempt_assert_safety ~config:t.config.symexec_config
         ~cache:(Knowledge.verdict_cache k) ~program ~tree:(Knowledge.tree k)
         ~crash_observations:
           (List.fold_left (fun acc (e : Fixgen.crash_evidence) -> acc + e.Fixgen.count) 0
@@ -847,7 +829,7 @@ let guidance_tick t k =
   if t.endpoints <> [] then begin
     let issued = issued_for t k in
     let result =
-      Guidance.plan ?config:t.config.symexec_config ~cache:(Knowledge.verdict_cache k)
+      Guidance.plan ~config:t.config.symexec_config ~cache:(Knowledge.verdict_cache k)
         ~max_directives:t.config.guidance_max
         ~exclude:issued ~memo:(Knowledge.gap_memo k) ?pool:t.pool
         ?speculate:(speculate_for t k) (Knowledge.program k) (Knowledge.tree k)
@@ -916,12 +898,11 @@ let tick t =
               condemned
           end;
           if promoted <> [] then t.fix_promotions <- t.fix_promotions + List.length promoted;
-          (* One downstream push per verdict batch: a retraction frame
-             already carries the surviving fix set, so promotion in the
-             same tick rides along. *)
-          if condemned <> [] then send_fix_retract t k
-          else if promoted <> [] then send_fix_update t k;
-          let new_fixes = Knowledge.analyze ?symexec_config:t.config.symexec_config k in
+          (* One downstream push per verdict batch: the lifecycle tick
+             bumped the epoch once, and the frame carries the surviving
+             fix set with every promotion and retraction applied. *)
+          if promoted <> [] || condemned <> [] then send_fix_update t k;
+          let new_fixes = Knowledge.analyze ~symexec_config:t.config.symexec_config k in
           let deployable = List.filter Fixgen.is_deployable new_fixes in
           if deployable <> [] then begin
             t.fixes_deployed <- t.fixes_deployed + List.length deployable;
@@ -984,7 +965,6 @@ let stats t =
     basis_updates_sent = t.basis_updates_sent;
     fix_promotions = t.fix_promotions;
     fix_retractions = t.fix_retractions;
-    retracts_sent = t.retracts_sent;
     quarantined_fix_traces =
       Hashtbl.fold (fun _ k acc -> acc + Knowledge.quarantined_traces k) t.programs 0;
   }

@@ -68,7 +68,10 @@ type config = {
       (** Cbi human delay = [human_fix_delay /. cbi_localization_speedup]
           — statistical localization shortens debugging. *)
   prove : bool;  (** Attempt cumulative proofs on each tick (Full only). *)
-  symexec_config : Sym_exec.config option;
+  symexec_config : Sym_exec.config;
+      (** Bounds for every symbolic query the hive runs: guidance
+          planning, gap closing, proof attempts and input-guard
+          synthesis. *)
   pool_size : int;
       (** Worker domains for parallel symbolic gap solving (default 1 =
           no domains, fully sequential).  Results are merged in
@@ -89,14 +92,15 @@ type config = {
           deploy fixes.  Federation shards run with [false]: fix ids
           and epochs are minted only by the merge coordinator, whose
           knowledge sees whole-program evidence. *)
-  rollout : Fix_lifecycle.config option;
-      (** [Some _] stages every new fix through a canary cohort with
-          health-verdict promotion/retraction (see {!Fix_lifecycle}).
-          Its fix frames carry the config's [canary_mils], which is
-          what makes pods attribute their uploads, so setting this on
-          the hive alone gets the health test its exposed and control
-          evidence.  Default [None]: fixes deploy fleet-wide instantly
-          and pods send no attribution. *)
+  rollout : Fix_lifecycle.config;
+      (** With [canary_mils > 0], every new fix is staged through a
+          canary cohort with health-verdict promotion/retraction (see
+          {!Fix_lifecycle}).  Its fix frames carry the config's
+          [canary_mils], which is what makes pods attribute their
+          uploads, so setting this on the hive alone gets the health
+          test its exposed and control evidence.  Default
+          {!Fix_lifecycle.instant} ([canary_mils = 0]): fixes deploy
+          fleet-wide instantly and pods send no attribution. *)
 }
 
 val default_config : mode -> config
@@ -106,7 +110,7 @@ type stats = {
   messages_received : int;
   analysis_ticks : int;
   fixes_deployed : int;
-  fix_updates_sent : int;
+  fix_updates_sent : int;  (** {!Protocol.Fix_update} broadcasts, retractions included. *)
   guidance_sent : int;
   proofs_established : int;
   human_fixes_scheduled : int;
@@ -126,7 +130,6 @@ type stats = {
   basis_updates_sent : int;  (** {!Protocol.Basis_update} broadcasts. *)
   fix_promotions : int;  (** Canary fixes promoted fleet-wide. *)
   fix_retractions : int;  (** Canary fixes condemned by the health test. *)
-  retracts_sent : int;  (** {!Protocol.Fix_retract} broadcasts. *)
   quarantined_fix_traces : int;
       (** Uploads rejected because their attribution named a retracted
           fix (summed over programs; runtime-only, not checkpointed). *)
@@ -148,10 +151,18 @@ val adopt_fixes :
     federation coordinator's (no-op for an unknown digest or a
     non-advancing epoch).  See {!Knowledge.adopt_fixes}. *)
 
+val fix_update : t -> Knowledge.t -> Protocol.message
+(** The one fix-state frame for a program, as this hive broadcasts it
+    and the federation coordinator publishes it: a {!Protocol.Fix_update}
+    at the knowledge's current epoch with its deployable live fixes,
+    canary ids and cohort fraction, and this hive's pressure level.  A
+    retraction travels as one too: a higher epoch whose fix set lacks
+    the retracted fix. *)
+
 val inject_fix : t -> digest:string -> Fixgen.kind -> unit
 (** Install an externally-decided fix (no-op for an unknown digest):
-    minted via {!Knowledge.add_fix} — canary-staged when a rollout
-    config is attached — and broadcast downstream.  The chaos
+    minted via {!Knowledge.add_fix} — canary-staged under a staging
+    rollout — and broadcast downstream.  The chaos
     harness's bad-fix saboteur enters here. *)
 
 val ingest_payload : t -> string -> unit

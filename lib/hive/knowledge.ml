@@ -8,7 +8,6 @@ module Exec_tree = Softborg_tree.Exec_tree
 module Deadlock = Softborg_conc.Deadlock
 module Immunity = Softborg_conc.Immunity
 module Sym_exec = Softborg_symexec.Sym_exec
-module Path_cond = Softborg_solver.Path_cond
 module Lru = Softborg_util.Lru
 
 type crash_bucket = {
@@ -38,7 +37,7 @@ type t = {
      evidence, so they must not influence knowledge bytes. *)
   mutable retracted : int list;
   mutable lifecycle : Fix_lifecycle.entry list;
-  mutable rollout : Fix_lifecycle.config option;
+  mutable rollout : Fix_lifecycle.config;
   mutable quarantined : int;
   mutable traces_ingested : int;
   mutable failures : int;
@@ -76,7 +75,7 @@ let create ?(replay_cache = default_replay_cache) program =
     epoch = 0;
     retracted = [];
     lifecycle = [];
-    rollout = None;
+    rollout = Fix_lifecycle.instant;
     quarantined = 0;
     traces_ingested = 0;
     failures = 0;
@@ -111,7 +110,6 @@ let live_fixes t =
 
 let retracted_ids t = t.retracted
 let lifecycle t = t.lifecycle
-let rollout t = t.rollout
 let set_rollout t config = t.rollout <- config
 let quarantined_traces t = t.quarantined
 
@@ -122,18 +120,11 @@ let canary_ids t =
     t.lifecycle
   |> List.sort Int.compare
 
-let canary_mils t =
-  match t.rollout with None -> 0 | Some c -> c.Fix_lifecycle.canary_mils
+let canary_mils t = t.rollout.Fix_lifecycle.canary_mils
 
 let hooks_for_epoch t target_epoch = Fixgen.runtime_hooks ~epoch:target_epoch (live_fixes t)
 
 let current_hooks t = hooks_for_epoch t t.epoch
-
-let input_guards t =
-  List.filter_map
-    (fun fix ->
-      match fix.Fixgen.kind with Fixgen.Input_guard { condition; _ } -> Some condition | _ -> None)
-    (live_fixes t)
 
 let record_failure t (outcome : Outcome.t) =
   match outcome with
@@ -178,7 +169,8 @@ let quarantines t (trace : Trace.t) =
 
 (* Canary health accounting: every attributed run is a sample — exposed
    for the canary fixes in its active set, control for the rest.  Only
-   a rollout stages canaries, so without one this does nothing. *)
+   a staging config registers canaries, so at [canary_mils = 0] this
+   does nothing. *)
 let observe_health t (trace : Trace.t) =
   match trace.Trace.attribution with
   | None -> ()
@@ -289,13 +281,13 @@ let bump_epoch t =
   Option.iter Lru.clear t.replay_cache;
   ignore (Prover.invalidate t.proofs ~current_epoch:t.epoch)
 
-(* With rollout active, every newly deployed fix enters the ledger as
-   a canary; without it, fixes ship fleet-wide instantly (the legacy —
-   and the bench's "naive" — behavior). *)
+(* Under a staging config every newly deployed fix enters the ledger
+   as a canary; at [canary_mils = 0] fixes ship fleet-wide instantly
+   (the default, and the bench's "naive" arm).  The only place the
+   config decides whether to stage: without canary entries the
+   lifecycle tick has nothing to judge. *)
 let register_canaries t new_fixes =
-  match t.rollout with
-  | None -> ()
-  | Some _ ->
+  if t.rollout.Fix_lifecycle.canary_mils > 0 then
     List.iter
       (fun (fix : Fixgen.fix) ->
         if
@@ -336,42 +328,39 @@ let add_fix t kind =
    costs at most one epoch (one cache/proof invalidation) however many
    canaries move. *)
 let lifecycle_tick t =
-  match t.rollout with
-  | None -> ([], [])
-  | Some config ->
-    let promoted = ref [] in
-    let condemned = ref [] in
+  let promoted = ref [] in
+  let condemned = ref [] in
+  List.iter
+    (fun (e : Fix_lifecycle.entry) ->
+      if e.Fix_lifecycle.stage = Fix_lifecycle.Canary then begin
+        e.Fix_lifecycle.ticks_held <- e.Fix_lifecycle.ticks_held + 1;
+        match Fix_lifecycle.decide t.rollout e with
+        | Fix_lifecycle.Hold -> ()
+        | Fix_lifecycle.Promote -> promoted := e :: !promoted
+        | Fix_lifecycle.Retract reason -> condemned := (e, reason) :: !condemned
+      end)
+    (List.sort
+       (fun (a : Fix_lifecycle.entry) b -> Int.compare a.Fix_lifecycle.fix_id b.Fix_lifecycle.fix_id)
+       t.lifecycle);
+  let promoted = List.rev !promoted in
+  let condemned = List.rev !condemned in
+  if promoted <> [] || condemned <> [] then begin
+    List.iter (fun (e : Fix_lifecycle.entry) -> e.Fix_lifecycle.stage <- Fix_lifecycle.Fleet) promoted;
     List.iter
-      (fun (e : Fix_lifecycle.entry) ->
-        if e.Fix_lifecycle.stage = Fix_lifecycle.Canary then begin
-          e.Fix_lifecycle.ticks_held <- e.Fix_lifecycle.ticks_held + 1;
-          match Fix_lifecycle.decide config e with
-          | Fix_lifecycle.Hold -> ()
-          | Fix_lifecycle.Promote -> promoted := e :: !promoted
-          | Fix_lifecycle.Retract reason -> condemned := (e, reason) :: !condemned
-        end)
-      (List.sort
-         (fun (a : Fix_lifecycle.entry) b -> Int.compare a.Fix_lifecycle.fix_id b.Fix_lifecycle.fix_id)
-         t.lifecycle);
-    let promoted = List.rev !promoted in
-    let condemned = List.rev !condemned in
-    if promoted <> [] || condemned <> [] then begin
-      List.iter (fun (e : Fix_lifecycle.entry) -> e.Fix_lifecycle.stage <- Fix_lifecycle.Fleet) promoted;
-      List.iter
-        (fun ((e : Fix_lifecycle.entry), _) -> e.Fix_lifecycle.stage <- Fix_lifecycle.Retracted)
-        condemned;
-      t.retracted <-
-        List.sort_uniq Int.compare
-          (List.map (fun ((e : Fix_lifecycle.entry), _) -> e.Fix_lifecycle.fix_id) condemned
-          @ t.retracted);
-      bump_epoch t;
-      List.iter
-        (fun ((e : Fix_lifecycle.entry), _) -> e.Fix_lifecycle.retired_epoch <- t.epoch)
-        condemned
-    end;
-    ( List.map (fun (e : Fix_lifecycle.entry) -> e.Fix_lifecycle.fix_id) promoted,
-      List.map (fun ((e : Fix_lifecycle.entry), reason) -> (e.Fix_lifecycle.fix_id, reason)) condemned
-    )
+      (fun ((e : Fix_lifecycle.entry), _) -> e.Fix_lifecycle.stage <- Fix_lifecycle.Retracted)
+      condemned;
+    t.retracted <-
+      List.sort_uniq Int.compare
+        (List.map (fun ((e : Fix_lifecycle.entry), _) -> e.Fix_lifecycle.fix_id) condemned
+        @ t.retracted);
+    bump_epoch t;
+    List.iter
+      (fun ((e : Fix_lifecycle.entry), _) -> e.Fix_lifecycle.retired_epoch <- t.epoch)
+      condemned
+  end;
+  ( List.map (fun (e : Fix_lifecycle.entry) -> e.Fix_lifecycle.fix_id) promoted,
+    List.map (fun ((e : Fix_lifecycle.entry), reason) -> (e.Fix_lifecycle.fix_id, reason)) condemned
+  )
 
 (* Federation: a shard adopts the coordinator's deployed fix set
    wholesale, so its replay hooks for a given epoch match what the
@@ -510,7 +499,7 @@ let read r =
     epoch;
     retracted;
     lifecycle;
-    rollout = None;
+    rollout = Fix_lifecycle.instant;
     quarantined = 0;
     traces_ingested;
     failures;

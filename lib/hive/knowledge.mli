@@ -14,7 +14,6 @@ module Trace := Softborg_trace.Trace
 module Sampling := Softborg_trace.Sampling
 module Exec_tree := Softborg_tree.Exec_tree
 module Sym_exec := Softborg_symexec.Sym_exec
-module Path_cond := Softborg_solver.Path_cond
 
 type t
 
@@ -43,16 +42,17 @@ val retracted_ids : t -> int list
 val lifecycle : t -> Fix_lifecycle.entry list
 (** The per-fix rollout ledger (persisted in checkpoints). *)
 
-val rollout : t -> Fix_lifecycle.config option
-val set_rollout : t -> Fix_lifecycle.config option -> unit
-(** Attach/detach the staged-rollout config.  A runtime attachment,
-    not persisted: the owning hive re-attaches it after a restore. *)
+val set_rollout : t -> Fix_lifecycle.config -> unit
+(** Attach the rollout config ({!Fix_lifecycle.instant} until set).  A
+    runtime attachment, not persisted: the owning hive re-attaches it
+    after a restore. *)
 
 val canary_ids : t -> int list
 (** Sorted ids of fixes currently in canary stage. *)
 
 val canary_mils : t -> int
-(** The attached config's cohort fraction; [0] without rollout. *)
+(** The attached config's cohort fraction; [0] under instant
+    deployment. *)
 
 val quarantined_traces : t -> int
 (** Arrivals rejected because their attribution named a retracted fix.
@@ -86,9 +86,6 @@ val hooks_for_epoch : t -> int -> Interp.hooks
     the hive when replaying a trace recorded under that epoch. *)
 
 val current_hooks : t -> Interp.hooks
-
-val input_guards : t -> Path_cond.t list
-(** Deployed input-guard conditions. *)
 
 val store : t -> Trace_store.t
 (** The content-addressed store backing full-trace ingestion; exposes
@@ -126,15 +123,17 @@ val analyze : ?symexec_config:Sym_exec.config -> t -> Fixgen.fix list
 val add_fix : t -> Fixgen.kind -> Fixgen.fix
 (** Install an externally-decided fix (the human repair lab of WER
     mode, or an injected saboteur fix); bumps the epoch and
-    invalidates stale proofs.  With rollout attached the new fix
-    enters canary stage, otherwise it deploys fleet-wide instantly. *)
+    invalidates stale proofs.  Under a staging config
+    ([canary_mils > 0]) the new fix enters canary stage, otherwise it
+    deploys fleet-wide instantly. *)
 
 val lifecycle_tick : t -> int list * (int * string) list
 (** Run the sequential health test over every canary entry (one held
     tick each) and apply the verdicts: returns (promoted fix ids,
     (retracted fix id, reason) pairs).  Any movement bumps the epoch
     exactly once; retraction also extends {!retracted_ids}.  ([[], []]
-    without an attached rollout config.) *)
+    when nothing is in canary stage, as always under instant
+    deployment.) *)
 
 val adopt_fixes : t -> fixes:Fixgen.fix list -> epoch:int -> retracted:int list -> unit
 (** Replace the fix set, epoch, and retracted set wholesale with the

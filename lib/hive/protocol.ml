@@ -14,24 +14,13 @@ type message =
       canary_mils : int;
       pressure : int;
     }
-  | Fix_retract of {
-      program_digest : string;
-      epoch : int;
-      retracted : int list;
-      fixes : Fixgen.fix list;
-      canary : int list;
-      canary_mils : int;
-      pressure : int;
-    }
   | Guidance_update of {
       program_digest : string;
       directives : Guidance.directive list;
       pressure : int;
     }
   | Pressure_update of { level : int }
-  | Shard_map_update of { map : Shard_map.t }
   | Knowledge_delta of { shard : int; seq : int; payloads : string list }
-  | Frontier_summary of { shard : int; programs : (string * int * int) list }
   | Batch_upload of {
       program_digest : string;
       basis_id : int;
@@ -59,23 +48,11 @@ let message_name = function
   | Trace_upload _ -> "trace-upload"
   | Sampled_report _ -> "sampled-report"
   | Fix_update _ -> "fix-update"
-  | Fix_retract _ -> "fix-retract"
   | Guidance_update _ -> "guidance-update"
   | Pressure_update _ -> "pressure-update"
-  | Shard_map_update _ -> "shard-map-update"
   | Knowledge_delta _ -> "knowledge-delta"
-  | Frontier_summary _ -> "frontier-summary"
   | Batch_upload _ -> "batch-upload"
   | Basis_update _ -> "basis-update"
-
-let pressure_of = function
-  | Fix_update { pressure; _ } | Fix_retract { pressure; _ } | Guidance_update { pressure; _ }
-    ->
-    Some pressure
-  | Pressure_update { level } -> Some level
-  | Trace_upload _ | Sampled_report _ | Shard_map_update _ | Knowledge_delta _
-  | Frontier_summary _ | Batch_upload _ | Basis_update _ ->
-    None
 
 let write_sampled w (report : Sampling.t) =
   Codec.Writer.varint w report.Sampling.rate;
@@ -130,15 +107,6 @@ let encode message =
     Codec.Writer.list w (Fixgen.write_fix w) fixes;
     Codec.Writer.list w (Codec.Writer.varint w) canary;
     Codec.Writer.varint w canary_mils
-  | Fix_retract { program_digest; epoch; retracted; fixes; canary; canary_mils; pressure } ->
-    Codec.Writer.byte w 10;
-    Codec.Writer.bytes w program_digest;
-    Codec.Writer.varint w epoch;
-    Codec.Writer.varint w pressure;
-    Codec.Writer.list w (Codec.Writer.varint w) retracted;
-    Codec.Writer.list w (Fixgen.write_fix w) fixes;
-    Codec.Writer.list w (Codec.Writer.varint w) canary;
-    Codec.Writer.varint w canary_mils
   | Guidance_update { program_digest; directives; pressure } ->
     Codec.Writer.byte w 3;
     Codec.Writer.bytes w program_digest;
@@ -147,23 +115,11 @@ let encode message =
   | Pressure_update { level } ->
     Codec.Writer.byte w 4;
     Codec.Writer.varint w level
-  | Shard_map_update { map } ->
-    Codec.Writer.byte w 5;
-    Shard_map.write w map
   | Knowledge_delta { shard; seq; payloads } ->
     Codec.Writer.byte w 6;
     Codec.Writer.varint w shard;
     Codec.Writer.varint w seq;
     Codec.Writer.list w (Codec.Writer.bytes w) payloads
-  | Frontier_summary { shard; programs } ->
-    Codec.Writer.byte w 7;
-    Codec.Writer.varint w shard;
-    Codec.Writer.list w
-      (fun (digest, paths, traces) ->
-        Codec.Writer.bytes w digest;
-        Codec.Writer.varint w paths;
-        Codec.Writer.varint w traces)
-      programs
   | Batch_upload { program_digest; basis_id; basis_check; records } ->
     Codec.Writer.byte w 8;
     Codec.Writer.bytes w program_digest;
@@ -177,10 +133,10 @@ let encode message =
     Codec.Writer.bytes w payload);
   Codec.Writer.contents w
 
-(* Inter-hive frames share the pod-facing row cap: a Knowledge_delta's
-   payload count (and a Frontier_summary's program rows) are bounded
-   like sampled-report predicate rows, so a poison frame on the uplink
-   cannot force unbounded allocation either. *)
+(* Frame rows share the pod-facing row cap: a Knowledge_delta's payload
+   count and a Fix_update's canary ids are bounded like sampled-report
+   predicate rows, so a poison frame cannot force unbounded allocation
+   either. *)
 let check_rows ?caps ~what n =
   match caps with
   | Some c when n > c.Wire.max_predicates ->
@@ -218,24 +174,12 @@ let decode ?caps s =
       let directives = Codec.Reader.list r Guidance.read_directive in
       Guidance_update { program_digest; directives; pressure }
     | 4 -> Pressure_update { level = Codec.Reader.varint r }
-    | 5 -> Shard_map_update { map = Shard_map.read r }
     | 6 ->
       let shard = Codec.Reader.varint r in
       let seq = Codec.Reader.varint r in
       let payloads = Codec.Reader.list r Codec.Reader.bytes in
       check_rows ?caps ~what:"delta payloads" (List.length payloads);
       Knowledge_delta { shard; seq; payloads }
-    | 7 ->
-      let shard = Codec.Reader.varint r in
-      let programs =
-        Codec.Reader.list r (fun r ->
-            let digest = Codec.Reader.bytes r in
-            let paths = Codec.Reader.varint r in
-            let traces = Codec.Reader.varint r in
-            (digest, paths, traces))
-      in
-      check_rows ?caps ~what:"frontier rows" (List.length programs);
-      Frontier_summary { shard; programs }
     | 8 ->
       let program_digest = Codec.Reader.bytes r in
       let basis_id = Codec.Reader.varint r in
@@ -254,17 +198,9 @@ let decode ?caps s =
       let basis_id = Codec.Reader.varint r in
       let payload = Codec.Reader.bytes r in
       Basis_update { program_digest; basis_id; payload }
-    | 10 ->
-      let program_digest = Codec.Reader.bytes r in
-      let epoch = Codec.Reader.varint r in
-      let pressure = Codec.Reader.varint r in
-      let retracted = Codec.Reader.list r Codec.Reader.varint in
-      check_rows ?caps ~what:"retracted ids" (List.length retracted);
-      let fixes = Codec.Reader.list r Fixgen.read_fix in
-      let canary = Codec.Reader.list r Codec.Reader.varint in
-      check_rows ?caps ~what:"canary ids" (List.length canary);
-      let canary_mils = Codec.Reader.varint r in
-      Fix_retract { program_digest; epoch; retracted; fixes; canary; canary_mils; pressure }
+    (* Tags 5, 7 and 10 are retired: they named frames no receiver
+       read.  Like any unknown tag they are malformed, and must not be
+       reused for a new frame. *)
     | n -> raise (Codec.Malformed (Printf.sprintf "message tag %d" n))
   with
   | message -> Ok message

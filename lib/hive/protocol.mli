@@ -28,20 +28,10 @@ type message =
               downstream push so pods track backpressure without extra
               messages. *)
     }
-      (** The hive's current deployable fix set for a program. *)
-  | Fix_retract of {
-      program_digest : string;
-      epoch : int;  (** The post-retraction epoch (monotonic, like {!Fix_update}). *)
-      retracted : int list;  (** All fix ids ever retracted for this program. *)
-      fixes : Fixgen.fix list;  (** The surviving deployable set. *)
-      canary : int list;
-      canary_mils : int;
-      pressure : int;
-    }
-      (** Rollback push: the canary health test condemned a fix.  Pods
-          replace their fix set with [fixes] (the retracted ids are
-          guaranteed absent) under the same monotonic-epoch guard as
-          {!Fix_update}. *)
+      (** The hive's current deployable fix set for a program.  Every
+          fix-state change travels as one, retraction included: a
+          higher [epoch] whose [fixes] lack the retracted fix.  Pods
+          apply it only when [epoch] advances their own. *)
   | Guidance_update of {
       program_digest : string;
       directives : Guidance.directive list;
@@ -51,19 +41,12 @@ type message =
   | Pressure_update of { level : int }
       (** Standalone backpressure broadcast, sent when the hive's load
           level changes and no other downstream push is imminent. *)
-  | Shard_map_update of { map : Shard_map.t }
-      (** Federation routing table push: which shard owns which
-          path-prefix range.  Sent to routers/pods so upload routing
-          is a pure function of the trace and the map. *)
   | Knowledge_delta of { shard : int; seq : int; payloads : string list }
       (** Superstep uplink from a shard to the merge coordinator:
           the canonical ingest payloads (encoded protocol frames)
           the shard admitted since its previous delta.  [seq] orders
           deltas from one shard; the coordinator commits rounds in
           (shard, seq) order. *)
-  | Frontier_summary of { shard : int; programs : (string * int * int) list }
-      (** Periodic shard telemetry: per program digest, distinct
-          execution-tree paths and traces ingested. *)
   | Batch_upload of {
       program_digest : string;  (** Shared by every record in the batch. *)
       basis_id : int;
@@ -96,9 +79,8 @@ val decode : ?caps:Wire.caps -> string -> (message, string) result
 (** Total: any byte string yields [Ok] or a human-readable [Error],
     never an exception.  With [caps], resource limits are enforced
     before allocation (frame size, predicate rows, and the embedded
-    outcome's lock set) so a poison frame cannot exhaust the hive. *)
+    outcome's lock set) so a poison frame cannot exhaust the hive.
+    The retired tags 5, 7 and 10 decode to [Error] like any unknown
+    tag. *)
 
 val message_name : message -> string
-
-val pressure_of : message -> int option
-(** The load level carried by a downstream message, if any. *)

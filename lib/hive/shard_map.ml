@@ -1,5 +1,4 @@
 module Bitvec = Softborg_util.Bitvec
-module Codec = Softborg_util.Codec
 
 type t = { n_shards : int; prefix_bits : int }
 
@@ -15,7 +14,6 @@ let create ?(prefix_bits = 8) ~n_shards () =
 
 let n_shards t = t.n_shards
 let prefix_bits t = t.prefix_bits
-let equal a b = a.n_shards = b.n_shards && a.prefix_bits = b.prefix_bits
 
 (* The key space is the first [prefix_bits] branch decisions of a path,
    read most-significant-first and zero-padded when the path is
@@ -66,17 +64,3 @@ let owner_of_verdict t ~program ~thread ~pc ~direction =
     (Printf.sprintf "%s/%d:%d:%c" program thread pc (if direction then 't' else 'f'))
 
 let pp fmt t = Format.fprintf fmt "shard-map{n=%d bits=%d}" t.n_shards t.prefix_bits
-
-(* ---- Wire format ---------------------------------------------------- *)
-
-let write w t =
-  Codec.Writer.varint w t.n_shards;
-  Codec.Writer.varint w t.prefix_bits
-
-let read r =
-  let n_shards = Codec.Reader.varint r in
-  let prefix_bits = Codec.Reader.varint r in
-  if n_shards < 1 then raise (Codec.Malformed (Printf.sprintf "shard map n_shards %d" n_shards));
-  if prefix_bits < 1 || prefix_bits > max_prefix_bits then
-    raise (Codec.Malformed (Printf.sprintf "shard map prefix_bits %d" prefix_bits));
-  { n_shards; prefix_bits }

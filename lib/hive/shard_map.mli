@@ -12,7 +12,6 @@
     identically, which the federation's determinism proof relies on. *)
 
 module Bitvec := Softborg_util.Bitvec
-module Codec := Softborg_util.Codec
 
 type t
 
@@ -22,7 +21,6 @@ val create : ?prefix_bits:int -> n_shards:int -> unit -> t
 
 val n_shards : t -> int
 val prefix_bits : t -> int
-val equal : t -> t -> bool
 
 val owner_of_bits : t -> Bitvec.t -> int
 (** Owner of a full branch-decision vector (a trace's path). *)
@@ -45,8 +43,3 @@ val owner_of_verdict :
     each distinct verdict is derived on exactly one shard. *)
 
 val pp : Format.formatter -> t -> unit
-
-val write : Codec.Writer.t -> t -> unit
-
-val read : Codec.Reader.t -> t
-(** Raises {!Softborg_util.Codec.Malformed} on out-of-range fields. *)

@@ -149,32 +149,22 @@ let bump_signal t signal =
    byzantine hive cannot push the shift counts out of range. *)
 let set_pressure t level = t.pressure <- max 0 (min 3 level)
 
-(* The monotonic fix-epoch guard: a duplicated, reordered, or replayed
-   downstream frame carrying an older epoch can never regress the pod's
-   fix state — in particular a stale Fix_update can never resurrect a
-   fix a later Fix_retract removed. *)
-let apply_fix_state t ~program_digest ~epoch ~fixes ~canary ~canary_mils =
-  if String.equal program_digest t.digest && epoch > t.fix_epoch then begin
-    t.fixes <- fixes;
-    t.fix_epoch <- epoch;
-    t.canary <- canary;
-    t.canary_mils <- canary_mils
-  end
-
 let handle_message t payload =
   match Protocol.decode payload with
   | Error _ -> ()
   | Ok (Protocol.Fix_update { program_digest; epoch; fixes; canary; canary_mils; pressure })
     ->
     set_pressure t pressure;
-    apply_fix_state t ~program_digest ~epoch ~fixes ~canary ~canary_mils
-  | Ok
-      (Protocol.Fix_retract
-         { program_digest; epoch; fixes; canary; canary_mils; pressure; retracted = _ }) ->
-    (* The retracted ids are already absent from [fixes]; the pod only
-       needs the surviving state, under the same monotonic guard. *)
-    set_pressure t pressure;
-    apply_fix_state t ~program_digest ~epoch ~fixes ~canary ~canary_mils
+    (* The monotonic fix-epoch guard: a duplicated, reordered, or
+       replayed frame carrying an older epoch can never regress the
+       pod's fix state — in particular a stale update can never
+       resurrect a fix that a later, higher-epoch update retracted. *)
+    if String.equal program_digest t.digest && epoch > t.fix_epoch then begin
+      t.fixes <- fixes;
+      t.fix_epoch <- epoch;
+      t.canary <- canary;
+      t.canary_mils <- canary_mils
+    end
   | Ok (Protocol.Guidance_update { program_digest; directives; pressure }) ->
     set_pressure t pressure;
     if String.equal program_digest t.digest then
@@ -191,10 +181,9 @@ let handle_message t payload =
         t.basis <- Some (basis_id, Protocol.basis_fingerprint payload, basis)
     end
   | Ok
-      ( Protocol.Trace_upload _ | Protocol.Sampled_report _ | Protocol.Shard_map_update _
-      | Protocol.Knowledge_delta _ | Protocol.Frontier_summary _ | Protocol.Batch_upload _ ) ->
-    (* Upstream-only and federation-plane messages: pods upload through
-       a federation router, which consumes the shard map itself. *)
+      ( Protocol.Trace_upload _ | Protocol.Sampled_report _ | Protocol.Knowledge_delta _
+      | Protocol.Batch_upload _ ) ->
+    (* Upstream-only and federation-plane messages. *)
     ()
 
 let create ?(config = default_config) ~cohort ~sim ~rng ~program ~endpoint () =

@@ -30,7 +30,6 @@ let locked t f =
 
 let find t k = locked t (fun () -> Lru.find t.lru k)
 let add t k v = locked t (fun () -> Lru.add t.lru k v)
-let clear t = locked t (fun () -> Lru.clear t.lru)
 let length t = locked t (fun () -> Lru.length t.lru)
 let hits t = locked t (fun () -> Lru.hits t.lru)
 let misses t = locked t (fun () -> Lru.misses t.lru)

@@ -39,9 +39,6 @@ val solve_key : domain:int * int -> n_inputs:int -> budget:int -> Path_cond.t ->
 val find : t -> string -> entry option
 val add : t -> string -> entry -> unit
 
-val clear : t -> unit
-(** Drop all entries; hit/miss counters persist. *)
-
 val length : t -> int
 val hits : t -> int
 val misses : t -> int

@@ -417,7 +417,7 @@ let test_retraction_survives_crash_restore () =
   let rollout =
     { Fix_lifecycle.default_config with Fix_lifecycle.min_exposed = 2; min_control = 2 }
   in
-  let config = { (Hive.default_config Hive.Full) with Hive.rollout = Some rollout } in
+  let config = { (Hive.default_config Hive.Full) with Hive.rollout = rollout } in
   let sim = Sim.create () in
   let hive = Hive.create ~config ~sim () in
   let digest = Ir.digest Corpus.parser in
@@ -452,13 +452,15 @@ let test_retraction_survives_crash_restore () =
              upload ~pod:2 ~active:[] ~hook_fires:0 ]))
   in
   List.iter (Hive.ingest_payload hive) frames;
+  let updates_before = (Hive.stats hive).Hive.fix_updates_sent in
   Hive.tick hive;
   checki "retraction decided" 1 (Hive.stats hive).Hive.fix_retractions;
-  checki "retract broadcast counted" 1 (Hive.stats hive).Hive.retracts_sent;
+  checki "the retraction tick sends exactly one more Fix_update" 1
+    ((Hive.stats hive).Hive.fix_updates_sent - updates_before);
   Alcotest.(check (list int)) "retracted ledger" [ fix_id ] (Knowledge.retracted_ids k);
   checki "nothing live" 0 (List.length (Knowledge.live_fixes k));
   let ckpt1 = Hive.checkpoint hive in
-  (* Crash A: between the Fix_retract broadcast and the next durable
+  (* Crash A: between the retraction's Fix_update and the next durable
      checkpoint.  Restored from the pre-retraction snapshot and fed the
      same upload log, the hive re-derives the retraction byte for byte:
      recovery can lag, never diverge. *)

@@ -667,6 +667,52 @@ let test_protocol_rejects_garbage () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "decoded garbage"
 
+(* Tags 5, 7 and 10 carried a routing table, shard telemetry and a
+   separate retraction frame; nothing read them, and the hive treats a
+   frame in any of their old layouts as poison. *)
+let test_protocol_retired_tags_quarantined () =
+  let frame tag body =
+    let w = Codec.Writer.create () in
+    Codec.Writer.byte w tag;
+    body w;
+    Codec.Writer.contents w
+  in
+  let frames =
+    [
+      (* n_shards, prefix_bits *)
+      frame 5 (fun w ->
+          Codec.Writer.varint w 4;
+          Codec.Writer.varint w 8);
+      (* shard, then (digest, paths, traces) rows *)
+      frame 7 (fun w ->
+          Codec.Writer.varint w 1;
+          Codec.Writer.list w
+            (fun () ->
+              Codec.Writer.bytes w "d";
+              Codec.Writer.varint w 3;
+              Codec.Writer.varint w 9)
+            [ () ]);
+      (* digest, epoch, pressure, retracted, fixes, canary, canary_mils *)
+      frame 10 (fun w ->
+          Codec.Writer.bytes w "d";
+          Codec.Writer.varint w 2;
+          Codec.Writer.varint w 0;
+          Codec.Writer.list w (Codec.Writer.varint w) [ 9 ];
+          Codec.Writer.list w (Fixgen.write_fix w) [];
+          Codec.Writer.list w (Codec.Writer.varint w) [];
+          Codec.Writer.varint w 0);
+    ]
+  in
+  List.iter
+    (fun payload ->
+      match Protocol.decode payload with
+      | Error _ -> ()
+      | Ok m -> Alcotest.failf "retired tag decoded as %s" (Protocol.message_name m))
+    frames;
+  let hive = Hive.create ~sim:(Sim.create ()) () in
+  List.iter (Hive.inject hive ~slot:0) frames;
+  checki "each retired frame quarantined" 3 (Hive.stats hive).Hive.quarantined_frames
+
 (* ---- Trace store ------------------------------------------------------------------ *)
 
 module Trace_store = Softborg_hive.Trace_store
@@ -973,6 +1019,8 @@ let () =
         [
           Alcotest.test_case "roundtrips" `Quick test_protocol_roundtrips;
           Alcotest.test_case "rejects garbage" `Quick test_protocol_rejects_garbage;
+          Alcotest.test_case "retired tags quarantined" `Quick
+            test_protocol_retired_tags_quarantined;
         ] );
       ( "trace_store",
         [

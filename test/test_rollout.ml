@@ -187,7 +187,17 @@ let test_entries_roundtrip () =
   (* Canonical bytes: writing the decoded entries again is identity. *)
   let w2 = Codec.Writer.create () in
   Fix_lifecycle.write_entries w2 entries;
-  checks "canonical" bytes (Codec.Writer.contents w2)
+  checks "canonical" bytes (Codec.Writer.contents w2);
+  (* Stage tags are 1-3; tag 0 named a stage no fix ever entered. *)
+  let w3 = Codec.Writer.create () in
+  Fix_lifecycle.write_entry w3 b;
+  let tagged = Bytes.of_string (Codec.Writer.contents w3) in
+  (* fix id 5 is one varint byte, so the stage tag is byte 1 *)
+  checki "stage tag position" 3 (Char.code (Bytes.get tagged 1));
+  Bytes.set tagged 1 '\000';
+  match Fix_lifecycle.read_entry (Codec.Reader.of_string (Bytes.to_string tagged)) with
+  | exception Codec.Malformed _ -> ()
+  | _ -> Alcotest.fail "stage tag 0 must not decode"
 
 (* ---- Knowledge: canary staging, retraction, quarantine ------------------ *)
 
@@ -208,7 +218,7 @@ let rollout = { config with Fix_lifecycle.min_exposed = 2; min_control = 2 }
 
 let test_knowledge_stages_and_retracts () =
   let k = Knowledge.create Corpus.parser in
-  Knowledge.set_rollout k (Some rollout);
+  Knowledge.set_rollout k rollout;
   let fix =
     Knowledge.add_fix k
       (Fixgen.Crash_suppression
@@ -247,7 +257,7 @@ let test_knowledge_stages_and_retracts () =
 
 let test_knowledge_promotes_healthy_canary () =
   let k = Knowledge.create Corpus.parser in
-  Knowledge.set_rollout k (Some { rollout with Fix_lifecycle.max_hold_ticks = 2 });
+  Knowledge.set_rollout k { rollout with Fix_lifecycle.max_hold_ticks = 2 };
   let fix =
     Knowledge.add_fix k
       (Fixgen.Crash_suppression
@@ -329,11 +339,13 @@ let test_pod_epoch_guard_survives_adversarial_replay () =
          { program_digest = digest; epoch = 1; fixes = [ fix ]; canary = []; canary_mils = 0;
            pressure = 0 })
   in
+  (* A retraction is a fix-state update: a higher epoch whose fix set
+     lacks the retracted fix. *)
   let retract =
     Protocol.encode
-      (Protocol.Fix_retract
-         { program_digest = digest; epoch = 2; retracted = [ 9 ]; fixes = []; canary = [];
-           canary_mils = 0; pressure = 0 })
+      (Protocol.Fix_update
+         { program_digest = digest; epoch = 2; fixes = []; canary = []; canary_mils = 0;
+           pressure = 0 })
   in
   Transport.send hive_end deploy;
   Sim.run sim;
@@ -482,7 +494,7 @@ let test_rollout_is_a_hive_setting () =
       Platform.duration = 300.0;
       sample_interval = 30.0;
       n_pods = 16;
-      hive_config = { base.Platform.hive_config with Hive.rollout = Some rollout };
+      hive_config = { base.Platform.hive_config with Hive.rollout = rollout };
     }
     |> Scenario.inject_bad_fix ~at:60.0 ~variant:1
   in

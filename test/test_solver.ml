@@ -597,10 +597,7 @@ let test_verdict_cache_hits () =
   checki "one hit" 1 (Verdict_cache.hits cache);
   (* A different budget is a different query: no false hit. *)
   let third = Pc_solve.solve ~cache ~budget:123_456 ~domain ~n_inputs:1 atoms in
-  checkb "different budget recomputes" true (third.Interval.steps > 0);
-  Verdict_cache.clear cache;
-  let fourth = Pc_solve.solve ~cache ~domain ~n_inputs:1 atoms in
-  checkb "cleared cache recomputes" true (fourth.Interval.steps > 0)
+  checkb "different budget recomputes" true (third.Interval.steps > 0)
 
 let test_verdict_cache_check_kind_separate () =
   let cache = Verdict_cache.create () in

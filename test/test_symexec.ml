@@ -217,7 +217,7 @@ let test_direction_infeasible_detected () =
 let directed_verdicts_digest = "1e30d624f9adc58ffa05fcb6dcb9fe77"
 
 let test_directed_verdicts_pinned () =
-  let config = Option.get (Hive.default_config Hive.Full).Hive.symexec_config in
+  let config = (Hive.default_config Hive.Full).Hive.symexec_config in
   let _, population =
     Scenario.buggy_population ~seed:42 ~n_programs:8
       ~bugs:
