@@ -16,7 +16,12 @@ let encode_knowledge knowledge =
   Codec.Writer.contents w
 
 let decode_knowledge data =
-  match Knowledge.read (Codec.Reader.of_string data) with
+  let r = Codec.Reader.of_string data in
+  match
+    let knowledge = Knowledge.read r in
+    Codec.Reader.expect_end r;
+    knowledge
+  with
   | knowledge -> Ok knowledge
   | exception Codec.Truncated -> Error "truncated knowledge snapshot"
   | exception Codec.Malformed msg -> Error (Printf.sprintf "malformed knowledge snapshot: %s" msg)
@@ -45,7 +50,11 @@ let decode data =
       let version = Codec.Reader.varint r in
       if version <> format_version then
         Error (Printf.sprintf "unsupported checkpoint version %d" version)
-      else Ok (Codec.Reader.list r Knowledge.read)
+      else begin
+        let knowledge = Codec.Reader.list r Knowledge.read in
+        Codec.Reader.expect_end r;
+        Ok knowledge
+      end
   with
   | result -> result
   | exception Codec.Truncated -> Error "truncated checkpoint"

@@ -9,7 +9,8 @@
 
     Decoding never raises: malformed or truncated input comes back as
     [Error] with a reason, so a corrupt checkpoint degrades to a cold
-    start rather than a crash. *)
+    start rather than a crash.  Bytes after the last field are
+    malformed too. *)
 
 val magic : string
 (** ["SBCP"]. *)

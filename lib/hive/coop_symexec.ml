@@ -37,22 +37,6 @@ let read_gap r =
   let direction = Codec.Reader.bool r in
   ({ Ir.thread; pc }, direction)
 
-let write_fault_plan w = function
-  | Env.No_faults -> Codec.Writer.byte w 0
-  | Env.Random_faults p ->
-    Codec.Writer.byte w 1;
-    Codec.Writer.float w p
-  | Env.Targeted indices ->
-    Codec.Writer.byte w 2;
-    Codec.Writer.list w (Codec.Writer.varint w) indices
-
-let read_fault_plan r =
-  match Codec.Reader.byte r with
-  | 0 -> Env.No_faults
-  | 1 -> Env.Random_faults (Codec.Reader.float r)
-  | 2 -> Env.Targeted (Codec.Reader.list r Codec.Reader.varint)
-  | n -> raise (Codec.Malformed (Printf.sprintf "fault plan tag %d" n))
-
 let encode_job (job : job) =
   let w = Codec.Writer.create () in
   Codec.Writer.varint w job.job_id;
@@ -82,8 +66,7 @@ let encode_result (result : job_result) =
       match verdict with
       | Gap_feasible test ->
         Codec.Writer.byte w 0;
-        Codec.Writer.list w (Codec.Writer.zigzag w) (Array.to_list test.Testgen.inputs);
-        write_fault_plan w test.Testgen.fault_plan
+        Testgen.write_test_case w test
       | Gap_infeasible -> Codec.Writer.byte w 1
       | Gap_unknown -> Codec.Writer.byte w 2)
     result.verdicts;
@@ -99,10 +82,7 @@ let decode_result s =
           let gap = read_gap r in
           let verdict =
             match Codec.Reader.byte r with
-            | 0 ->
-              let inputs = Array.of_list (Codec.Reader.list r Codec.Reader.zigzag) in
-              let fault_plan = read_fault_plan r in
-              Gap_feasible { Testgen.inputs; fault_plan }
+            | 0 -> Gap_feasible (Testgen.read_test_case r)
             | 1 -> Gap_infeasible
             | 2 -> Gap_unknown
             | n -> raise (Codec.Malformed (Printf.sprintf "verdict tag %d" n))

@@ -427,7 +427,9 @@ let restore_shard t i data =
       else
         let next_seq = Codec.Reader.varint r in
         let pending = Codec.Reader.list r Codec.Reader.bytes in
-        match Hive.restore s.s_hive (Codec.Reader.bytes r) with
+        let hive = Codec.Reader.bytes r in
+        Codec.Reader.expect_end r;
+        match Hive.restore s.s_hive hive with
         | Error _ as e -> e
         | Ok n ->
           (* Never rewind the sequence counter: the coordinator has

@@ -123,10 +123,11 @@ val links : t -> Link.t list
 
 val checkpoint_shard : t -> int -> string
 (** Serialize one shard: its unflushed payload buffer, delta sequence
-    counter, and full hive checkpoint. *)
+    counter, and full hive checkpoint (gap verdicts included). *)
 
 val restore_shard : t -> int -> string -> (int, string) result
 (** Restore a shard from {!checkpoint_shard} bytes, as after a crash:
     parse-then-commit, never rewinding the delta sequence counter, and
     re-adopting fixes published since the checkpoint.  Returns the
-    number of programs restored. *)
+    number of programs restored; trailing bytes after the hive
+    checkpoint are malformed. *)

@@ -12,11 +12,16 @@
     hive uses [config.symexec_config] for both planner and prover).
     Fixes never enter the query — pods apply them, symbolic analysis
     reads only the program — so {!Knowledge} keeps one table for the
-    program's whole life, across fix epochs.  Like the replay cache, it
-    is a pure accelerator: never serialized into checkpoints, so a
-    restored hive starts it cold. *)
+    program's whole life, across fix epochs, and across crashes too:
+    {!Hive.checkpoint} writes every program's table through {!write},
+    stamped with the symexec configuration, and {!Hive.restore} seeds
+    the restored knowledge's table through {!read}.  No knowledge byte
+    depends on the table, so it stays a pure accelerator; it is
+    checkpointed only so a restored hive does not re-derive verdicts
+    it already had. *)
 
 module Ir := Softborg_prog.Ir
+module Codec := Softborg_util.Codec
 module Testgen := Softborg_symexec.Testgen
 
 type verdict =
@@ -43,3 +48,15 @@ val add : t -> site:Ir.site -> direction:bool -> verdict -> unit
 val length : t -> int
 val hits : t -> int
 val misses : t -> int
+
+val write : Codec.Writer.t -> t -> unit
+(** The bindings, sorted by (site, direction) so equal tables write
+    equal bytes.  Each is the site, the direction, then tag 0 and the
+    test case ({!Testgen.write_test_case}), tag 1 ([`Infeasible]) or
+    tag 2 ([`Unknown]).  The hit/miss counters are not written. *)
+
+val read : Codec.Reader.t -> t -> unit
+(** Add the bindings {!write} wrote to a table; its counters do not
+    move.
+    @raise Softborg_util.Codec.Malformed on an unknown verdict tag.
+    @raise Softborg_util.Codec.Truncated on premature end. *)

@@ -156,38 +156,16 @@ let plan ?config ?cache ?(max_directives = 8) ?(schedule_probe_seeds = [ 101; 20
 
 (* ---- Wire format ------------------------------------------------------ *)
 
-let write_fault_plan w = function
-  | Env.No_faults -> Codec.Writer.byte w 0
-  | Env.Random_faults p ->
-    Codec.Writer.byte w 1;
-    Codec.Writer.float w p
-  | Env.Targeted indices ->
-    Codec.Writer.byte w 2;
-    Codec.Writer.list w (Codec.Writer.varint w) indices
-
-let read_fault_plan r =
-  match Codec.Reader.byte r with
-  | 0 -> Env.No_faults
-  | 1 -> Env.Random_faults (Codec.Reader.float r)
-  | 2 -> Env.Targeted (Codec.Reader.list r Codec.Reader.varint)
-  | n -> raise (Codec.Malformed (Printf.sprintf "fault plan tag %d" n))
-
-let write_inputs w inputs =
-  Codec.Writer.list w (Codec.Writer.zigzag w) (Array.to_list inputs)
-
-let read_inputs r = Array.of_list (Codec.Reader.list r Codec.Reader.zigzag)
-
 let write_directive w = function
   | Cover_direction { site; direction; test } ->
     Codec.Writer.byte w 0;
     Codec.Writer.varint w site.Ir.thread;
     Codec.Writer.varint w site.Ir.pc;
     Codec.Writer.bool w direction;
-    write_inputs w test.Testgen.inputs;
-    write_fault_plan w test.Testgen.fault_plan
+    Testgen.write_test_case w test
   | Probe_schedules { inputs; seeds } ->
     Codec.Writer.byte w 1;
-    write_inputs w inputs;
+    Codec.Writer.list w (Codec.Writer.zigzag w) (Array.to_list inputs);
     Codec.Writer.list w (Codec.Writer.varint w) seeds
 
 let read_directive r =
@@ -196,12 +174,10 @@ let read_directive r =
     let thread = Codec.Reader.varint r in
     let pc = Codec.Reader.varint r in
     let direction = Codec.Reader.bool r in
-    let inputs = read_inputs r in
-    let fault_plan = read_fault_plan r in
-    Cover_direction
-      { site = { Ir.thread; pc }; direction; test = { Testgen.inputs; fault_plan } }
+    let test = Testgen.read_test_case r in
+    Cover_direction { site = { Ir.thread; pc }; direction; test }
   | 1 ->
-    let inputs = read_inputs r in
+    let inputs = Array.of_list (Codec.Reader.list r Codec.Reader.zigzag) in
     let seeds = Codec.Reader.list r Codec.Reader.varint in
     Probe_schedules { inputs; seeds }
   | n -> raise (Codec.Malformed (Printf.sprintf "directive tag %d" n))

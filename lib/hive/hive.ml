@@ -974,7 +974,26 @@ let stats t =
 module Codec = Softborg_util.Codec
 
 let checkpoint_magic = "SBHV"
-let checkpoint_version = 2
+
+(* v3: every program's gap verdicts follow the knowledge frame. *)
+let checkpoint_version = 3
+
+let write_symexec_config w (c : Sym_exec.config) =
+  Codec.Writer.varint w c.Sym_exec.max_paths;
+  Codec.Writer.varint w c.Sym_exec.max_steps_per_path;
+  Codec.Writer.varint w c.Sym_exec.solver_budget;
+  Codec.Writer.zigzag w (fst c.Sym_exec.domain);
+  Codec.Writer.zigzag w (snd c.Sym_exec.domain);
+  Codec.Writer.bool w c.Sym_exec.solve_models
+
+let read_symexec_config r =
+  let max_paths = Codec.Reader.varint r in
+  let max_steps_per_path = Codec.Reader.varint r in
+  let solver_budget = Codec.Reader.varint r in
+  let lo = Codec.Reader.zigzag r in
+  let hi = Codec.Reader.zigzag r in
+  let solve_models = Codec.Reader.bool r in
+  { Sym_exec.max_paths; max_steps_per_path; solver_budget; domain = (lo, hi); solve_models }
 
 let checkpoint t =
   let w = Codec.Writer.create () in
@@ -1017,7 +1036,21 @@ let checkpoint t =
       Codec.Writer.varint w epoch)
     (Hashtbl.fold (fun digest state acc -> (digest, state) :: acc) t.proof_state []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b));
-  Codec.Writer.bytes w (Checkpoint.encode (knowledge_list t));
+  let knowledge =
+    List.sort
+      (fun a b -> String.compare (Knowledge.digest a) (Knowledge.digest b))
+      (knowledge_list t)
+  in
+  Codec.Writer.bytes w (Checkpoint.encode knowledge);
+  (* Gap verdicts sit outside the knowledge frame: they are derived
+     from the program alone and no knowledge byte depends on them, but
+     a restored hive that keeps them does not solve them again. *)
+  write_symexec_config w t.config.symexec_config;
+  Codec.Writer.list w
+    (fun k ->
+      Codec.Writer.bytes w (Knowledge.digest k);
+      Gap_memo.write w (Knowledge.gap_memo k))
+    knowledge;
   t.checkpoints_taken <- t.checkpoints_taken + 1;
   Codec.Writer.contents w
 
@@ -1064,6 +1097,20 @@ let restore t data =
         match Checkpoint.decode (Codec.Reader.bytes r) with
         | Error msg -> Error msg
         | Ok restored ->
+          (* A verdict answers one question at one budget: verdicts
+             stamped with another symexec config are parsed, then
+             dropped.  Seeding the restored knowledge's memos mutates
+             only objects the hive does not hold yet. *)
+          let warm = read_symexec_config r = t.config.symexec_config in
+          ignore
+            (Codec.Reader.list r (fun r ->
+                 let digest = Codec.Reader.bytes r in
+                 match List.find_opt (fun k -> Knowledge.digest k = digest) restored with
+                 | None ->
+                   raise (Codec.Malformed "gap verdicts for a program not in the checkpoint")
+                 | Some k ->
+                   Gap_memo.read r (if warm then Knowledge.gap_memo k else Gap_memo.create ())));
+          Codec.Reader.expect_end r;
           (* Parse fully before mutating: a malformed checkpoint leaves
              the hive untouched. *)
           t.next_guidance_target <- next_guidance_target;

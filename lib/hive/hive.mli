@@ -221,16 +221,23 @@ val shutdown : t -> unit
 val stats : t -> stats
 
 val checkpoint : t -> string
-(** Serialize the hive's durable state: every program's {!Knowledge}
-    (via {!Checkpoint}), the stats counters, and the analysis throttle
-    state (pending human fixes, issued guidance, per-program proof
-    state).  Equal hive states checkpoint to equal bytes.  Endpoints
-    and the simulator are deliberately excluded — a restored hive
-    reattaches to whatever pods are alive. *)
+(** Serialize the hive's durable state: the stats counters, the
+    analysis throttle state (pending human fixes, issued guidance,
+    per-program proof state), every program's {!Knowledge} (via
+    {!Checkpoint}), then every program's {!Gap_memo} verdicts, stamped
+    with [config.symexec_config].  Equal hive states checkpoint to
+    equal bytes.  Endpoints, the simulator, the replay caches and the
+    solver verdict caches are deliberately excluded — a restored hive
+    reattaches to whatever pods are alive, and those caches restart
+    cold. *)
 
 val restore : t -> string -> (int, string) result
 (** Replace the hive's durable state with a checkpoint's, as after a
-    crash and restart.  Returns the number of programs restored.  A
-    malformed or truncated checkpoint returns [Error] and leaves the
-    hive untouched.  Programs registered after the checkpoint was
-    taken are kept. *)
+    crash and restart, and seed each restored program's gap memo with
+    the checkpointed verdicts.  Verdicts stamped with a symexec config
+    other than this hive's are parsed and dropped, leaving those memos
+    cold.  Returns the number of programs restored.  A malformed or
+    truncated checkpoint, one with bytes after its last field, or one
+    carrying verdicts for a program it has no knowledge of returns
+    [Error] and leaves the hive untouched.  Programs registered after
+    the checkpoint was taken are kept. *)

@@ -71,8 +71,9 @@ val replay_cache_hits : t -> int
 val gap_memo : t -> Gap_memo.t
 (** Memoized symbolic gap verdicts for this program, shared by
     guidance planning and the prover's gap closing.  Kept across fix
-    epochs (no fix reaches symbolic analysis); not persisted in
-    checkpoints, so a restored value starts it cold. *)
+    epochs (no fix reaches symbolic analysis).  {!write} leaves it
+    out and {!read} starts it empty; {!Hive.checkpoint} carries it
+    beside the knowledge frame and {!Hive.restore} seeds it. *)
 
 val verdict_cache : t -> Softborg_solver.Verdict_cache.t
 (** Memoized path-condition solver verdicts for this program, shared
@@ -151,8 +152,8 @@ val write : Softborg_util.Codec.Writer.t -> t -> unit
     counters, execution tree, trace store, isolator, deadlock miner,
     failure buckets, fixes, proofs.  Hashtable-backed collections are
     written in sorted key order, so equal knowledge bases serialize to
-    equal bytes.  The replay cache is not persisted (it restarts
-    cold). *)
+    equal bytes.  The replay cache, the gap memo and the verdict
+    cache are not written. *)
 
 val read : Softborg_util.Codec.Reader.t -> t
 (** Inverse of {!write}: the restored value is observationally

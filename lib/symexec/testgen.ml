@@ -1,10 +1,33 @@
 module Ir = Softborg_prog.Ir
 module Env = Softborg_exec.Env
+module Codec = Softborg_util.Codec
 
 type test_case = {
   inputs : int array;
   fault_plan : Env.fault_plan;
 }
+
+let write_test_case w { inputs; fault_plan } =
+  Codec.Writer.list w (Codec.Writer.zigzag w) (Array.to_list inputs);
+  match fault_plan with
+  | Env.No_faults -> Codec.Writer.byte w 0
+  | Env.Random_faults p ->
+    Codec.Writer.byte w 1;
+    Codec.Writer.float w p
+  | Env.Targeted indices ->
+    Codec.Writer.byte w 2;
+    Codec.Writer.list w (Codec.Writer.varint w) indices
+
+let read_test_case r =
+  let inputs = Array.of_list (Codec.Reader.list r Codec.Reader.zigzag) in
+  let fault_plan =
+    match Codec.Reader.byte r with
+    | 0 -> Env.No_faults
+    | 1 -> Env.Random_faults (Codec.Reader.float r)
+    | 2 -> Env.Targeted (Codec.Reader.list r Codec.Reader.varint)
+    | n -> raise (Codec.Malformed (Printf.sprintf "fault plan tag %d" n))
+  in
+  { inputs; fault_plan }
 
 let of_model ~n_inputs ~model ~origins =
   let inputs = Array.make n_inputs 0 in

@@ -8,6 +8,7 @@
 
 module Ir := Softborg_prog.Ir
 module Env := Softborg_exec.Env
+module Codec := Softborg_util.Codec
 
 type test_case = {
   inputs : int array;  (** One value per program input slot. *)
@@ -16,6 +17,18 @@ type test_case = {
           model value was negative — the only aspect of a syscall a
           pod can force. *)
 }
+
+val write_test_case : Codec.Writer.t -> test_case -> unit
+(** The one test-case codec: inputs as a list of zigzag varints, then
+    the fault plan (tag 0 none, 1 random with its probability, 2
+    targeted with its indices).  Guidance directives, cooperating
+    provers' results and checkpointed gap verdicts all carry test
+    cases this way. *)
+
+val read_test_case : Codec.Reader.t -> test_case
+(** Inverse of {!write_test_case}.
+    @raise Softborg_util.Codec.Malformed on an unknown fault-plan tag.
+    @raise Softborg_util.Codec.Truncated on premature end. *)
 
 val of_model :
   n_inputs:int -> model:int array -> origins:Sym_exec.sym_origin array -> test_case

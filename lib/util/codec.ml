@@ -107,4 +107,8 @@ module Reader = struct
   let list t f =
     let n = varint t in
     List.init n (fun _ -> f t)
+
+  let expect_end t =
+    let n = remaining t in
+    if n > 0 then raise (Malformed (Printf.sprintf "%d trailing bytes" n))
 end

@@ -63,4 +63,9 @@ module Reader : sig
   val float : t -> float
   val bytes : t -> string
   val list : t -> (t -> 'a) -> 'a list
+
+  val expect_end : t -> unit
+  (** Check that the whole input was read: a frame with bytes after its
+      last field is as malformed as one cut short.
+      @raise Malformed if any bytes remain. *)
 end

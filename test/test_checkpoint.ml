@@ -292,11 +292,12 @@ let shard_upload_pool =
       Protocol.encode
         (Protocol.Trace_upload (Wire.encode (trace_of ~pod:(i mod 4) Corpus.parser r))))
 
-(* Random interleaving of shard-local ingestion, delta flushes, and
-   mid-sequence shard checkpoints, across shard counts 1/2/4: at every
-   checkpoint the restored shard must re-serialize to the same bytes —
-   the shard-local transfer state (pending buffer, delta seq counter)
-   round-trips along with the hive knowledge. *)
+(* Random interleaving of shard-local ingestion, delta flushes, ticks
+   and mid-sequence shard checkpoints, across shard counts 1/2/4: at
+   every checkpoint the restored shard must re-serialize to the same
+   bytes — the shard-local transfer state (pending buffer, delta seq
+   counter) round-trips along with the hive knowledge and the gap
+   verdicts ticks leave in the shards' memos. *)
 let prop_shard_checkpoint_roundtrip =
   QCheck.Test.make ~name:"shard snapshot/restore round-trips shard-local state" ~count:500
     QCheck.(triple small_nat (int_range 1 12) (int_range 0 2))
@@ -320,7 +321,7 @@ let prop_shard_checkpoint_roundtrip =
           QCheck.Test.fail_report "shard re-snapshot not byte-identical"
       in
       for _ = 1 to n_ops do
-        match Rng.int rng 4 with
+        match Rng.int rng 5 with
         | 0 | 1 ->
           (* Admit a payload directly into a random shard: the ingest
              tap buffers its canonical form for the next delta. *)
@@ -331,6 +332,12 @@ let prop_shard_checkpoint_roundtrip =
           Federation.flush fed;
           Sim.run sim;
           ignore (Federation.commit fed)
+        | 3 ->
+          (* Tick a shard, then run a superstep: its compute phase
+             closes gaps into every shard's gap memo. *)
+          Hive.tick (Federation.shard_hive fed (Rng.int rng n_shards));
+          Federation.superstep fed;
+          Sim.run sim
         | _ -> check_shard (Rng.int rng n_shards)
       done;
       for i = 0 to n_shards - 1 do
@@ -339,7 +346,247 @@ let prop_shard_checkpoint_roundtrip =
       Federation.shutdown fed;
       true)
 
+(* ---- Gap verdicts in the hive checkpoint ------------------------------- *)
+
+module Link = Softborg_net.Link
+module Gap_memo = Softborg_hive.Gap_memo
+module Sym_exec = Softborg_symexec.Sym_exec
+
+let by_digest knowledge =
+  List.sort (fun a b -> String.compare (Knowledge.digest a) (Knowledge.digest b)) knowledge
+
+let memo_bytes k =
+  let w = Codec.Writer.create () in
+  Gap_memo.write w (Knowledge.gap_memo k);
+  Codec.Writer.contents w
+
+let memos hive =
+  List.map (fun k -> (Knowledge.digest k, memo_bytes k)) (by_digest (Hive.knowledge_list hive))
+
+let hive_config = Hive.default_config Hive.Full
+
+(* The section [Hive.checkpoint] ends with, rebuilt from its documented
+   layout: the symexec config stamp, then each program's digest and gap
+   memo, sorted by digest.  [memo] overrides how a memo is written. *)
+let verdict_section ?(memo = fun w k -> Gap_memo.write w (Knowledge.gap_memo k))
+    (c : Sym_exec.config) knowledge =
+  let w = Codec.Writer.create () in
+  Codec.Writer.varint w c.Sym_exec.max_paths;
+  Codec.Writer.varint w c.Sym_exec.max_steps_per_path;
+  Codec.Writer.varint w c.Sym_exec.solver_budget;
+  Codec.Writer.zigzag w (fst c.Sym_exec.domain);
+  Codec.Writer.zigzag w (snd c.Sym_exec.domain);
+  Codec.Writer.bool w c.Sym_exec.solve_models;
+  Codec.Writer.list w
+    (fun k ->
+      Codec.Writer.bytes w (Knowledge.digest k);
+      memo w k)
+    (by_digest knowledge);
+  Codec.Writer.contents w
+
+(* Parser inputs per round.  Rounds 1-2 leave two parser gaps open
+   (argument 13 after token 7, and a token of 4 or more); round 3
+   covers the second, round 4 the first, which opens a new gap (length
+   5) for guidance to plan, and round 5 takes the planted crash.  Each
+   round also uploads four worker-pool runs under random schedules. *)
+let parser_inputs = function
+  | 1 -> [ [| 0; 0; 0 |]; [| 7; 1; 0 |] ]
+  | 2 -> [ [| 2; 0; 0 |]; [| 7; 4; 0 |] ]
+  | 3 -> [ [| 5; 0; 0 |] ]
+  | 4 -> [ [| 7; 13; 0 |] ]
+  | _ -> [ Corpus.parser_trigger ]
+
+let verdict_uploads ~round =
+  let upload program r =
+    Protocol.encode (Protocol.Trace_upload (Wire.encode (trace_of program r)))
+  in
+  List.map
+    (fun inputs -> upload Corpus.parser (run_once Corpus.parser inputs))
+    (parser_inputs round)
+  @ List.init 4 (fun i ->
+        let seed = (round * 4) + i in
+        upload Corpus.worker_pool
+          (Interp.run ~program:Corpus.worker_pool
+             ~env:(Env.make ~seed ~inputs:[| seed |] ())
+             ~sched:(Sched.Random_sched (Rng.create seed))
+             ()))
+
+(* A hive on the parser and the worker pool with one lossless pod link,
+   so its analysis ticks plan guidance; the ref collects every
+   [Guidance_update] frame the pod receives. *)
+let guided_hive ?(config = hive_config) () =
+  let sim = Sim.create () in
+  let hive = Hive.create ~config ~sim () in
+  ignore (Hive.register_program hive Corpus.parser);
+  ignore (Hive.register_program hive Corpus.worker_pool);
+  let pod_end, hive_end =
+    Transport.endpoint_pair
+      ~config:{ Transport.default_config with Transport.link = Link.lan }
+      ~sim ~rng:(Rng.create 1) ()
+  in
+  Hive.attach_pod hive hive_end;
+  let guidance = ref [] in
+  Transport.on_receive pod_end (fun payload ->
+      match Protocol.decode payload with
+      | Ok (Protocol.Guidance_update _) -> guidance := payload :: !guidance
+      | _ -> ());
+  (sim, hive, guidance)
+
+let feed (sim, hive, _) ~round =
+  List.iter (Hive.ingest_payload hive) (verdict_uploads ~round);
+  Hive.tick hive;
+  Sim.run sim
+
+let test_gap_verdicts_survive_restore () =
+  let ((_, hive, sent) as original) = guided_hive () in
+  feed original ~round:1;
+  feed original ~round:2;
+  let sizes h =
+    List.map (fun k -> Gap_memo.length (Knowledge.gap_memo k)) (by_digest (Hive.knowledge_list h))
+  in
+  checkb "each program has verdicts to carry" true (List.for_all (fun n -> n > 0) (sizes hive));
+  let ckpt = Hive.checkpoint hive in
+  let ((_, twin, twin_sent) as restored) = guided_hive () in
+  (match Hive.restore twin ckpt with
+  | Error e -> Alcotest.failf "restore failed: %s" e
+  | Ok n -> checki "both programs restored" 2 n);
+  checkb "same gap memo bindings" true (memos hive = memos twin);
+  checks "re-checkpoint byte-identical" ckpt (Hive.checkpoint twin);
+  let at_restore = sizes twin in
+  sent := [];
+  for round = 3 to 5 do
+    feed original ~round;
+    feed restored ~round
+  done;
+  checkb "guidance went out after the restore" true (!sent <> []);
+  Alcotest.(check (list string))
+    "same Guidance_update frames" (List.sort compare !sent) (List.sort compare !twin_sent);
+  checks "same knowledge bytes"
+    (Checkpoint.encode (Hive.knowledge_list hive))
+    (Checkpoint.encode (Hive.knowledge_list twin));
+  checkb "same gap memo bindings at the end" true (memos hive = memos twin);
+  (* Every miss adds a binding, so misses equal to growth means no
+     question the checkpoint had answered was solved again. *)
+  List.iter2
+    (fun k before ->
+      let memo = Knowledge.gap_memo k in
+      checki "misses only for new questions" (Gap_memo.length memo - before)
+        (Gap_memo.misses memo))
+    (by_digest (Hive.knowledge_list twin))
+    at_restore;
+  checkb "checkpointed verdicts were read" true
+    (List.exists (fun k -> Gap_memo.hits (Knowledge.gap_memo k) > 0) (Hive.knowledge_list twin))
+
+let test_verdict_section_corruption () =
+  let ((_, hive, _) as h) = guided_hive () in
+  feed h ~round:1;
+  let ckpt = Hive.checkpoint hive in
+  let config = hive_config.Hive.symexec_config in
+  let section = verdict_section config (Hive.knowledge_list hive) in
+  checkb "the checkpoint ends with its verdict section" true
+    (String.ends_with ~suffix:section ckpt);
+  let start = String.length ckpt - String.length section in
+  let head = String.sub ckpt 0 start in
+  let rejects label data =
+    (match Hive.restore hive data with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "%s must not restore" label);
+    if Hive.checkpoint hive <> ckpt then Alcotest.failf "%s touched the hive" label
+  in
+  for cut = start to String.length ckpt - 1 do
+    rejects (Printf.sprintf "cut at byte %d" cut) (String.sub ckpt 0 cut)
+  done;
+  let unknown_tag w _ =
+    Codec.Writer.list w
+      (fun () ->
+        Codec.Writer.varint w 0;
+        Codec.Writer.varint w 3;
+        Codec.Writer.bool w true;
+        Codec.Writer.byte w 7)
+      [ () ]
+  in
+  rejects "an unknown verdict tag"
+    (head ^ verdict_section ~memo:unknown_tag config (Hive.knowledge_list hive));
+  rejects "verdicts for a program with no knowledge"
+    (head
+    ^ verdict_section config (Knowledge.create Corpus.fig2_write :: Hive.knowledge_list hive));
+  checki "no restore counted" 0 (Hive.stats hive).Hive.restores_completed
+
+let test_verdicts_dropped_under_other_config () =
+  let ((_, hive, _) as h) = guided_hive () in
+  feed h ~round:1;
+  let ckpt = Hive.checkpoint hive in
+  let other =
+    {
+      hive_config with
+      Hive.symexec_config =
+        { hive_config.Hive.symexec_config with Sym_exec.solver_budget = 10_000 };
+    }
+  in
+  let _, twin, _ = guided_hive ~config:other () in
+  (match Hive.restore twin ckpt with
+  | Error e -> Alcotest.failf "restore under another config failed: %s" e
+  | Ok n -> checki "both programs restored" 2 n);
+  List.iter
+    (fun k -> checki "memo starts cold" 0 (Gap_memo.length (Knowledge.gap_memo k)))
+    (Hive.knowledge_list twin);
+  checks "knowledge restored all the same"
+    (Checkpoint.encode (Hive.knowledge_list hive))
+    (Checkpoint.encode (Hive.knowledge_list twin))
+
+let test_hive_version_2_refused () =
+  let sim = Sim.create () in
+  let hive = Hive.create ~sim () in
+  ignore (Hive.register_program hive Corpus.parser);
+  let ckpt = Hive.checkpoint hive in
+  (* Magic, then the version as a one-byte varint. *)
+  let v2 = Bytes.of_string ckpt in
+  Bytes.set v2 4 '\002';
+  match Hive.restore hive (Bytes.to_string v2) with
+  | Error e -> checks "refused" "unsupported hive checkpoint version 2" e
+  | Ok _ -> Alcotest.fail "a version-2 checkpoint must not restore"
+
 (* ---- Corruption -------------------------------------------------------- *)
+
+let test_decode_rejects_trailing_bytes () =
+  match Checkpoint.decode (Checkpoint.encode [ populated_knowledge 9 ] ^ "zz") with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "trailing bytes must not decode"
+
+let test_decode_knowledge_rejects_trailing_bytes () =
+  let valid = Checkpoint.encode_knowledge (populated_knowledge 9) in
+  match Checkpoint.decode_knowledge (valid ^ "zz") with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "trailing bytes must not decode"
+
+let test_hive_restore_rejects_trailing_bytes () =
+  let ((_, hive, _) as h) = guided_hive () in
+  feed h ~round:1;
+  let ckpt = Hive.checkpoint hive in
+  (match Hive.restore hive (ckpt ^ "trailing junk") with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "trailing bytes must not restore");
+  checks "hive untouched" ckpt (Hive.checkpoint hive);
+  checki "no restore counted" 0 (Hive.stats hive).Hive.restores_completed
+
+let test_shard_restore_rejects_trailing_bytes () =
+  let sim = Sim.create () in
+  let fed =
+    Federation.create
+      ~config:{ (Federation.default_config ~n_shards:2 ()) with Federation.synthesize = false }
+      ~sim ~rng:(Rng.create 4) ()
+  in
+  ignore (Federation.register_program fed Corpus.parser);
+  Array.iter (Hive.ingest_payload (Federation.shard_hive fed 0)) shard_upload_pool;
+  Federation.superstep fed;
+  let ckpt = Federation.checkpoint_shard fed 0 in
+  (match Federation.restore_shard fed 0 (ckpt ^ "zz") with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "trailing bytes must not restore");
+  checks "shard untouched" ckpt (Federation.checkpoint_shard fed 0);
+  checki "no restore counted" 0
+    (Hive.stats (Federation.shard_hive fed 0)).Hive.restores_completed;
+  Federation.shutdown fed
 
 let test_decode_rejects_garbage () =
   (match Checkpoint.decode "" with
@@ -518,11 +765,25 @@ let () =
           Alcotest.test_case "determinism" `Quick test_checkpoint_determinism_across_processes;
           Alcotest.test_case "retraction survives crash" `Quick
             test_retraction_survives_crash_restore;
+          Alcotest.test_case "gap verdicts survive restore" `Quick
+            test_gap_verdicts_survive_restore;
+          Alcotest.test_case "verdicts dropped under another config" `Quick
+            test_verdicts_dropped_under_other_config;
         ] );
       ("federation", [ q prop_shard_checkpoint_roundtrip ]);
       ( "corruption",
         [
           Alcotest.test_case "decode rejects garbage" `Quick test_decode_rejects_garbage;
           Alcotest.test_case "hive untouched" `Quick test_hive_restore_rejects_corruption_untouched;
+          Alcotest.test_case "verdict section corruption" `Quick test_verdict_section_corruption;
+          Alcotest.test_case "hive version 2 refused" `Quick test_hive_version_2_refused;
+          Alcotest.test_case "decode rejects trailing bytes" `Quick
+            test_decode_rejects_trailing_bytes;
+          Alcotest.test_case "decode_knowledge rejects trailing bytes" `Quick
+            test_decode_knowledge_rejects_trailing_bytes;
+          Alcotest.test_case "hive restore rejects trailing bytes" `Quick
+            test_hive_restore_rejects_trailing_bytes;
+          Alcotest.test_case "shard restore rejects trailing bytes" `Quick
+            test_shard_restore_rejects_trailing_bytes;
         ] );
     ]
