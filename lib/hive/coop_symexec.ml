@@ -13,14 +13,9 @@ type job = {
   budget_per_gap : int;
 }
 
-type gap_verdict =
-  | Gap_feasible of Testgen.test_case
-  | Gap_infeasible
-  | Gap_unknown
-
 type job_result = {
   job_id : int;
-  verdicts : ((Ir.site * bool) * gap_verdict) list;
+  verdicts : ((Ir.site * bool) * Gap_memo.verdict) list;
   steps_spent : int;
 }
 
@@ -60,16 +55,7 @@ let encode_result (result : job_result) =
   let w = Codec.Writer.create () in
   Codec.Writer.varint w result.job_id;
   Codec.Writer.varint w result.steps_spent;
-  Codec.Writer.list w
-    (fun (gap, verdict) ->
-      write_gap w gap;
-      match verdict with
-      | Gap_feasible test ->
-        Codec.Writer.byte w 0;
-        Testgen.write_test_case w test
-      | Gap_infeasible -> Codec.Writer.byte w 1
-      | Gap_unknown -> Codec.Writer.byte w 2)
-    result.verdicts;
+  Codec.Writer.list w (Gap_memo.write_binding w) result.verdicts;
   Codec.Writer.contents w
 
 let decode_result s =
@@ -77,18 +63,7 @@ let decode_result s =
     let r = Codec.Reader.of_string s in
     let job_id = Codec.Reader.varint r in
     let steps_spent = Codec.Reader.varint r in
-    let verdicts =
-      Codec.Reader.list r (fun r ->
-          let gap = read_gap r in
-          let verdict =
-            match Codec.Reader.byte r with
-            | 0 -> Gap_feasible (Testgen.read_test_case r)
-            | 1 -> Gap_infeasible
-            | 2 -> Gap_unknown
-            | n -> raise (Codec.Malformed (Printf.sprintf "verdict tag %d" n))
-          in
-          (gap, verdict))
-    in
+    let verdicts = Codec.Reader.list r Gap_memo.read_binding in
     { job_id; verdicts; steps_spent }
   with
   | result -> Ok result
@@ -122,12 +97,7 @@ module Worker = struct
               max_steps_per_path = 2000;
             }
           in
-          let verdict =
-            match Testgen.for_direction ~config ~cache:t.cache t.program ~site ~direction with
-            | `Test test -> Gap_feasible test
-            | `Infeasible -> Gap_infeasible
-            | `Unknown -> Gap_unknown
-          in
+          let verdict = Testgen.for_direction ~config ~cache:t.cache t.program ~site ~direction in
           (* Account steps coarsely: one budget unit per gap tried. *)
           before_total := !before_total + job.budget_per_gap;
           ((site, direction), verdict))
@@ -241,7 +211,7 @@ module Coordinator = struct
       List.iter
         (fun ((site, direction), verdict) ->
           match verdict with
-          | Gap_feasible test when not (direction_in t.decided site direction) ->
+          | `Test test when not (direction_in t.decided site direction) ->
             incr resolved_here;
             t.gaps_resolved <- t.gaps_resolved + 1;
             t.tests_found <- test :: t.tests_found;
@@ -271,9 +241,9 @@ module Coordinator = struct
               (* A bogus result: retire the gap as unknown rather than
                  trusting the worker. *)
               t.given_up <- (site, direction) :: t.given_up
-          | Gap_feasible _ -> ()  (* already settled by an earlier result *)
-          | Gap_infeasible when direction_in t.decided site direction -> ()
-          | Gap_infeasible ->
+          | `Test _ -> ()  (* already settled by an earlier result *)
+          | `Infeasible when direction_in t.decided site direction -> ()
+          | `Infeasible ->
             incr resolved_here;
             t.gaps_resolved <- t.gaps_resolved + 1;
             List.iter
@@ -286,7 +256,7 @@ module Coordinator = struct
                        ~site:gap.Exec_tree.site ~direction:gap.Exec_tree.missing))
               (Exec_tree.frontier t.tree);
             t.decided <- (site, direction) :: t.decided
-          | Gap_unknown -> t.given_up <- (site, direction) :: t.given_up)
+          | `Unknown -> t.given_up <- (site, direction) :: t.given_up)
         result.verdicts;
       (* Reward the subtree this job belonged to. *)
       (match Hashtbl.find_opt t.in_flight result.job_id with

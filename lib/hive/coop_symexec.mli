@@ -29,14 +29,11 @@ type job = {
   budget_per_gap : int;  (** Solver-step budget per direction. *)
 }
 
-type gap_verdict =
-  | Gap_feasible of Testgen.test_case
-  | Gap_infeasible
-  | Gap_unknown
-
 type job_result = {
   job_id : int;
-  verdicts : ((Ir.site * bool) * gap_verdict) list;
+  verdicts : ((Ir.site * bool) * Gap_memo.verdict) list;
+      (** Written with {!Gap_memo.write_binding}, the hive's own
+          verdict codec. *)
   steps_spent : int;
 }
 

@@ -33,18 +33,32 @@ let length t = Hashtbl.length t.table
 let hits t = t.hits
 let misses t = t.misses
 
+let write_binding w (({ Ir.thread; pc }, direction), verdict) =
+  Codec.Writer.varint w thread;
+  Codec.Writer.varint w pc;
+  Codec.Writer.bool w direction;
+  match verdict with
+  | `Test test ->
+    Codec.Writer.byte w 0;
+    Testgen.write_test_case w test
+  | `Infeasible -> Codec.Writer.byte w 1
+  | `Unknown -> Codec.Writer.byte w 2
+
+let read_binding r =
+  let thread = Codec.Reader.varint r in
+  let pc = Codec.Reader.varint r in
+  let direction = Codec.Reader.bool r in
+  let verdict =
+    match Codec.Reader.byte r with
+    | 0 -> `Test (Testgen.read_test_case r)
+    | 1 -> `Infeasible
+    | 2 -> `Unknown
+    | n -> raise (Codec.Malformed (Printf.sprintf "gap verdict tag %d" n))
+  in
+  (({ Ir.thread; pc }, direction), verdict)
+
 let write w t =
-  Codec.Writer.list w
-    (fun (({ Ir.thread; pc }, direction), verdict) ->
-      Codec.Writer.varint w thread;
-      Codec.Writer.varint w pc;
-      Codec.Writer.bool w direction;
-      match verdict with
-      | `Test test ->
-        Codec.Writer.byte w 0;
-        Testgen.write_test_case w test
-      | `Infeasible -> Codec.Writer.byte w 1
-      | `Unknown -> Codec.Writer.byte w 2)
+  Codec.Writer.list w (write_binding w)
     (Hashtbl.fold (fun key verdict acc -> (key, verdict) :: acc) t.table []
     |> List.sort (fun ((s1, d1), _) ((s2, d2), _) ->
            match Ir.site_compare s1 s2 with 0 -> Bool.compare d1 d2 | c -> c))
@@ -52,14 +66,5 @@ let write w t =
 let read r t =
   ignore
     (Codec.Reader.list r (fun r ->
-         let thread = Codec.Reader.varint r in
-         let pc = Codec.Reader.varint r in
-         let direction = Codec.Reader.bool r in
-         let verdict =
-           match Codec.Reader.byte r with
-           | 0 -> `Test (Testgen.read_test_case r)
-           | 1 -> `Infeasible
-           | 2 -> `Unknown
-           | n -> raise (Codec.Malformed (Printf.sprintf "gap verdict tag %d" n))
-         in
-         add t ~site:{ Ir.thread; pc } ~direction verdict))
+         let (site, direction), verdict = read_binding r in
+         add t ~site ~direction verdict))

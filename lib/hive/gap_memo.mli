@@ -49,11 +49,23 @@ val length : t -> int
 val hits : t -> int
 val misses : t -> int
 
+val write_binding : Codec.Writer.t -> (Ir.site * bool) * verdict -> unit
+(** One (site, direction, verdict) binding: the site's thread and pc,
+    the direction, then tag 0 and the test case
+    ({!Testgen.write_test_case}), tag 1 ([`Infeasible]) or tag 2
+    ([`Unknown]).  The one verdict codec: {!write} and the cooperative
+    coordinator's job results ({!Coop_symexec.encode_result}) both use
+    it. *)
+
+val read_binding : Codec.Reader.t -> (Ir.site * bool) * verdict
+(** Inverse of {!write_binding}.
+    @raise Softborg_util.Codec.Malformed on an unknown verdict tag.
+    @raise Softborg_util.Codec.Truncated on premature end. *)
+
 val write : Codec.Writer.t -> t -> unit
-(** The bindings, sorted by (site, direction) so equal tables write
-    equal bytes.  Each is the site, the direction, then tag 0 and the
-    test case ({!Testgen.write_test_case}), tag 1 ([`Infeasible]) or
-    tag 2 ([`Unknown]).  The hit/miss counters are not written. *)
+(** The bindings ({!write_binding}), sorted by (site, direction) so
+    equal tables write equal bytes.  The hit/miss counters are not
+    written. *)
 
 val read : Codec.Reader.t -> t -> unit
 (** Add the bindings {!write} wrote to a table; its counters do not

@@ -234,9 +234,15 @@ let start ~domain:(dom_lo, dom_hi) ~n_inputs atoms =
   let used = List.filter (fun i -> i < n_inputs) used in
   let hinted = hints ~domain:(dom_lo, dom_hi) atoms in
   let candidates =
-    (* Hinted values first, then the rest of the domain ascending. *)
-    let in_hints v = List.mem v hinted in
-    hinted @ List.filter (fun v -> not (in_hints v)) (List.init (dom_hi - dom_lo + 1) (fun k -> dom_lo + k))
+    (* Hinted values first, then the rest of the domain ascending, in
+       one pass: a mask over the domain marks the (in-domain) hints. *)
+    let hinted_mask = Bytes.make (dom_hi - dom_lo + 1) '\000' in
+    List.iter (fun v -> Bytes.set hinted_mask (v - dom_lo) '\001') hinted;
+    let rec rest v acc =
+      if v < dom_lo then acc
+      else rest (v - 1) (if Bytes.get hinted_mask (v - dom_lo) = '\000' then v :: acc else acc)
+    in
+    hinted @ rest dom_hi []
   in
   let st = { atoms; env; candidates; dom_lo; stack = []; steps = 0; result = None } in
   let steps = ref 0 in

@@ -30,40 +30,44 @@ let inputs_used t =
 let of_bool b = if b then 1 else 0
 let truth n = n <> 0
 
-let rec eval_expr inputs = function
-  | Ir.Const c -> Some c
-  | Ir.Var _ -> None
-  | Ir.Input i -> if i >= 0 && i < Array.length inputs then Some inputs.(i) else None
-  | Ir.Unop (op, e) -> (
-    match eval_expr inputs e with
-    | None -> None
-    | Some x -> Some (match op with Ir.Neg -> -x | Ir.Not -> of_bool (not (truth x))))
-  | Ir.Binop (op, a, b) -> (
-    match (eval_expr inputs a, eval_expr inputs b) with
-    | Some x, Some y -> (
-      match op with
-      | Ir.Add -> Some (x + y)
-      | Ir.Sub -> Some (x - y)
-      | Ir.Mul -> Some (x * y)
-      | Ir.Div -> if y = 0 then None else Some (x / y)
-      | Ir.Mod -> if y = 0 then None else Some (x mod y)
-      | Ir.Eq -> Some (of_bool (x = y))
-      | Ir.Ne -> Some (of_bool (x <> y))
-      | Ir.Lt -> Some (of_bool (x < y))
-      | Ir.Le -> Some (of_bool (x <= y))
-      | Ir.Gt -> Some (of_bool (x > y))
-      | Ir.Ge -> Some (of_bool (x >= y))
-      | Ir.And -> Some (of_bool (truth x && truth y))
-      | Ir.Or -> Some (of_bool (truth x || truth y)))
-    | (None, _ | _, None) -> None)
+(* Concrete evaluation for [satisfied_by], which runs once per probe
+   draw and enumeration leaf, so it allocates nothing: an undefined
+   value (a stray [Var], an out-of-range input, division or modulo by
+   zero) raises [Undefined] rather than boxing every result in an
+   [option].  Both operands are evaluated before the operator, so
+   [And]/[Or] do not short-circuit past an undefined operand. *)
+exception Undefined
 
-let satisfied_by t inputs =
-  List.for_all
-    (fun a ->
-      match eval_expr inputs a.cond with
-      | Some v -> truth v = a.expected
-      | None -> false)
-    t
+let rec eval inputs = function
+  | Ir.Const c -> c
+  | Ir.Var _ -> raise_notrace Undefined
+  | Ir.Input i ->
+    if i >= 0 && i < Array.length inputs then inputs.(i) else raise_notrace Undefined
+  | Ir.Unop (Ir.Neg, e) -> -eval inputs e
+  | Ir.Unop (Ir.Not, e) -> of_bool (not (truth (eval inputs e)))
+  | Ir.Binop (op, a, b) -> (
+    let x = eval inputs a in
+    let y = eval inputs b in
+    match op with
+    | Ir.Add -> x + y
+    | Ir.Sub -> x - y
+    | Ir.Mul -> x * y
+    | Ir.Div -> if y = 0 then raise_notrace Undefined else x / y
+    | Ir.Mod -> if y = 0 then raise_notrace Undefined else x mod y
+    | Ir.Eq -> of_bool (x = y)
+    | Ir.Ne -> of_bool (x <> y)
+    | Ir.Lt -> of_bool (x < y)
+    | Ir.Le -> of_bool (x <= y)
+    | Ir.Gt -> of_bool (x > y)
+    | Ir.Ge -> of_bool (x >= y)
+    | Ir.And -> of_bool (truth x && truth y)
+    | Ir.Or -> of_bool (truth x || truth y))
+
+let rec all_hold inputs = function
+  | [] -> true
+  | a :: rest -> truth (eval inputs a.cond) = a.expected && all_hold inputs rest
+
+let satisfied_by t inputs = try all_hold inputs t with Undefined -> false
 
 let rec expr_constants acc = function
   | Ir.Const c -> c :: acc

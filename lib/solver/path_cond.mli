@@ -23,12 +23,10 @@ val well_formed : t -> bool
 val inputs_used : t -> int list
 (** Input slots mentioned, ascending, deduplicated. *)
 
-val eval_expr : int array -> Ir.expr -> int option
-(** Evaluate an input-only expression under concrete inputs; [None] on
-    division/modulo by zero or a stray [Var]. *)
-
 val satisfied_by : t -> int array -> bool
-(** All atoms hold and no atom traps. *)
+(** All atoms hold and no atom traps: an atom whose value is undefined
+    (division or modulo by zero, an input slot outside the vector, a
+    stray [Var]) fails.  Allocation-free. *)
 
 val constants : t -> int list
 (** All integer constants appearing in the atoms (deduplicated);

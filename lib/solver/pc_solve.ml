@@ -15,12 +15,15 @@ let check ?cache ~domain ~n_inputs cond =
 (* Random probing: draw input vectors uniformly from the domain and
    verify them with {!Path_cond.satisfied_by}, so any model it reports
    is sound by construction.  Seeded from the condition's digest: the
-   stream depends only on the query, never on call order. *)
+   stream depends only on the query, never on call order.  Each draw
+   fills one scratch vector, slot 0 first, and only a satisfying draw
+   is copied out as the model, so a failed draw allocates nothing
+   beyond the generator's own state. *)
 type probe = {
   p_rng : Rng.t;
   p_lo : int;
   p_width : int;
-  p_n : int;
+  p_draw : int array;  (* scratch: the vector being tried *)
   p_cond : Path_cond.t;
   mutable p_steps : int;
   mutable p_found : int array option;
@@ -34,7 +37,7 @@ let probe_start ~domain:(lo, hi) ~n_inputs cond =
     p_rng = Rng.create seed;
     p_lo = lo;
     p_width = width;
-    p_n = n_inputs;
+    p_draw = Array.make n_inputs 0;
     p_cond = cond;
     p_steps = 0;
     p_found = None;
@@ -48,9 +51,12 @@ let probe_step p ~fuel =
     | None ->
       if p.p_steps - floor >= fuel then `More
       else begin
-        let v = Array.init p.p_n (fun _ -> p.p_lo + Rng.int p.p_rng p.p_width) in
+        let v = p.p_draw in
+        for slot = 0 to Array.length v - 1 do
+          v.(slot) <- p.p_lo + Rng.int p.p_rng p.p_width
+        done;
         p.p_steps <- p.p_steps + 1;
-        if Path_cond.satisfied_by p.p_cond v then p.p_found <- Some v;
+        if Path_cond.satisfied_by p.p_cond v then p.p_found <- Some (Array.copy v);
         loop ()
       end
   in

@@ -28,6 +28,7 @@ type node = {
   mutable edges : (node * int ref) Edge_map.t;  (* child, traversal count *)
   mutable infeasible : Edge_set.t;  (* directions proven infeasible *)
   mutable hits : int;
+  mutable keyed_hits : int;  (* the hit count this node's index entries are keyed under *)
   mutable terminal : int Bucket_map.t;  (* outcome bucket -> count *)
   mutable open_dirs : Edge_set.t;  (* this node's entries in the open-gap index *)
 }
@@ -36,10 +37,12 @@ type gap_key = int * Ir.site * bool  (* node id, site, missing direction *)
 
 (* Priority index over open gaps, ordered exactly like [gap_order]
    below: hottest node first, ties broken by the gap record's
-   structural order (prefix, then site, then direction).  Keys freeze
-   the node's hit count at insertion time — [node.hits] is mutable and
-   a map key must never change under the map — so every hit-count bump
-   re-keys the node's open gaps (see [bump_hits]). *)
+   structural order (prefix, then site, then direction).  A key
+   carries a copy of a hit count — [node.hits] is mutable and a map
+   key must never change under the map — namely the node's
+   [keyed_hits], which all of one node's entries share.  A hit-count
+   bump only queues the node as stale (see [bump_hits]); the next
+   frontier read re-keys each queued node once (see [rekey_stale]). *)
 module Gap_index_key = struct
   type t = {
     k_hits : int;
@@ -121,9 +124,18 @@ type t = {
   (* Mirror of [open_gaps] as an ordered map, so the frontier's top-k
      is a prefix read instead of a full sort.  Invariant: contains
      exactly one key per open gap, with [k_hits] equal to the owning
-     node's current hit count (each node's own entries are listed in
-     its [open_dirs]). *)
+     node's [keyed_hits] (each node's own entries are listed in its
+     [open_dirs]).  A node with open entries whose [keyed_hits] lags
+     its [hits] is in [stale]; once [rekey_stale] empties [stale],
+     every [k_hits] equals its node's current hit count, which is
+     what the frontier reads rely on. *)
   mutable gap_index : unit Gap_map.t;
+  (* Nodes queued for re-keying since the last frontier read.  A node
+     is queued by the bump that first moves [hits] past [keyed_hits]
+     while it has open entries, so the queue is bounded by the nodes
+     touched and the edges added since the last read (a node re-enters
+     only after [gap_open] re-synced it, which takes a new edge). *)
+  mutable stale : node list;
   mutable version : int;  (* bumped on every knowledge-changing mutation *)
   (* Analysis-cost counters (not part of the knowledge, never
      serialized): how many gap records were sorted via the recompute
@@ -142,6 +154,7 @@ let new_node t parent decision =
     edges = Edge_map.empty;
     infeasible = Edge_set.empty;
     hits = 0;
+    keyed_hits = 0;
     terminal = Bucket_map.empty;
     open_dirs = Edge_set.empty;
   }
@@ -156,6 +169,7 @@ let create () =
         edges = Edge_map.empty;
         infeasible = Edge_set.empty;
         hits = 0;
+        keyed_hits = 0;
         terminal = Bucket_map.empty;
         open_dirs = Edge_set.empty;
       };
@@ -170,6 +184,7 @@ let create () =
     bucket_totals = Hashtbl.create 16;
     open_gaps = Hashtbl.create 64;
     gap_index = Gap_map.empty;
+    stale = [];
     version = 0;
     gaps_sorted = 0;
     gaps_materialized = 0;
@@ -181,46 +196,50 @@ type merge_stats = {
   new_path : bool;
 }
 
-(* Open/close one gap in both the hash table and the priority index.
-   [node.hits] must already be the node's current count — the index
-   key freezes it, and [bump_hits] keeps the frozen copies current. *)
+let index_key hits node site missing =
+  { Gap_index_key.k_hits = hits; k_node = node; k_site = site; k_missing = missing }
+
+(* Open/close one gap in both the hash table and the priority index,
+   keyed by the node's recorded [keyed_hits].  A node without open
+   entries has nothing keyed under a stale count, so its first insert
+   re-syncs the record to the current count. *)
 let gap_open t node site missing =
   Hashtbl.replace t.open_gaps (node.id, site, missing) node;
+  if Edge_set.is_empty node.open_dirs then node.keyed_hits <- node.hits;
   node.open_dirs <- Edge_set.add (site, missing) node.open_dirs;
-  t.gap_index <-
-    Gap_map.add
-      { Gap_index_key.k_hits = node.hits; k_node = node; k_site = site; k_missing = missing }
-      () t.gap_index
+  t.gap_index <- Gap_map.add (index_key node.keyed_hits node site missing) () t.gap_index
 
 let gap_close t node site missing =
   Hashtbl.remove t.open_gaps (node.id, site, missing);
   node.open_dirs <- Edge_set.remove (site, missing) node.open_dirs;
-  t.gap_index <-
-    Gap_map.remove
-      { Gap_index_key.k_hits = node.hits; k_node = node; k_site = site; k_missing = missing }
-      t.gap_index
+  t.gap_index <- Gap_map.remove (index_key node.keyed_hits node site missing) t.gap_index
 
 (* A hit-count bump changes the priority of every open gap at the
-   node, so its index entries are re-keyed around the mutation. *)
+   node.  Ingestion bumps far more often than anything reads the
+   index, so the bump only queues the node, on the bump that first
+   leaves its entries behind; [rekey_stale] catches the entries up. *)
 let bump_hits t node =
-  if Edge_set.is_empty node.open_dirs then node.hits <- node.hits + 1
-  else begin
-    Edge_set.iter
-      (fun (site, missing) ->
-        t.gap_index <-
-          Gap_map.remove
-            { Gap_index_key.k_hits = node.hits; k_node = node; k_site = site; k_missing = missing }
-            t.gap_index)
-      node.open_dirs;
-    node.hits <- node.hits + 1;
-    Edge_set.iter
-      (fun (site, missing) ->
-        t.gap_index <-
-          Gap_map.add
-            { Gap_index_key.k_hits = node.hits; k_node = node; k_site = site; k_missing = missing }
-            () t.gap_index)
-      node.open_dirs
-  end
+  if node.hits = node.keyed_hits && not (Edge_set.is_empty node.open_dirs) then
+    t.stale <- node :: t.stale;
+  node.hits <- node.hits + 1
+
+(* Re-key every queued node's open entries from [keyed_hits] to the
+   current count, once per node however many bumps it took.  Every
+   frontier read runs this first. *)
+let rekey_stale t =
+  List.iter
+    (fun node ->
+      if node.keyed_hits <> node.hits then begin
+        Edge_set.iter
+          (fun (site, missing) ->
+            t.gap_index <-
+              Gap_map.add (index_key node.hits node site missing) ()
+                (Gap_map.remove (index_key node.keyed_hits node site missing) t.gap_index))
+          node.open_dirs;
+        node.keyed_hits <- node.hits
+      end)
+    t.stale;
+  t.stale <- []
 
 (* Aggregate bookkeeping for a brand-new edge [(site, dir)] out of
    [node], called before the edge is inserted.  Every new edge closes
@@ -377,9 +396,11 @@ let gap_of_index_key t (key : Gap_index_key.t) =
   }
 
 let frontier t =
+  rekey_stale t;
   List.rev (Gap_map.fold (fun key () acc -> gap_of_index_key t key :: acc) t.gap_index [])
 
 let frontier_seq t =
+  rekey_stale t;
   (* [to_seq] on the persistent map snapshots it: mutating the tree
      while consuming the sequence (as gap closing during planning
      does) walks the frontier as of this call, exactly like iterating
@@ -592,6 +613,7 @@ let rebuild_aggregates t =
   Hashtbl.reset t.bucket_totals;
   Hashtbl.reset t.open_gaps;
   t.gap_index <- Gap_map.empty;
+  t.stale <- [];
   fold_nodes
     (fun () node ->
       node.open_dirs <- Edge_set.empty;
@@ -636,6 +658,7 @@ let read r =
       edges = Edge_map.empty;
       infeasible = rec_.r_infeasible;
       hits = rec_.r_hits;
+      keyed_hits = rec_.r_hits;
       terminal = rec_.r_terminal;
       open_dirs = Edge_set.empty;
     }
@@ -672,6 +695,7 @@ let read r =
       bucket_totals = Hashtbl.create 16;
       open_gaps = Hashtbl.create 64;
       gap_index = Gap_map.empty;
+      stale = [];
       version;
       gaps_sorted = 0;
       gaps_materialized = 0;

@@ -71,13 +71,17 @@ val frontier : t -> gap list
 (** All gaps, most-frequently-reached nodes first.  Gaps proven
     infeasible by symbolic analysis are excluded.  O(gaps) with no
     sorting: read off the incrementally-maintained priority index,
-    which {!add_path} and {!mark_infeasible} keep ordered by exactly
-    this order. *)
+    ordered by exactly this order.  {!add_path}'s hit-count bumps only
+    queue the nodes whose gaps they reorder; every frontier read
+    ({!frontier}, {!frontier_top}, {!frontier_seq}) first re-keys each
+    queued node once, so reads pay for ingestion's reordering at most
+    once per node between two reads. *)
 
 val frontier_top : t -> int -> gap list
 (** [frontier_top t k] is the first [k] gaps of [frontier t] (all of
-    them if fewer exist) in O(k log gaps + k·depth) — the per-tick
-    planning read, independent of tree size. *)
+    them if fewer exist) in O(k log gaps + k·depth) plus the re-keying
+    of nodes queued since the last read — the per-tick planning read,
+    independent of tree size. *)
 
 val frontier_seq : t -> gap Seq.t
 (** The frontier as a lazy sequence in the same order, materializing

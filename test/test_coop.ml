@@ -38,10 +38,10 @@ let test_result_roundtrip () =
       verdicts =
         [
           ( (site 0 3, true),
-            Coop.Gap_feasible
+            `Test
               { Testgen.inputs = [| -5; 200 |]; fault_plan = Env.Targeted [ 1 ] } );
-          ((site 0 4, false), Coop.Gap_infeasible);
-          ((site 1 2, true), Coop.Gap_unknown);
+          ((site 0 4, false), `Infeasible);
+          ((site 1 2, true), `Unknown);
         ];
       steps_spent = 1234;
     }
@@ -79,7 +79,7 @@ let test_worker_answers_jobs () =
   List.iter
     (fun (_, verdict) ->
       match verdict with
-      | Coop.Gap_feasible _ -> ()
+      | `Test _ -> ()
       | _ -> Alcotest.fail "both directions of fig2's first branch are feasible")
     result.Coop.verdicts
 
@@ -164,7 +164,7 @@ let test_coordinator_validates_worker_results () =
         let verdicts =
           List.map
             (fun gap ->
-              (gap, Coop.Gap_feasible { Testgen.inputs = [| 0; 0; 0 |]; fault_plan = Env.No_faults }))
+              (gap, `Test { Testgen.inputs = [| 0; 0; 0 |]; fault_plan = Env.No_faults }))
             job.Coop.gaps
         in
         Transport.send worker_end

@@ -182,6 +182,21 @@ let test_path_cond_div_zero_traps () =
   checkb "div by zero fails the atom" false (Path_cond.satisfied_by pc [| 0 |]);
   checkb "nonzero ok" true (Path_cond.satisfied_by pc [| 2 |])
 
+(* Every undefined value fails its atom, wherever it sits in the
+   expression: [And]/[Or] evaluate both operands, so a trap is not
+   short-circuited away. *)
+let test_path_cond_undefined_fails () =
+  let holds cond inputs = Path_cond.satisfied_by [ Path_cond.atom cond true ] inputs in
+  let trap = Ir.Binop (Ir.Mod, Ir.Const 7, Ir.Input 0) in
+  checkb "mod by zero" false (holds (Ir.Binop (Ir.Ge, trap, Ir.Const 0)) [| 0 |]);
+  checkb "mod defined" true (holds (Ir.Binop (Ir.Ge, trap, Ir.Const 0)) [| 3 |]);
+  checkb "input out of range" false (holds (Ir.Binop (Ir.Ge, Ir.Input 2, Ir.Const 0)) [| 1; 1 |]);
+  checkb "stray var" false (holds (Ir.Var (Ir.Local "x")) [| 1 |]);
+  checkb "and does not short-circuit" false (holds (Ir.Binop (Ir.And, Ir.Const 0, trap)) [| 0 |]);
+  checkb "or does not short-circuit" false (holds (Ir.Binop (Ir.Or, Ir.Const 1, trap)) [| 0 |]);
+  checkb "negated atom still fails" false
+    (Path_cond.satisfied_by [ Path_cond.atom (Ir.Unop (Ir.Not, trap)) false ] [| 0 |])
+
 (* ---- Interval solver --------------------------------------------------- *)
 
 let solve ?budget pc ~n = Interval.solve ?budget ~domain:(-64, 255) ~n_inputs:n pc
@@ -246,22 +261,59 @@ let test_interval_check_only () =
   checkb "admits possible" true
     (Interval.check_interval_only ~domain:(-64, 255) ~n_inputs:1 [ atom_lt 0 10 ] = `Feasible)
 
+(* The random conditions the interval and race properties draw, one
+   generator per property shape; each returns the arity and the atoms.
+   The outcome pin below replays them at the hive's budget. *)
+
+(* Random conjunctions of comparisons and residue constraints over up
+   to three inputs. *)
+let random_wide_condition rng =
+  let n = 1 + Rng.int rng 3 in
+  let atoms =
+    List.init
+      (1 + Rng.int rng 3)
+      (fun _ ->
+        let slot = Rng.int rng n in
+        match Rng.int rng 3 with
+        | 0 -> atom_lt slot (Rng.int_in rng (-10) 60)
+        | 1 -> atom_mod_eq slot (2 + Rng.int rng 10) (Rng.int rng 5) (Rng.bool rng)
+        | _ -> Path_cond.atom (Ir.Binop (Ir.Ge, Ir.Input slot, Ir.Const (Rng.int_in rng (-30) 30))) true)
+  in
+  (n, atoms)
+
+(* Two atoms over one input. *)
+let random_one_input_condition rng =
+  let atoms =
+    List.init 2 (fun _ ->
+        match Rng.int rng 2 with
+        | 0 -> atom_lt 0 (Rng.int_in rng (-20) 20)
+        | _ -> atom_mod_eq 0 (2 + Rng.int rng 6) (Rng.int rng 4) (Rng.bool rng))
+  in
+  (1, atoms)
+
+(* Up to three atoms over one or two inputs. *)
+let random_small_condition rng =
+  let n = 1 + Rng.int rng 2 in
+  let atoms =
+    List.init
+      (1 + Rng.int rng 3)
+      (fun _ ->
+        let slot = Rng.int rng n in
+        match Rng.int rng 3 with
+        | 0 -> atom_lt slot (Rng.int_in rng (-10) 40)
+        | 1 -> atom_mod_eq slot (2 + Rng.int rng 8) (Rng.int rng 5) (Rng.bool rng)
+        | _ ->
+          Path_cond.atom
+            (Ir.Binop (Ir.Ge, Ir.Input slot, Ir.Const (Rng.int_in rng (-20) 20)))
+            true)
+  in
+  (n, atoms)
+
 let prop_interval_models_satisfy =
   QCheck.Test.make ~name:"interval SAT models satisfy the condition" ~count:150
     QCheck.small_nat (fun seed ->
       let rng = Rng.create (seed + 11) in
-      (* Random conjunctions of comparisons and residue constraints. *)
-      let n = 1 + Rng.int rng 3 in
-      let atoms =
-        List.init
-          (1 + Rng.int rng 3)
-          (fun _ ->
-            let slot = Rng.int rng n in
-            match Rng.int rng 3 with
-            | 0 -> atom_lt slot (Rng.int_in rng (-10) 60)
-            | 1 -> atom_mod_eq slot (2 + Rng.int rng 10) (Rng.int rng 5) (Rng.bool rng)
-            | _ -> Path_cond.atom (Ir.Binop (Ir.Ge, Ir.Input slot, Ir.Const (Rng.int_in rng (-30) 30))) true)
-      in
+      let n, atoms = random_wide_condition rng in
       match (solve atoms ~n).Interval.verdict with
       | Interval.Sat model -> Path_cond.satisfied_by atoms model
       | Interval.Unsat | Interval.Timeout -> true)
@@ -270,12 +322,7 @@ let prop_interval_unsat_means_no_model =
   QCheck.Test.make ~name:"interval UNSAT verified by sweep (1 input)" ~count:60
     QCheck.small_nat (fun seed ->
       let rng = Rng.create (seed + 17) in
-      let atoms =
-        List.init 2 (fun _ ->
-            match Rng.int rng 2 with
-            | 0 -> atom_lt 0 (Rng.int_in rng (-20) 20)
-            | _ -> atom_mod_eq 0 (2 + Rng.int rng 6) (Rng.int rng 4) (Rng.bool rng))
-      in
+      let _, atoms = random_one_input_condition rng in
       match (Interval.solve ~domain:(-20, 40) ~n_inputs:1 atoms).Interval.verdict with
       | Interval.Unsat ->
         (* Exhaustive check over the domain. *)
@@ -522,20 +569,7 @@ let prop_interval_slicing_invariant =
   QCheck.Test.make ~name:"interval slicing does not change the trajectory" ~count:80
     QCheck.small_nat (fun seed ->
       let rng = Rng.create (seed + 71) in
-      let n = 1 + Rng.int rng 2 in
-      let atoms =
-        List.init
-          (1 + Rng.int rng 3)
-          (fun _ ->
-            let slot = Rng.int rng n in
-            match Rng.int rng 3 with
-            | 0 -> atom_lt slot (Rng.int_in rng (-10) 40)
-            | 1 -> atom_mod_eq slot (2 + Rng.int rng 8) (Rng.int rng 5) (Rng.bool rng)
-            | _ ->
-              Path_cond.atom
-                (Ir.Binop (Ir.Ge, Ir.Input slot, Ir.Const (Rng.int_in rng (-20) 20)))
-                true)
-      in
+      let n, atoms = random_small_condition rng in
       let domain = (-20, 40) in
       let whole = Interval.start ~domain ~n_inputs:n atoms in
       let sliced = Interval.start ~domain ~n_inputs:n atoms in
@@ -552,20 +586,7 @@ let prop_pc_solve_agrees_with_interval =
   QCheck.Test.make ~name:"pc_solve race agrees with pure enumeration" ~count:80
     QCheck.small_nat (fun seed ->
       let rng = Rng.create (seed + 81) in
-      let n = 1 + Rng.int rng 2 in
-      let atoms =
-        List.init
-          (1 + Rng.int rng 3)
-          (fun _ ->
-            let slot = Rng.int rng n in
-            match Rng.int rng 3 with
-            | 0 -> atom_lt slot (Rng.int_in rng (-10) 40)
-            | 1 -> atom_mod_eq slot (2 + Rng.int rng 8) (Rng.int rng 5) (Rng.bool rng)
-            | _ ->
-              Path_cond.atom
-                (Ir.Binop (Ir.Ge, Ir.Input slot, Ir.Const (Rng.int_in rng (-20) 20)))
-                true)
-      in
+      let n, atoms = random_small_condition rng in
       let domain = (-20, 40) in
       let pure = Interval.solve ~domain ~n_inputs:n atoms in
       let raced = Pc_solve.solve ~domain ~n_inputs:n atoms in
@@ -622,6 +643,90 @@ let test_path_cond_digest () =
   checkb "order matters" false
     (Path_cond.digest a = Path_cond.digest (List.rev a))
 
+(* ---- Pinned solver outcomes --------------------------------------------- *)
+
+module Generator = Softborg_prog.Generator
+module Corpus = Softborg_prog.Corpus
+module Sym_exec = Softborg_symexec.Sym_exec
+module Consistency = Softborg_symexec.Consistency
+module Hive = Softborg_hive.Hive
+module Scenario = Softborg.Scenario
+
+let hive_symexec_config = (Hive.default_config Hive.Full).Hive.symexec_config
+
+(* A fixed corpus of (arity, condition) queries: every path condition
+   [Sym_exec.explore] emits at the hive's symexec config (models off)
+   for the corpus programs and the [analysis] benchmark population,
+   then the first 100 seeds of each random-condition property above. *)
+let pinned_corpus () =
+  let config = { hive_symexec_config with Sym_exec.solve_models = false } in
+  let _, population =
+    Scenario.buggy_population ~seed:42 ~n_programs:8
+      ~bugs:
+        [ Generator.Rare_assert; Generator.Unchecked_syscall; Generator.Div_by_zero;
+          Generator.Deadlock_pair ]
+      ()
+  in
+  let explored =
+    List.concat_map
+      (fun program ->
+        List.map
+          (fun (path : Sym_exec.path) ->
+            (Array.length path.Sym_exec.origins, path.Sym_exec.condition))
+          (Sym_exec.explore ~config program Consistency.Strict).Sym_exec.paths)
+      (List.map snd Corpus.all @ List.map fst population)
+  in
+  let drawn =
+    List.concat_map
+      (fun (offset, draw) -> List.init 100 (fun seed -> draw (Rng.create (seed + offset))))
+      [
+        (11, random_wide_condition);
+        (17, random_one_input_condition);
+        (71, random_small_condition);
+        (81, random_small_condition);
+      ]
+  in
+  explored @ drawn
+
+let pinned_outcomes_digest = "8dd736ff828b08ea7196b81f18031200"
+
+(* [Pc_solve.solve]'s whole outcome — verdict, steps and the model it
+   returns — at the hive's budget and domain, hashed over the pinned
+   corpus.  Verdict pins (test_symexec) miss a change that keeps
+   verdicts but moves step counts or picks another model; this one
+   does not.  The corpus must exercise every way a solve ends: a model
+   the probe found (it differs from pure enumeration's), Unsat, and
+   Timeout. *)
+let test_pc_solve_outcomes_pinned () =
+  let budget = hive_symexec_config.Sym_exec.solver_budget in
+  let domain = hive_symexec_config.Sym_exec.domain in
+  let buf = Buffer.create 65536 in
+  let probe_sats = ref 0 and unsats = ref 0 and timeouts = ref 0 in
+  List.iter
+    (fun (n_inputs, cond) ->
+      let outcome = Pc_solve.solve ~budget ~domain ~n_inputs cond in
+      Printf.bprintf buf "%d:%d:" n_inputs outcome.Interval.steps;
+      (match outcome.Interval.verdict with
+      | Interval.Sat model ->
+        let enumerated = Interval.solve ~budget ~domain ~n_inputs cond in
+        if enumerated.Interval.verdict <> Interval.Sat model then incr probe_sats;
+        Printf.bprintf buf "sat[%s]"
+          (String.concat "," (Array.to_list (Array.map string_of_int model)))
+      | Interval.Unsat ->
+        incr unsats;
+        Buffer.add_string buf "unsat"
+      | Interval.Timeout ->
+        incr timeouts;
+        Buffer.add_string buf "timeout");
+      Buffer.add_char buf '\n')
+    (pinned_corpus ());
+  checkb (Printf.sprintf "probe-found models (%d)" !probe_sats) true (!probe_sats > 0);
+  checkb (Printf.sprintf "unsat results (%d)" !unsats) true (!unsats > 0);
+  checkb (Printf.sprintf "timeouts (%d)" !timeouts) true (!timeouts > 0);
+  Alcotest.(check string)
+    "outcome digest" pinned_outcomes_digest
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "softborg_solver"
@@ -654,6 +759,7 @@ let () =
           Alcotest.test_case "eval" `Quick test_path_cond_eval;
           Alcotest.test_case "metadata" `Quick test_path_cond_metadata;
           Alcotest.test_case "div0 traps" `Quick test_path_cond_div_zero_traps;
+          Alcotest.test_case "undefined fails" `Quick test_path_cond_undefined_fails;
         ] );
       ( "interval",
         [
@@ -695,6 +801,7 @@ let () =
           Alcotest.test_case "check/solve keys separate" `Quick
             test_verdict_cache_check_kind_separate;
           Alcotest.test_case "path-cond digest" `Quick test_path_cond_digest;
+          Alcotest.test_case "outcomes pinned" `Quick test_pc_solve_outcomes_pinned;
           q prop_pc_solve_agrees_with_interval;
         ] );
     ]

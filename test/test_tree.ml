@@ -261,15 +261,23 @@ let aggregates_match_oracles t =
 (* Randomized interleavings of add_path, mark_infeasible and
    checkpoint round-trips, checking every incremental aggregate — the
    ordered gap index included, via frontier/frontier_top/frontier_seq
-   — against its full-walk oracle after every single operation.  Marks
-   target real frontier gaps most of the time but sometimes a bogus
-   (unobserved or already-explored) site or direction, to exercise the
-   no-op accounting paths; the round-trip step continues on the
-   restored tree, so post-restore index rebuilds feed later ops. *)
+   — against its full-walk oracle.  Marks target real frontier gaps
+   most of the time but sometimes a bogus (unobserved or
+   already-explored) site or direction, to exercise the no-op
+   accounting paths; the round-trip step continues on the restored
+   tree, so post-restore index rebuilds feed later ops.
+
+   Dense histories check after every single operation.  Sparse ones
+   check only at random points and at the end, and pick marked gaps
+   from [frontier_recompute], which never touches the index, so a node
+   can be hit many times between two index reads — the production
+   pattern, where a tick reads the frontier after about 1,400 merged
+   paths.  A re-key that assumed one hit per read would pass dense
+   histories and fail sparse ones. *)
 let prop_incremental_matches_oracles =
   QCheck.Test.make ~name:"incremental aggregates equal recompute oracles" ~count:1000
-    QCheck.(pair small_nat (int_range 1 30))
-    (fun (seed, n_ops) ->
+    QCheck.(triple small_nat (int_range 1 30) bool)
+    (fun (seed, n_ops, sparse) ->
       let rng = Rng.create ((seed * 131) + n_ops) in
       let t = ref (Exec_tree.create ()) in
       let ok = ref true in
@@ -283,7 +291,10 @@ let prop_incremental_matches_oracles =
            ignore (Exec_tree.add_path !t path outcome)
          end
          else if Rng.bernoulli rng 0.8 then begin
-           match Exec_tree.frontier !t with
+           let frontier =
+             if sparse then Exec_tree.frontier_recompute !t else Exec_tree.frontier !t
+           in
+           match frontier with
            | [] -> ()
            | gaps ->
              let gap = List.nth gaps (Rng.int rng (List.length gaps)) in
@@ -303,9 +314,9 @@ let prop_incremental_matches_oracles =
            Exec_tree.write w !t;
            t := Exec_tree.read (Codec.Reader.of_string (Codec.Writer.contents w))
          end);
-        ok := !ok && aggregates_match_oracles !t
+        if (not sparse) || Rng.bernoulli rng 0.1 then ok := !ok && aggregates_match_oracles !t
       done;
-      !ok)
+      !ok && aggregates_match_oracles !t)
 
 let test_version_change_detection () =
   let t = Exec_tree.create () in
