@@ -46,7 +46,6 @@ module Allocate = Softborg_hive.Allocate
 module Guidance = Softborg_hive.Guidance
 module Gap_memo = Softborg_hive.Gap_memo
 module Protocol = Softborg_hive.Protocol
-module Shard_map = Softborg_hive.Shard_map
 module Federation = Softborg_hive.Federation
 module Sim = Softborg_net.Sim
 module Transport = Softborg_net.Transport
@@ -2030,22 +2029,16 @@ let repair_suite ?(smoke = false) () =
   end
 
 (* ==================================================================== *)
-(* fed — N-shard hive federation: deterministic-merge asserts, BSP     *)
-(* superstep scaling, and time-to-first-fix.  The smoke variant runs   *)
-(* the equality asserts only (for @fed-smoke / `dune runtest`); the    *)
-(* full run also measures shard scaling and writes BENCH_fed.json.     *)
-(*                                                                     *)
-(* Scaling is reported in the BSP model: each shard's gap-closing job  *)
-(* is timed individually, so the superstep critical path (the slowest  *)
-(* shard) plus the sequential merge gives the federated tick time on   *)
-(* any machine — including single-core CI hosts, where a pooled        *)
-(* wall-clock measurement could only show time-sharing parity.        *)
+(* fed — N-shard hive federation: deterministic-merge asserts and      *)
+(* time-to-first-fix.  The smoke variant runs the equality asserts     *)
+(* only (for @fed-smoke / `dune runtest`); the full run also measures  *)
+(* time-to-first-fix against a single hive and writes BENCH_fed.json.  *)
 (* ==================================================================== *)
 
 let fed_suite ?(smoke = false) () =
   heading
     (if smoke then "fed-smoke: N-shard merge equality asserts"
-     else "fed: N-shard federation scaling (writes BENCH_fed.json)");
+     else "fed: N-shard federation time-to-first-fix (writes BENCH_fed.json)");
   let fed_programs =
     (* A population with varied early branching, so path prefixes spread
        across shard ranges instead of piling onto one shard. *)
@@ -2106,9 +2099,7 @@ let fed_suite ?(smoke = false) () =
     List.iter (fun (_, payload) -> Transport.send pod payload) eq_uploads;
     Sim.run sim;
     settle sim fed;
-    let bytes = Hive.checkpoint (Federation.merged fed) in
-    Federation.shutdown fed;
-    bytes
+    Hive.checkpoint (Federation.merged fed)
   in
   List.iter
     (fun n_shards ->
@@ -2119,131 +2110,6 @@ let fed_suite ?(smoke = false) () =
   assert (merged_bytes 4 = merged_bytes 4);
   Printf.printf "determinism: repeated 4-shard runs byte-identical\n";
   if not smoke then begin
-    (* ---- Superstep scaling, shards in {1,2,4,8} ----------------------- *)
-    let rounds = 4 in
-    let per_round = 10 in
-    let slices =
-      Array.init rounds (fun round ->
-          List.concat_map
-            (fun p ->
-              List.init per_round (fun i ->
-                  let inputs =
-                    Array.init p.Ir.n_inputs (fun k ->
-                        (((round * 997) + (i * 53) + (k * 19)) mod 211) - 40)
-                  in
-                  let env = Env.make ~seed:((round * per_round) + i) ~inputs () in
-                  upload_of p (Interp.run ~program:p ~env ~sched:Sched.Round_robin ())))
-            fed_programs)
-    in
-    let gap_limit = 4096 in
-    (* Shard compute runs under a bounded per-superstep solver budget:
-       an unbounded budget lets a handful of deep explorations cost
-       seconds each, and no partition can balance work concentrated in
-       one verdict.  Bounded verdicts are near-uniform in cost, which
-       is what lets hash ownership spread them evenly. *)
-    let shard_symexec =
-      { Sym_exec.default_config with max_paths = 24; solver_budget = 8_000 }
-    in
-    let scaling_row n_shards =
-      let sim = Sim.create () in
-      let config =
-        {
-          (Federation.default_config ~n_shards ()) with
-          Federation.synthesize = false;
-          gap_limit;
-          shard_hive =
-            {
-              (Federation.default_config ~n_shards ()).Federation.shard_hive with
-              Hive.symexec_config = shard_symexec;
-            };
-        }
-      in
-      let fed = Federation.create ~config ~sim ~rng:(Rng.create 77) () in
-      List.iter (fun p -> ignore (Federation.register_program fed p)) fed_programs;
-      let map = Federation.map fed in
-      let serial = ref 0.0 and critical = ref 0.0 and merge_s = ref 0.0 in
-      Array.iter
-        (fun slice ->
-          List.iter
-            (fun (trace, payload) ->
-              let owner = Shard_map.owner_of_bits map trace.Trace.bits in
-              Hive.ingest_payload (Federation.shard_hive fed owner) payload)
-            slice;
-          (* The compute phase, one shard at a time so the critical path
-             (the slowest shard) is measurable on any core count. *)
-          let times =
-            List.init n_shards (fun i ->
-                let t0 = Unix.gettimeofday () in
-                List.iter
-                  (fun k ->
-                    let owned (gap : Exec_tree.gap) =
-                      Shard_map.owner_of_verdict map ~program:(Knowledge.digest k)
-                        ~thread:gap.Exec_tree.site.Ir.thread
-                        ~pc:gap.Exec_tree.site.Ir.pc ~direction:gap.Exec_tree.missing
-                      = i
-                    in
-                    ignore
-                      (Prover.close_gaps ~config:shard_symexec
-                         ~cache:(Knowledge.verdict_cache k)
-                         ~memo:(Knowledge.gap_memo k) ~owned ~limit:gap_limit
-                         (Knowledge.program k) (Knowledge.tree k)))
-                  (Hive.knowledge_list (Federation.shard_hive fed i));
-                Unix.gettimeofday () -. t0)
-          in
-          serial := !serial +. List.fold_left ( +. ) 0.0 times;
-          critical := !critical +. List.fold_left Float.max 0.0 times;
-          (* The sequential merge: flush the deltas, deliver, commit in
-             (shard, seq) order into the coordinator. *)
-          let t0 = Unix.gettimeofday () in
-          Federation.flush fed;
-          Sim.run sim;
-          ignore (Federation.commit fed);
-          merge_s := !merge_s +. (Unix.gettimeofday () -. t0))
-        slices;
-      let stats = Federation.stats fed in
-      let shard_traces =
-        List.map
-          (fun s -> s.Federation.hive_stats.Hive.traces_received)
-          stats.Federation.per_shard
-      in
-      let merged_traces =
-        List.fold_left
-          (fun acc k -> acc + Knowledge.traces_ingested k)
-          0
-          (Hive.knowledge_list (Federation.merged fed))
-      in
-      assert (merged_traces = rounds * per_round * List.length fed_programs);
-      Federation.shutdown fed;
-      let tick_seconds = (!critical +. !merge_s) /. float_of_int rounds in
-      (n_shards, !serial, !critical, !merge_s, tick_seconds, shard_traces)
-    in
-    let rows = List.map scaling_row [ 1; 2; 4; 8 ] in
-    let base_tick =
-      match rows with (_, _, _, _, tick, _) :: _ -> tick | [] -> assert false
-    in
-    Tabular.print ~title:"federated superstep scaling (BSP model)"
-      [ rcol "shards"; rcol "compute-total-ms"; rcol "critical-path-ms"; rcol "merge-ms";
-        rcol "ticks/s"; rcol "speedup"; col "traces/shard" ]
-      (List.map
-         (fun (n, serial, critical, merge_s, tick, shard_traces) ->
-           [
-             string_of_int n;
-             fmt_f ~decimals:1 (1000.0 *. serial);
-             fmt_f ~decimals:1 (1000.0 *. critical);
-             fmt_f ~decimals:1 (1000.0 *. merge_s);
-             fmt_f ~decimals:1 (1.0 /. tick);
-             fmt_f ~decimals:2 (base_tick /. tick);
-             String.concat "/" (List.map string_of_int shard_traces);
-           ])
-         rows);
-    let speedup_at n =
-      match List.find_opt (fun (m, _, _, _, _, _) -> m = n) rows with
-      | Some (_, _, _, _, tick, _) -> base_tick /. tick
-      | None -> 0.0
-    in
-    if speedup_at 4 < 2.0 then
-      Printf.printf "WARNING: 4-shard tick speedup %.2fx is below the 2x target\n"
-        (speedup_at 4);
     (* ---- Time-to-first-fix ------------------------------------------- *)
     (* Identical upload schedule against a standalone hive and against
        federations: simulated seconds until a fix epoch moves.  The
@@ -2286,9 +2152,7 @@ let fed_suite ?(smoke = false) () =
       Hive.attach_pod hive hive_end;
       schedule_uploads sim pod;
       Hive.start hive;
-      let t = run_until_fix sim (fun () -> Knowledge.epoch k > 0) in
-      Hive.shutdown hive;
-      t
+      run_until_fix sim (fun () -> Knowledge.epoch k > 0)
     in
     let ttff_fed n_shards =
       let sim = Sim.create () in
@@ -2304,11 +2168,10 @@ let fed_suite ?(smoke = false) () =
       Federation.attach_pod fed router;
       schedule_uploads sim pod;
       Federation.start fed;
-      let t = run_until_fix sim (fun () -> Knowledge.epoch k > 0) in
-      Federation.shutdown fed;
-      t
+      run_until_fix sim (fun () -> Knowledge.epoch k > 0)
     in
     let fmt_ttff = function Some t -> Printf.sprintf "%.1f" t | None -> "none" in
+    let fmt_ttff_json = function Some t -> Printf.sprintf "%.2f" t | None -> "null" in
     let single_ttff = ttff_single () in
     let fed_ttffs = List.map (fun n -> (n, ttff_fed n)) [ 1; 2; 4; 8 ] in
     Printf.printf "time-to-first-fix: single hive %ss" (fmt_ttff single_ttff);
@@ -2326,27 +2189,16 @@ let fed_suite ?(smoke = false) () =
     Printf.fprintf oc "{\n  \"suite\": \"fed\",\n";
     Printf.fprintf oc "  \"cores\": %d,\n" (Domain.recommended_domain_count ());
     Printf.fprintf oc "  \"programs\": %d,\n" (List.length fed_programs);
-    Printf.fprintf oc "  \"supersteps\": %d,\n" rounds;
-    Printf.fprintf oc "  \"single_hive_ttff_seconds\": %s,\n"
-      (match single_ttff with Some t -> Printf.sprintf "%.2f" t | None -> "null");
+    Printf.fprintf oc "  \"single_hive_ttff_seconds\": %s,\n" (fmt_ttff_json single_ttff);
     Printf.fprintf oc "  \"ttff_no_worse_than_single\": %b,\n" ttff_ok;
     Printf.fprintf oc "  \"results\": [\n";
-    let last = List.length rows - 1 in
+    let last = List.length fed_ttffs - 1 in
     List.iteri
-      (fun i (n, serial, critical, merge_s, tick, _) ->
-        let ttff =
-          match List.assoc_opt n fed_ttffs with
-          | Some (Some t) -> Printf.sprintf "%.2f" t
-          | _ -> "null"
-        in
-        Printf.fprintf oc
-          "    { \"shards\": %d, \"compute_total_ms\": %.2f, \"critical_path_ms\": %.2f, \
-           \"merge_ms\": %.2f, \"ticks_per_sec\": %.2f, \"tick_speedup\": %.2f, \
-           \"ttff_seconds\": %s }%s\n"
-          n (1000.0 *. serial) (1000.0 *. critical) (1000.0 *. merge_s) (1.0 /. tick)
-          (base_tick /. tick) ttff
+      (fun i (n, ttff) ->
+        Printf.fprintf oc "    { \"shards\": %d, \"ttff_seconds\": %s }%s\n" n
+          (fmt_ttff_json ttff)
           (if i = last then "" else ","))
-      rows;
+      fed_ttffs;
     Printf.fprintf oc "  ]\n}\n";
     close_out oc;
     Printf.printf "wrote BENCH_fed.json\n"
@@ -2448,9 +2300,7 @@ let fleet_suite ?(smoke = false) () =
     let _, h = make_hive ?pool_size () in
     List.iter (Hive.inject h ~slot:0) frames;
     let bytes = knowledge_bytes h in
-    let ingested = (Hive.stats h).Hive.traces_received in
-    Hive.shutdown h;
-    (bytes, ingested)
+    (bytes, (Hive.stats h).Hive.traces_received)
   in
   let baseline, base_n = ingest_frames (List.map single_frame id_traces) in
   assert (base_n = List.length id_traces);
@@ -2579,9 +2429,7 @@ let fleet_suite ?(smoke = false) () =
         else if Sim.now sim > horizon || not (Sim.step sim) then None
         else go ()
       in
-      let t = go () in
-      Hive.shutdown hive;
-      t
+      go ()
     in
     let ttff_single = ttff (List.mapi (fun i t -> (upload_time i, single_frame t)) ttff_traces) in
     let ttff_batched =

@@ -116,7 +116,6 @@ let create_side config ~sim ~rng =
 
 let attach_pod = function Single h -> Hive.attach_pod h | Federated f -> Federation.attach_pod f
 let start_side = function Single h -> Hive.start h | Federated f -> Federation.start f
-let shutdown_side = function Single h -> Hive.shutdown h | Federated f -> Federation.shutdown f
 let ingesting = function Single h -> h | Federated f -> Federation.merged f
 
 let serving = function
@@ -330,8 +329,6 @@ let run config =
   in
   sample config.sample_interval;
   Sim.run ~until:config.duration sim;
-  (* Join the gap-solver worker domains (no-op with pool_size 1). *)
-  shutdown_side fleet.side;
   let snapshots = List.rev !snapshots in
   let final = List.nth snapshots (List.length snapshots - 1) in
   let hive = ingesting fleet.side in

@@ -94,7 +94,6 @@ type t = {
   (* (shard, digest) -> knowledge state at the last compute phase, so
      unchanged shards skip re-running symbolic gap closing. *)
   compute_state : (int * string, int * int) Hashtbl.t;
-  pool : Pool.t option;
   mutable supersteps : int;
   mutable deltas_sent : int;
   mutable deltas_committed : int;
@@ -150,7 +149,6 @@ let create ~config ~sim ~rng () =
       attachments = [];
       published_epoch = Hashtbl.create 4;
       compute_state = Hashtbl.create 8;
-      pool = (if config.pool_size > 1 then Some (Pool.create ~size:config.pool_size) else None);
       supersteps = 0;
       deltas_sent = 0;
       deltas_committed = 0;
@@ -164,7 +162,6 @@ let create ~config ~sim ~rng () =
 let n_shards t = Array.length t.shards
 let merged t = t.merged
 let shard_hive t i = t.shards.(i).s_hive
-let map t = t.map
 
 let register_program t program =
   Array.iter (fun s -> ignore (Hive.register_program s.s_hive program)) t.shards;
@@ -225,7 +222,7 @@ let attach_pod t pod_link =
 
 (* Compute phase: close symbolic gaps on every shard knowledge that
    changed since last time.  Jobs touch disjoint per-shard state and
-   never the simulator, so they parallelize across the worker pool;
+   never the simulator, so they spread over [pool_size] domains;
    verdicts land in each knowledge's gap memo, which the shard's own
    guidance tick then reads for free. *)
 let compute_phase t =
@@ -258,10 +255,8 @@ let compute_phase t =
          ~limit:t.config.gap_limit (Knowledge.program k) (Knowledge.tree k));
     (key, (Exec_tree.version (Knowledge.tree k), Knowledge.epoch k))
   in
-  let results =
-    match t.pool with Some pool -> Pool.map pool close jobs | None -> List.map close jobs
-  in
-  List.iter (fun (key, state) -> Hashtbl.replace t.compute_state key state) results
+  Pool.map ~domains:t.config.pool_size close jobs
+  |> List.iter (fun (key, state) -> Hashtbl.replace t.compute_state key state)
 
 let flush t =
   Array.iter
@@ -347,10 +342,7 @@ let start t =
   Array.iter (fun s -> Hive.start s.s_hive) t.shards;
   arm t
 
-let shutdown t =
-  Array.iter (fun s -> Hive.shutdown s.s_hive) t.shards;
-  Hive.shutdown t.merged;
-  Option.iter Pool.shutdown t.pool
+let shutdown (_ : t) = ()
 
 (* ---- Observability ------------------------------------------------------ *)
 

@@ -24,9 +24,11 @@
     knowledge (a shard's partial subtree could prove an unsound
     whole-program property); deployed fixes are adopted by every shard
     and broadcast to the pods.  Shard compute (symbolic gap closing
-    over each shard's fraction of the frontier) parallelizes across a
-    worker pool, which is where the federation's throughput scaling
-    comes from. *)
+    over each shard's fraction of the frontier) runs as one
+    {!Softborg_util.Pool.map} over [pool_size] domains per superstep.
+    The paper's parallelism is across hive nodes, which the shards
+    model; no measurement yet shows the compute phase scaling with
+    domains on real cores. *)
 
 module Rng := Softborg_util.Rng
 module Sim := Softborg_net.Sim
@@ -47,8 +49,8 @@ type config = {
   merged_hive : Hive.config;
   transport : Transport.config;  (** Applied to every federation link. *)
   pool_size : int;
-      (** Worker domains for the cross-shard compute phase (default 1:
-          inline, no domains). *)
+      (** Domains for the cross-shard compute phase (default 1: inline,
+          none spawned).  Helpers live only for one phase's map. *)
   gap_limit : int;
       (** Frontier gaps each shard may close per compute phase (default
           96), counted after the {!Shard_map.owner_of_verdict} filter —
@@ -83,7 +85,6 @@ val create : config:config -> sim:Sim.t -> rng:Rng.t -> unit -> t
 val n_shards : t -> int
 val merged : t -> Hive.t
 val shard_hive : t -> int -> Hive.t
-val map : t -> Shard_map.t
 
 val register_program : t -> Ir.t -> Knowledge.t
 (** Register on every shard and the coordinator; returns the merged
@@ -112,8 +113,9 @@ val commit : t -> int
     order; returns the number of payloads merged. *)
 
 val shutdown : t -> unit
-(** Shut down every shard, the coordinator, and the compute pool.
-    Idempotent. *)
+(** Does nothing: neither the shards, the coordinator nor the compute
+    phase owns a domain between calls.  Kept so that callers written
+    against a federation that held worker domains still build. *)
 
 val stats : t -> stats
 

@@ -31,6 +31,13 @@ let pp_directive fmt = function
       (String.concat ";" (Array.to_list (Array.map string_of_int inputs)))
       (List.length seeds)
 
+(* Speculation's batch size on more than one domain.  The fold reads
+   the hottest candidates first and often stops early, so a verdict far
+   down the list is mostly derived for nothing; on [analysis], a batch
+   of 3 ran no slower than one sized from [Allocate]'s portfolio shares
+   (DESIGN.md §15). *)
+let speculation_limit = 3
+
 type plan_result = {
   directives : directive list;
   gaps_considered : int;
@@ -39,7 +46,7 @@ type plan_result = {
 }
 
 let plan ?config ?cache ?(max_directives = 8) ?(schedule_probe_seeds = [ 101; 202; 303; 404 ])
-    ?exclude ?memo ?pool ?speculate program tree =
+    ?exclude ?memo ?(domains = 1) program tree =
   let multi_threaded = Array.length program.Ir.threads > 1 in
   let excluded site direction =
     match exclude with None -> false | Some set -> Hashtbl.mem set (site, direction)
@@ -60,7 +67,7 @@ let plan ?config ?cache ?(max_directives = 8) ?(schedule_probe_seeds = [ 101; 20
       |> List.of_seq
   in
   (* The verdict cache is mutex-guarded, so sharing it with the
-     speculative pool workers below is safe; cached answers equal
+     speculative helper domains below is safe; cached answers equal
      recomputed ones, so hits change no output. *)
   let solve site direction = Testgen.for_direction ?config ?cache program ~site ~direction in
   let memoized site direction =
@@ -74,17 +81,16 @@ let plan ?config ?cache ?(max_directives = 8) ?(schedule_probe_seeds = [ 101; 20
         Gap_memo.add memo ~site ~direction verdict;
         verdict)
   in
-  (* Speculative parallel solving: with a real pool, the distinct
-     un-memoized (site, direction) queries among the candidates are
-     solved on worker domains up front.  [Testgen.for_direction] is a
-     pure function of (program, site, direction, config), so the only
-     observable difference is wall-clock time: the decision fold below
-     replays the exact sequential logic over the precomputed verdicts,
-     making the output identical for every pool size. *)
+  (* Speculative parallel solving: on more than one domain, the first
+     [speculation_limit] distinct un-memoized (site, direction) queries
+     among the candidates are solved up front by one [Pool.map].
+     [Testgen.for_direction] is a pure function of (program, site,
+     direction, config), so the only observable difference is
+     wall-clock time: the decision fold below replays the exact
+     sequential logic over the precomputed verdicts, making the output
+     identical for every domain count. *)
   let precomputed : (Ir.site * bool, Gap_memo.verdict) Hashtbl.t = Hashtbl.create 8 in
-  (match pool with
-  | Some pool when Pool.size pool > 1 && candidates <> [] ->
-    let budget = Option.value ~default:(List.length candidates) speculate in
+  if domains > 1 && candidates <> [] then begin
     let seen = Hashtbl.create 8 in
     let jobs =
       List.filter_map
@@ -100,9 +106,9 @@ let plan ?config ?cache ?(max_directives = 8) ?(schedule_probe_seeds = [ 101; 20
             Some (site, direction)
           end)
         candidates
-      |> List.filteri (fun i _ -> i < budget)
+      |> List.filteri (fun i _ -> i < speculation_limit)
     in
-    let verdicts = Pool.map pool (fun (site, direction) -> solve site direction) jobs in
+    let verdicts = Pool.map ~domains (fun (site, direction) -> solve site direction) jobs in
     List.iter2
       (fun (site, direction) verdict ->
         Hashtbl.replace precomputed (site, direction) verdict;
@@ -110,7 +116,7 @@ let plan ?config ?cache ?(max_directives = 8) ?(schedule_probe_seeds = [ 101; 20
         | Some memo -> Gap_memo.add memo ~site ~direction verdict
         | None -> ())
       jobs verdicts
-  | Some _ | None -> ());
+  end;
   let directives = ref [] in
   let n_directives = ref 0 in
   let considered = ref 0 in

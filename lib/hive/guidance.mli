@@ -12,7 +12,6 @@
 
 module Ir := Softborg_prog.Ir
 module Codec := Softborg_util.Codec
-module Pool := Softborg_util.Pool
 module Exec_tree := Softborg_tree.Exec_tree
 module Sym_exec := Softborg_symexec.Sym_exec
 module Testgen := Softborg_symexec.Testgen
@@ -44,8 +43,7 @@ val plan :
   ?schedule_probe_seeds:int list ->
   ?exclude:(Ir.site * bool, unit) Hashtbl.t ->
   ?memo:Gap_memo.t ->
-  ?pool:Pool.t ->
-  ?speculate:int ->
+  ?domains:int ->
   Ir.t ->
   Exec_tree.t ->
   plan_result
@@ -57,11 +55,11 @@ val plan :
     skipped in O(1) each.  [memo] caches symbolic verdicts across
     calls (see {!Gap_memo}); [cache] additionally memoizes the
     underlying path-condition solver queries (shared across provers
-    and safe to hand to pool workers).  With a [pool] of size > 1, the distinct
-    un-memoized queries among the candidates — at most [speculate] of
-    them, default all — are solved speculatively on worker domains;
+    and safe to share between domains).  With [domains > 1] (default
+    1), the first three distinct un-memoized queries among the
+    candidates are solved speculatively by one {!Softborg_util.Pool.map};
     the decision fold then replays sequentially over the precomputed
-    verdicts, so the result is identical for every pool size.
+    verdicts, so the result is identical for every [domains].
     Multi-threaded programs whose gaps come back [Unknown] yield one
     [Probe_schedules] directive. *)
 

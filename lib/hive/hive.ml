@@ -9,7 +9,6 @@ module Exec_tree = Softborg_tree.Exec_tree
 module Sim = Softborg_net.Sim
 module Transport = Softborg_net.Transport
 module Sym_exec = Softborg_symexec.Sym_exec
-module Pool = Softborg_util.Pool
 
 let src = Logs.Src.create "softborg.hive" ~doc:"SoftBorg hive"
 
@@ -177,17 +176,6 @@ type t = {
      set so the planner's exclusion check is O(1) per gap. *)
   issued_guidance : (string, (Ir.site * bool, unit) Hashtbl.t) Hashtbl.t;
   proof_state : (string, int * int) Hashtbl.t;  (* tree version, epoch *)
-  (* Worker pool for parallel symbolic gap solving; [None] when
-     [config.pool_size <= 1] (the default — no domains spawned). *)
-  pool : Pool.t option;
-  (* Portfolio allocation of pool workers across programs (paper §4):
-     per-program reward tasks fed with new-distinct-paths-per-tick,
-     and the latest node shares.  Purely a performance dial — it sizes
-     each program's speculative solve batch, never its output. *)
-  alloc_tasks : (string, Allocate.task) Hashtbl.t;
-  mutable next_alloc_task : int;
-  last_alloc_paths : (string, int) Hashtbl.t;
-  mutable allocation : (string * int) list;
   mutable traces_received : int;
   mutable messages_received : int;
   mutable analysis_ticks : int;
@@ -202,7 +190,6 @@ type t = {
      part of the checkpointed state itself. *)
   mutable checkpoints_taken : int;
   mutable restores_completed : int;
-  mutable shut_down : bool;
   (* Federation hook: observes the canonical re-encoding of every
      upload this hive actually ingests (post admission-control), so a
      shard's superstep delta is exactly its admitted work. *)
@@ -244,11 +231,6 @@ let create ?config ~sim () =
     pending_human_fixes = Hashtbl.create 16;
     issued_guidance = Hashtbl.create 8;
     proof_state = Hashtbl.create 8;
-    pool = (if config.pool_size > 1 then Some (Pool.create ~size:config.pool_size) else None);
-    alloc_tasks = Hashtbl.create 4;
-    next_alloc_task = 0;
-    last_alloc_paths = Hashtbl.create 4;
-    allocation = [];
     traces_received = 0;
     messages_received = 0;
     analysis_ticks = 0;
@@ -261,7 +243,6 @@ let create ?config ~sim () =
     human_fixes_scheduled = 0;
     checkpoints_taken = 0;
     restores_completed = 0;
-    shut_down = false;
     ingest_tap = None;
   }
 
@@ -762,77 +743,14 @@ let issued_for t k =
     Hashtbl.replace t.issued_guidance digest issued;
     issued
 
-(* Recompute the portfolio allocation of pool workers over programs
-   (paper §4): each program is a task whose reward stream is the new
-   distinct paths its tree gained since the last refresh.  Task ids
-   are handed out in sorted-digest order on first sight, so the
-   mapping is deterministic. *)
-let refresh_allocation t =
-  match t.pool with
-  | None -> ()
-  | Some pool ->
-    let digests =
-      Hashtbl.fold (fun digest _ acc -> digest :: acc) t.programs []
-      |> List.sort String.compare
-    in
-    let tasks =
-      List.map
-        (fun digest ->
-          let task =
-            match Hashtbl.find_opt t.alloc_tasks digest with
-            | Some task -> task
-            | None ->
-              t.next_alloc_task <- t.next_alloc_task + 1;
-              let task = Allocate.task t.next_alloc_task in
-              Hashtbl.replace t.alloc_tasks digest task;
-              task
-          in
-          (match Hashtbl.find_opt t.programs digest with
-          | None -> ()
-          | Some k ->
-            let paths = Exec_tree.n_distinct_paths (Knowledge.tree k) in
-            let prev = Option.value ~default:0 (Hashtbl.find_opt t.last_alloc_paths digest) in
-            Hashtbl.replace t.last_alloc_paths digest paths;
-            Allocate.observe_reward task (float_of_int (paths - prev)));
-          (digest, task))
-        digests
-    in
-    if tasks <> [] then begin
-      let shares =
-        Allocate.allocate
-          (Allocate.Mean_variance { risk_aversion = 0.5 })
-          ~nodes:(Pool.size pool) (List.map snd tasks)
-      in
-      t.allocation <-
-        List.map
-          (fun (digest, task) ->
-            let share =
-              Option.value ~default:0 (List.assoc_opt task.Allocate.task_id shares)
-            in
-            (digest, share))
-          tasks
-    end
-
-(* Speculative solve budget for one program: roughly [3 ×] its worker
-   share — each worker is worth a few queued queries — and at least
-   one, so no program's planning starves. *)
-let speculate_for t k =
-  match t.pool with
-  | None -> None
-  | Some _ ->
-    let share =
-      Option.value ~default:1 (List.assoc_opt (Knowledge.digest k) t.allocation)
-    in
-    Some (3 * max 1 share)
-
 let guidance_tick t k =
   if t.endpoints <> [] then begin
     let issued = issued_for t k in
     let result =
       Guidance.plan ~config:t.config.symexec_config ~cache:(Knowledge.verdict_cache k)
         ~max_directives:t.config.guidance_max
-        ~exclude:issued ~memo:(Knowledge.gap_memo k) ?pool:t.pool
-        ?speculate:(speculate_for t k) (Knowledge.program k) (Knowledge.tree k)
+        ~exclude:issued ~memo:(Knowledge.gap_memo k) ~domains:t.config.pool_size
+        (Knowledge.program k) (Knowledge.tree k)
     in
     (* Remember what was handed out (and what came back Unknown) so the
        next tick does not redo the symbolic work. *)
@@ -875,7 +793,6 @@ let tick t =
      lost with their pod, and a stale exclusion must not shadow a gap
      forever. *)
   if t.analysis_ticks mod 10 = 0 then Hashtbl.reset t.issued_guidance;
-  if t.config.mode = Full then refresh_allocation t;
   Hashtbl.iter
     (fun digest k ->
       match t.config.mode with
@@ -932,14 +849,7 @@ let rec arm t =
 
 let start t = arm t
 
-(* Idempotent: the federation supervisor calls this once per shard on
-   teardown and again during chaos kill/restore cycles, so a second
-   call must not attempt a second [Domain.join] on the pool workers. *)
-let shutdown t =
-  if not t.shut_down then begin
-    t.shut_down <- true;
-    Option.iter Pool.shutdown t.pool
-  end
+let shutdown (_ : t) = ()
 
 let stats t =
   {

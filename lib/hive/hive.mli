@@ -73,11 +73,15 @@ type config = {
           planning, gap closing, proof attempts and input-guard
           synthesis. *)
   pool_size : int;
-      (** Worker domains for parallel symbolic gap solving (default 1 =
-          no domains, fully sequential).  Results are merged in
-          deterministic gap order, so any pool size produces the same
-          analysis output — only wall-clock time changes.  [Allocate]'s
-          portfolio weights split these workers across programs. *)
+      (** Domains for speculative guidance solving (default 1 = none
+          spawned, fully sequential): with [pool_size > 1], each
+          guidance plan solves its first few un-memoized gaps in one
+          {!Softborg_util.Pool.map} over at most this many domains,
+          joined before the plan returns.  The plan replays its
+          decisions in deterministic gap order, so any pool size
+          produces the same analysis output — only wall-clock time
+          changes.  A federated platform gives this number to the
+          federation's compute phase instead. *)
   overload : overload_config option;
       (** Every upload goes through one admission path: resource-capped
           decode, poison-trace quarantine and mutes, then a bounded
@@ -213,10 +217,10 @@ val tick : t -> unit
 (** Run one analysis tick immediately (also called by the schedule). *)
 
 val shutdown : t -> unit
-(** Join the worker pool's domains, if any.  Idempotent; a hive with
-    the default [pool_size = 1] shuts down as a no-op.  The hive's
-    knowledge stays readable afterwards — only parallel solving
-    capacity is released. *)
+(** Does nothing: a hive owns no domain between calls, since every
+    parallel map joins its helpers before it returns.  Kept so that
+    callers written against a hive that held worker domains still
+    build. *)
 
 val stats : t -> stats
 

@@ -8,8 +8,8 @@
     tick in one bounded LRU keyed by the condition's canonical digest
     ({!Path_cond.digest}).
 
-    The cache is mutex-guarded and safe to share between pool worker
-    domains: because every cached value equals what recomputation
+    The cache is mutex-guarded and safe to share between the domains
+    of a {!Softborg_util.Pool.map}: because every cached value equals what recomputation
     would produce, hit/miss nondeterminism under concurrency is
     invisible in outputs.  Since a key pins down the whole query, an
     entry never goes stale: the hive keeps one cache per program for

@@ -343,7 +343,6 @@ let prop_shard_checkpoint_roundtrip =
       for i = 0 to n_shards - 1 do
         check_shard i
       done;
-      Federation.shutdown fed;
       true)
 
 (* ---- Gap verdicts in the hive checkpoint ------------------------------- *)
@@ -585,8 +584,7 @@ let test_shard_restore_rejects_trailing_bytes () =
   | Ok _ -> Alcotest.fail "trailing bytes must not restore");
   checks "shard untouched" ckpt (Federation.checkpoint_shard fed 0);
   checki "no restore counted" 0
-    (Hive.stats (Federation.shard_hive fed 0)).Hive.restores_completed;
-  Federation.shutdown fed
+    (Hive.stats (Federation.shard_hive fed 0)).Hive.restores_completed
 
 let test_decode_rejects_garbage () =
   (match Checkpoint.decode "" with

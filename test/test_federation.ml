@@ -150,7 +150,6 @@ let prop_merge_equals_single =
       List.iter (fun k -> ignore (Knowledge.analyze k)) (sorted_knowledge oracle_hive);
       if Hive.checkpoint merged <> Hive.checkpoint oracle_hive then
         QCheck.Test.fail_report "post-merge analysis diverged from single hive";
-      Federation.shutdown fed;
       true)
 
 (* Same property under a hostile delivery schedule: latency jitter
@@ -181,7 +180,6 @@ let prop_merge_equality_survives_link_faults =
       settle sim fed;
       let _, oracle = oracle_bytes uploads in
       let equal = Hive.checkpoint (Federation.merged fed) = oracle in
-      Federation.shutdown fed;
       equal)
 
 let test_commit_order_is_shard_then_seq () =
@@ -200,8 +198,7 @@ let test_commit_order_is_shard_then_seq () =
       0
       (Hive.knowledge_list (Federation.merged fed))
   in
-  checki "merged hive ingested the full multiset" (List.length uploads) merged_traces;
-  Federation.shutdown fed
+  checki "merged hive ingested the full multiset" (List.length uploads) merged_traces
 
 let test_fix_publication_reaches_shards_and_pods () =
   (* With synthesis on, the coordinator's deployed fixes must propagate:
@@ -238,8 +235,7 @@ let test_fix_publication_reaches_shards_and_pods () =
     in
     checkb "shard adopted the coordinator's fix set" true (shard_epochs = merged_epochs)
   done;
-  checkb "pods received fix updates" true (!pod_fix_updates > 0);
-  Federation.shutdown fed
+  checkb "pods received fix updates" true (!pod_fix_updates > 0)
 
 let test_coordinator_retraction_reaches_shards_and_survives_restore () =
   (* Retraction is decided only at the merge coordinator: shards and
@@ -351,8 +347,7 @@ let test_coordinator_retraction_reaches_shards_and_survives_restore () =
   let sk = Option.get (Hive.knowledge (Federation.shard_hive fed 0) ~digest) in
   Alcotest.(check (list int)) "restored shard caught up to the retraction" [ fix_id ]
     (Knowledge.retracted_ids sk);
-  checki "restored shard resurrects nothing" 0 (List.length (Knowledge.live_fixes sk));
-  Federation.shutdown fed
+  checki "restored shard resurrects nothing" 0 (List.length (Knowledge.live_fixes sk))
 
 (* ---- Shard checkpoint / restore ----------------------------------------- *)
 
@@ -391,8 +386,7 @@ let test_shard_checkpoint_roundtrip () =
   settle sim fed;
   let _, oracle = oracle_bytes uploads in
   checks "restored shards still merge to the oracle" oracle
-    (Hive.checkpoint (Federation.merged fed));
-  Federation.shutdown fed
+    (Hive.checkpoint (Federation.merged fed))
 
 let test_shard_crash_restore_invisible_vs_twin () =
   (* Two federations run the identical upload schedule; in one, shard 0
@@ -441,9 +435,7 @@ let test_shard_crash_restore_invisible_vs_twin () =
     checks "shard checkpoint equal to fault-free twin"
       (Federation.checkpoint_shard fed_a i)
       (Federation.checkpoint_shard fed_b i)
-  done;
-  Federation.shutdown fed_a;
-  Federation.shutdown fed_b
+  done
 
 let test_restore_never_rewinds_delta_seq () =
   (* Restore from a checkpoint older than the last flush: the shard's
@@ -467,8 +459,7 @@ let test_restore_never_rewinds_delta_seq () =
   settle sim fed;
   checki "post-restore deltas are not dropped as duplicates"
     (merged_before + List.length more)
-    (Federation.stats fed).Federation.payloads_merged;
-  Federation.shutdown fed
+    (Federation.stats fed).Federation.payloads_merged
 
 let test_restore_rejects_corruption_untouched () =
   let uploads = pick_uploads (Rng.create 43) 8 in
@@ -486,29 +477,7 @@ let test_restore_rejects_corruption_untouched () =
   | Ok _ -> Alcotest.fail "truncation must not restore");
   checkb "failed restores leave the shard untouched" true
     (knowledge_fingerprints (Federation.shard_hive fed 0) = before);
-  checks "checkpoint unchanged" good (Federation.checkpoint_shard fed 0);
-  Federation.shutdown fed
-
-(* ---- Shutdown idempotence ----------------------------------------------- *)
-
-let test_shutdown_idempotent () =
-  (* Double shutdown must not raise — including with worker pools, where
-     a second join of the same domains used to be the hazard. *)
-  let sim = Sim.create () in
-  let hive =
-    Hive.create ~config:{ (Hive.default_config Hive.Full) with Hive.pool_size = 2 } ~sim ()
-  in
-  Hive.shutdown hive;
-  Hive.shutdown hive;
-  let config =
-    let base = Federation.default_config ~n_shards:2 () in
-    { base with Federation.pool_size = 2 }
-  in
-  let fed = Federation.create ~config ~sim ~rng:(Rng.create 71) () in
-  ignore (Federation.register_program fed Corpus.parser);
-  Federation.shutdown fed;
-  Federation.shutdown fed;
-  checkb "double shutdown is a no-op" true true
+  checks "checkpoint unchanged" good (Federation.checkpoint_shard fed 0)
 
 (* ---- Shard map ----------------------------------------------------------- *)
 
@@ -616,7 +585,6 @@ let () =
           Alcotest.test_case "seq never rewinds" `Quick test_restore_never_rewinds_delta_seq;
           Alcotest.test_case "corruption rejected" `Quick test_restore_rejects_corruption_untouched;
         ] );
-      ( "shutdown", [ Alcotest.test_case "idempotent" `Quick test_shutdown_idempotent ] );
       ( "shard_map",
         [
           Alcotest.test_case "validation" `Quick test_shard_map_validation;

@@ -338,8 +338,7 @@ let test_knowledge_pool_agnostic () =
       inject_batches h ~size:6 traces;
       checks
         (Printf.sprintf "pool %d byte-identical" pool_size)
-        baseline (knowledge_bytes h);
-      Hive.shutdown h)
+        baseline (knowledge_bytes h))
     [ 2; 4 ]
 
 let test_announced_basis_batches () =

@@ -25,7 +25,6 @@ module Sim = Softborg_net.Sim
 module Transport = Softborg_net.Transport
 module Codec = Softborg_util.Codec
 module Rng = Softborg_util.Rng
-module Pool = Softborg_util.Pool
 module Gap_memo = Softborg_hive.Gap_memo
 module Verdict_cache = Softborg_solver.Verdict_cache
 
@@ -483,14 +482,9 @@ let test_guidance_pool_deterministic () =
   (* The speculative parallel solve must not change any observable:
      identical directives, counters, and post-plan tree for every pool
      size. *)
-  let plan_with size =
+  let plan_with domains =
     let tree = guidance_tree () in
-    let pool = Pool.create ~size in
-    let result =
-      Fun.protect
-        ~finally:(fun () -> Pool.shutdown pool)
-        (fun () -> Guidance.plan ~pool Corpus.parser tree)
-    in
+    let result = Guidance.plan ~domains Corpus.parser tree in
     (result, Exec_tree.frontier tree)
   in
   let r1, f1 = plan_with 1 in

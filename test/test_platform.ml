@@ -168,10 +168,11 @@ let test_platform_repeatable_in_process () =
   checkb "same knowledge bytes" true (String.equal knowledge_a knowledge_b)
 
 let test_platform_pool_size_invariant () =
-  (* The hive's speculative gap-solver pool must not leak into any
-     observable output: the full formatted report of a fault-free
-     simulation is byte-identical for every pool size, whether the
-     hive receives one frame per trace or 16-trace batches. *)
+  (* The pool size must not leak into any observable output: the full
+     formatted report of a fault-free simulation is byte-identical for
+     every pool size, whether the hive receives one frame per trace or
+     16-trace batches, and on four shards, where the pool size goes to
+     the federation's compute phase instead of guidance speculation. *)
   let render config pool_size =
     let config =
       {
@@ -194,6 +195,7 @@ let test_platform_pool_size_invariant () =
     [
       ("singles", quick_config Corpus.parser);
       ("batch-16", Scenario.with_fleet_encoding ~batch:16 (quick_config Corpus.parser));
+      ("shards-4", Scenario.with_shards 4 (quick_config Corpus.parser));
     ]
 
 let test_platform_wer_mode_builds_no_tree () =

@@ -410,50 +410,63 @@ let prop_lru_never_exceeds_capacity =
 
 module Pool = Softborg_util.Pool
 
-let with_pool size f =
-  let pool = Pool.create ~size in
-  Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f pool)
-
 let test_pool_map_matches_list_map () =
   let xs = List.init 100 (fun i -> i - 50) in
   let f x = (x * x) + (3 * x) in
   List.iter
-    (fun size ->
-      with_pool size (fun pool ->
-          Alcotest.(check (list int))
-            (Printf.sprintf "pool size %d preserves order and values" size)
-            (List.map f xs) (Pool.map pool f xs)))
+    (fun domains ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "%d domains preserve order and values" domains)
+        (List.map f xs) (Pool.map ~domains f xs))
     [ 1; 2; 4 ]
 
 let test_pool_small_inputs () =
-  with_pool 4 (fun pool ->
-      Alcotest.(check (list int)) "empty list" [] (Pool.map pool succ []);
-      Alcotest.(check (list int)) "singleton" [ 8 ] (Pool.map pool succ [ 7 ]))
+  Alcotest.(check (list int)) "empty list" [] (Pool.map ~domains:4 succ []);
+  Alcotest.(check (list int)) "singleton" [ 8 ] (Pool.map ~domains:4 succ [ 7 ])
 
 let test_pool_exception_propagates () =
-  with_pool 3 (fun pool ->
-      Alcotest.check_raises "first failing element's exception re-raised"
-        (Invalid_argument "boom:2") (fun () ->
-          ignore
-            (Pool.map pool
-               (fun x -> if x >= 2 then invalid_arg (Printf.sprintf "boom:%d" x) else x)
-               [ 0; 1; 2; 3; 4 ])));
-  (* The pool must survive a failed batch and serve the next one. *)
-  with_pool 3 (fun pool ->
-      (try ignore (Pool.map pool (fun _ -> failwith "x") [ 1; 2; 3 ]) with _ -> ());
-      Alcotest.(check (list int)) "pool usable after failure" [ 2; 4; 6 ]
-        (Pool.map pool (fun x -> 2 * x) [ 1; 2; 3 ]))
+  Alcotest.check_raises "first failing element's exception re-raised"
+    (Invalid_argument "boom:2") (fun () ->
+      ignore
+        (Pool.map ~domains:3
+           (fun x -> if x >= 2 then invalid_arg (Printf.sprintf "boom:%d" x) else x)
+           [ 0; 1; 2; 3; 4 ]));
+  (* A failed map must leave nothing behind that breaks the next one. *)
+  (try ignore (Pool.map ~domains:3 (fun _ -> failwith "x") [ 1; 2; 3 ]) with _ -> ());
+  Alcotest.(check (list int)) "next map after a failure" [ 2; 4; 6 ]
+    (Pool.map ~domains:3 (fun x -> 2 * x) [ 1; 2; 3 ])
 
-let test_pool_inert_and_idempotent_shutdown () =
-  let pool = Pool.create ~size:1 in
-  checki "inert pool size" 1 (Pool.size pool);
-  Alcotest.(check (list int)) "inert pool maps inline" [ 1; 2 ] (Pool.map pool succ [ 0; 1 ]);
-  Pool.shutdown pool;
-  Pool.shutdown pool;
-  let pool = Pool.create ~size:2 in
-  checki "real pool size" 2 (Pool.size pool);
-  Pool.shutdown pool;
-  Pool.shutdown pool
+let test_pool_one_domain_maps_inline () =
+  let self = Domain.self () in
+  List.iter
+    (fun domains ->
+      Alcotest.(check (list bool))
+        (Printf.sprintf "~domains:%d runs every element on the caller" domains)
+        [ true; true; true ]
+        (Pool.map ~domains (fun _ -> Domain.self () = self) [ 0; 1; 2 ]))
+    [ 1; 0 ]
+
+(* OCaml 5.1 caps live domains at 128: a map that left its helper
+   alive, say waiting for more work, would fail to spawn by about the
+   128th call, and one that returned before its helper finished would
+   lose that helper's results. *)
+let test_pool_no_helper_outlives_its_map () =
+  let xs = List.init 8 Fun.id in
+  for call = 1 to 150 do
+    if call mod 2 = 0 then
+      Alcotest.check_raises
+        (Printf.sprintf "call %d re-raises index 3" call)
+        (Failure "index 3")
+        (fun () ->
+          ignore
+            (Pool.map ~domains:2
+               (fun i -> if i = 3 then failwith (Printf.sprintf "index %d" i) else i)
+               xs))
+    else
+      Alcotest.(check (list int))
+        (Printf.sprintf "call %d equals List.map" call)
+        (List.map succ xs) (Pool.map ~domains:2 succ xs)
+  done
 
 let prop_varint_len_matches_writer =
   QCheck.Test.make ~name:"varint_len matches Writer.varint output size" ~count:500
@@ -553,7 +566,8 @@ let () =
           Alcotest.test_case "map matches List.map" `Quick test_pool_map_matches_list_map;
           Alcotest.test_case "small inputs" `Quick test_pool_small_inputs;
           Alcotest.test_case "exception propagates" `Quick test_pool_exception_propagates;
-          Alcotest.test_case "inert + idempotent shutdown" `Quick
-            test_pool_inert_and_idempotent_shutdown;
+          Alcotest.test_case "one domain maps inline" `Quick test_pool_one_domain_maps_inline;
+          Alcotest.test_case "no helper outlives its map" `Quick
+            test_pool_no_helper_outlives_its_map;
         ] );
     ]
