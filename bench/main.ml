@@ -2287,17 +2287,17 @@ let fleet_suite ?(smoke = false) () =
     n_wire full_per batched_per reduction;
   assert (reduction >= 2.0);
   (* ---- Knowledge byte-identity (the smoke payload, part 2) ------------- *)
-  let make_hive ?(pool_size = 1) ?overload () =
+  let make_hive ?overload () =
     let sim = Sim.create () in
-    let config = { (Hive.default_config Hive.Full) with Hive.pool_size; overload } in
+    let config = { (Hive.default_config Hive.Full) with Hive.overload } in
     let hive = Hive.create ~config ~sim () in
     ignore (Hive.register_program hive prog);
     (sim, hive)
   in
   let knowledge_bytes h = Checkpoint.encode (Hive.knowledge_list h) in
   let id_traces = fleet_traces 48 in
-  let ingest_frames ?pool_size frames =
-    let _, h = make_hive ?pool_size () in
+  let ingest_frames frames =
+    let _, h = make_hive () in
     List.iter (Hive.inject h ~slot:0) frames;
     let bytes = knowledge_bytes h in
     (bytes, (Hive.stats h).Hive.traces_received)
@@ -2305,16 +2305,15 @@ let fleet_suite ?(smoke = false) () =
   let baseline, base_n = ingest_frames (List.map single_frame id_traces) in
   assert (base_n = List.length id_traces);
   List.iter
-    (fun (label, frames, pool_size) ->
-      let bytes, n = ingest_frames ~pool_size frames in
+    (fun (label, frames) ->
+      let bytes, n = ingest_frames frames in
       assert (n = List.length id_traces);
       assert (String.equal baseline bytes);
       Printf.printf "knowledge identity: %s == singles (%d traces)\n" label n)
     [
-      ("batch-16 delta", batch_frames ~size:16 id_traces, 1);
-      ("batch-16 full", batch_frames ~delta:false ~size:16 id_traces, 1);
-      ("batch-16 delta, pool-4 hive", batch_frames ~size:16 id_traces, 4);
-      ("batch-5 delta", batch_frames ~size:5 id_traces, 1);
+      ("batch-16 delta", batch_frames ~size:16 id_traces);
+      ("batch-16 full", batch_frames ~delta:false ~size:16 id_traces);
+      ("batch-5 delta", batch_frames ~size:5 id_traces);
     ];
   if not smoke then begin
     (* ---- Sustained-load pressure sweep, 10^5 pod slots ----------------- *)
@@ -2523,7 +2522,7 @@ let rollout_suite ?(smoke = false) () =
   let module Fix_lifecycle = Softborg_hive.Fix_lifecycle in
   heading
     (if smoke then
-       "rollout-smoke: retraction, cohort determinism, shard/pool identity asserts"
+       "rollout-smoke: retraction, cohort determinism, shard identity asserts"
      else "rollout: staged canary rollout vs naive instant-fleet deployment");
   let duration = if smoke then 240.0 else 900.0 in
   let sample_interval = 15.0 in
@@ -2544,7 +2543,7 @@ let rollout_suite ?(smoke = false) () =
       max_hold_ticks = 6;
     }
   in
-  let arm ?(rollout = false) ?(bad_fix = false) ?(shards = 1) ?(pool = 1) program =
+  let arm ?(rollout = false) ?(bad_fix = false) ?(shards = 1) program =
     let c = Scenario.single_program ~seed:9 program in
     let c = { c with Platform.duration; n_pods; sample_interval } in
     (* Halved arrival rate and a tighter step ceiling keep the naive
@@ -2554,7 +2553,6 @@ let rollout_suite ?(smoke = false) () =
         c with
         Platform.pod_config =
           { c.Platform.pod_config with Pod.arrival_rate = 0.5; max_steps = 4_000 };
-        hive_config = { c.Platform.hive_config with Hive.pool_size = pool };
       }
     in
     let c = if rollout then Scenario.with_rollout ~rollout:staged_config c else c in
@@ -2639,7 +2637,7 @@ let rollout_suite ?(smoke = false) () =
   assert (staged_good.Platform.final.Metrics.fix_retractions = 0);
   (* ---- determinism: the retraction outcome is a pure function of the
      evidence — same verdict, same ledger, same cohort for any shard
-     count, and byte-identical reports for any analysis pool size. ---- *)
+     count. ---- *)
   let shard_counts = [ 1; 2; 4 ] in
   let shard_runs =
     List.map
@@ -2657,19 +2655,6 @@ let rollout_suite ?(smoke = false) () =
       assert (List.sort_uniq Int.compare (injected_retracted r) = [ bad_id ]);
       assert (r.Platform.final.Metrics.pods_exposed <= cohort_size + 1))
     shard_runs;
-  let pool_sizes = [ 1; 2; 4 ] in
-  let pool_reports =
-    List.map
-      (fun pool ->
-        Format.asprintf "%a" Platform.pp_report
-          (Platform.run (arm ~rollout:true ~bad_fix:true ~pool audit_ledger)))
-      pool_sizes
-  in
-  (match pool_reports with
-  | first :: rest -> List.iter (fun r -> assert (r = first)) rest
-  | [] -> ());
-  Printf.printf "pool sizes %s: reports byte-identical\n"
-    (String.concat "/" (List.map string_of_int pool_sizes));
   if smoke then Printf.printf "rollout-smoke: all asserts passed\n"
   else begin
     let out = open_out "BENCH_rollout.json" in
@@ -2694,10 +2679,7 @@ let rollout_suite ?(smoke = false) () =
     Printf.fprintf out "  \"determinism\": {\n";
     Printf.fprintf out "    \"shard_counts\": [%s],\n"
       (String.concat ", " (List.map (fun (s, _) -> string_of_int s) shard_runs));
-    Printf.fprintf out "    \"retracted_ids_identical\": true,\n";
-    Printf.fprintf out "    \"pool_sizes\": [%s],\n"
-      (String.concat ", " (List.map string_of_int pool_sizes));
-    Printf.fprintf out "    \"pool_reports_byte_identical\": true\n";
+    Printf.fprintf out "    \"retracted_ids_identical\": true\n";
     Printf.fprintf out "  }\n}\n";
     close_out out;
     Printf.printf "wrote BENCH_rollout.json\n"
@@ -2747,7 +2729,7 @@ let experiments =
       fun () -> fleet_suite ~smoke:true ());
     ("rollout", "staged canary rollout vs naive instant-fleet (writes BENCH_rollout.json)",
       fun () -> rollout_suite ());
-    ("rollout-smoke", "bad-fix retraction + cohort/shard/pool determinism asserts for @rollout-smoke",
+    ("rollout-smoke", "bad-fix retraction + cohort/shard determinism asserts for @rollout-smoke",
       fun () -> rollout_suite ~smoke:true ());
   ]
 

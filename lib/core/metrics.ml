@@ -28,12 +28,9 @@ type snapshot = {
   wire_frames_received : int;
   (* Cache-efficiency counters summed over the knowledge bases.  They
      are carried in the snapshot for programmatic access but are NOT
-     printed by [pp_snapshot]: the hit/miss split legitimately varies
-     with the speculative-solver pool size (speculation pre-fills the
-     memo without a lookup), and snapshot lines are covered by the
-     pool-size byte-identity invariant.  Federated runs print them
-     per shard in the report's federation section, where per-shard
-     planning is pool-free and the counts are deterministic. *)
+     printed by [pp_snapshot]: they count work, not knowledge, and
+     printing them would change every report.  Federated runs print
+     them per shard in the report's federation section. *)
   gap_memo_hits : int;
   gap_memo_misses : int;
   verdict_cache_hits : int;

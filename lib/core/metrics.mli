@@ -38,11 +38,10 @@ type snapshot = {
   verdict_cache_hits : int;  (** Solver verdict-cache hits likewise. *)
   verdict_cache_misses : int;
       (** The four cache counters are data-only in the snapshot:
-          [pp_snapshot] omits them because the hit/miss split varies
-          with the speculative-solver pool size, and snapshot lines
-          are covered by pool-size byte-identity tests.  Federated
-          runs print them per shard in the report's federation
-          section. *)
+          [pp_snapshot] omits them because they count work, not
+          knowledge, and printing them would change every report.
+          Federated runs print them per shard in the report's
+          federation section. *)
   canary_fixes : int;  (** Fixes currently held in canary stage. *)
   fix_promotions : int;  (** Canary fixes promoted fleet-wide so far. *)
   fix_retractions : int;  (** Canary fixes condemned and retracted. *)

@@ -94,12 +94,9 @@ let fed_config config =
        time-to-first-fix on par with the single hive. *)
     Federation.superstep_interval = base.Hive.analysis_interval /. 2.0;
     synthesize = true;
-    (* The platform's pool budget goes to the federation's cross-shard
-       compute phase; individual hives stay domain-free. *)
-    shard_hive = { base with Hive.synthesize = false; prove = false; pool_size = 1 };
-    merged_hive = { base with Hive.pool_size = 1; overload = None };
+    shard_hive = { base with Hive.synthesize = false; prove = false };
+    merged_hive = { base with Hive.overload = None };
     transport = config.transport_config;
-    pool_size = base.Hive.pool_size;
   }
 
 let create_side config ~sim ~rng =

@@ -380,7 +380,6 @@ let compile (p : Ir.t) : t =
 (* ---- Compile cache ------------------------------------------------- *)
 
 type cache = {
-  mutex : Mutex.t;
   by_digest : (string, t) Hashtbl.t;
   fast : (Ir.t * t) option array;  (* recent (program, compiled) pairs *)
   mutable fast_next : int;
@@ -398,7 +397,6 @@ type cache_stats = {
 
 let create_cache ?(fast_slots = 64) () =
   {
-    mutex = Mutex.create ();
     by_digest = Hashtbl.create 64;
     fast = Array.make (max 1 fast_slots) None;
     fast_next = 0;
@@ -410,50 +408,42 @@ let create_cache ?(fast_slots = 64) () =
 let shared_cache = create_cache ()
 
 let find_or_compile cache program =
-  Mutex.lock cache.mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock cache.mutex)
-    (fun () ->
-      (* Physical-equality fast path: pods hold one program value and
-         execute it millions of times, so the common lookup should not
-         even hash the digest. *)
-      let n = Array.length cache.fast in
-      let rec scan i =
-        if i >= n then None
-        else
-          match cache.fast.(i) with
-          | Some (p, compiled) when p == program -> Some compiled
-          | _ -> scan (i + 1)
-      in
-      match scan 0 with
-      | Some compiled ->
-        cache.fast_hits <- cache.fast_hits + 1;
-        compiled
-      | None ->
-        let remember compiled =
-          cache.fast.(cache.fast_next) <- Some (program, compiled);
-          cache.fast_next <- (cache.fast_next + 1) mod n;
-          compiled
-        in
-        let digest = Ir.digest program in
-        (match Hashtbl.find_opt cache.by_digest digest with
-        | Some compiled ->
-          cache.hits <- cache.hits + 1;
-          remember compiled
-        | None ->
-          let compiled = compile program in
-          cache.misses <- cache.misses + 1;
-          Hashtbl.replace cache.by_digest digest compiled;
-          remember compiled))
+  (* Physical-equality fast path: pods hold one program value and
+     execute it millions of times, so the common lookup should not
+     even hash the digest. *)
+  let n = Array.length cache.fast in
+  let rec scan i =
+    if i >= n then None
+    else
+      match cache.fast.(i) with
+      | Some (p, compiled) when p == program -> Some compiled
+      | _ -> scan (i + 1)
+  in
+  match scan 0 with
+  | Some compiled ->
+    cache.fast_hits <- cache.fast_hits + 1;
+    compiled
+  | None ->
+    let remember compiled =
+      cache.fast.(cache.fast_next) <- Some (program, compiled);
+      cache.fast_next <- (cache.fast_next + 1) mod n;
+      compiled
+    in
+    let digest = Ir.digest program in
+    (match Hashtbl.find_opt cache.by_digest digest with
+    | Some compiled ->
+      cache.hits <- cache.hits + 1;
+      remember compiled
+    | None ->
+      let compiled = compile program in
+      cache.misses <- cache.misses + 1;
+      Hashtbl.replace cache.by_digest digest compiled;
+      remember compiled)
 
-let cache_stats cache =
-  Mutex.lock cache.mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock cache.mutex)
-    (fun () ->
-      {
-        hits = cache.hits;
-        fast_hits = cache.fast_hits;
-        misses = cache.misses;
-        entries = Hashtbl.length cache.by_digest;
-      })
+let cache_stats (cache : cache) =
+  {
+    hits = cache.hits;
+    fast_hits = cache.fast_hits;
+    misses = cache.misses;
+    entries = Hashtbl.length cache.by_digest;
+  }

@@ -63,7 +63,8 @@ val create_cache : ?fast_slots:int -> unit -> cache
     fast path. *)
 
 val shared_cache : cache
-(** Process-wide default cache, safe across domains. *)
+(** Process-wide default cache.  Not synchronized: use it from one
+    domain only. *)
 
 val find_or_compile : cache -> Ir.t -> t
 (** Memoized {!compile}.  Structurally equal programs share one

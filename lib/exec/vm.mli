@@ -14,8 +14,7 @@
     minor-heap allocations that die young, with nothing placed directly
     on the major heap; the dispatch loop allocates only when a push
     fills a buffer, never per instruction.  That matters because pods
-    share a process with racing solver domains, and OCaml 5 minor
-    collections stop every domain.
+    share a process, and its minor heap, with the hive.
 
     Equivalence with {!Interp} is a tested property (identical
     {!Outcome.t}, bits, decisions, syscall summaries, lock events, and

@@ -1,5 +1,4 @@
 module Rng = Softborg_util.Rng
-module Pool = Softborg_util.Pool
 module Codec = Softborg_util.Codec
 module Ir = Softborg_prog.Ir
 module Wire = Softborg_trace.Wire
@@ -20,8 +19,11 @@ type config = {
   merged_hive : Hive.config;
   transport : Transport.config;
   pool_size : int;
-  gap_limit : int;
 }
+
+(* Frontier gaps each shard may close per compute phase, counted after
+   the ownership filter. *)
+let gap_limit = 96
 
 let default_config ~n_shards () =
   let base = Hive.default_config Hive.Full in
@@ -35,7 +37,6 @@ let default_config ~n_shards () =
     merged_hive = base;
     transport = Transport.default_config;
     pool_size = 1;
-    gap_limit = 96;
   }
 
 type shard = {
@@ -221,10 +222,8 @@ let attach_pod t pod_link =
 (* ---- The superstep ------------------------------------------------------ *)
 
 (* Compute phase: close symbolic gaps on every shard knowledge that
-   changed since last time.  Jobs touch disjoint per-shard state and
-   never the simulator, so they spread over [pool_size] domains;
-   verdicts land in each knowledge's gap memo, which the shard's own
-   guidance tick then reads for free. *)
+   changed since last time.  Verdicts land in each knowledge's gap
+   memo, which the shard's own guidance tick then reads for free. *)
 let compute_phase t =
   let jobs =
     Array.to_list t.shards
@@ -252,10 +251,10 @@ let compute_phase t =
     ignore
       (Prover.close_gaps ~config:t.config.shard_hive.Hive.symexec_config
          ~cache:(Knowledge.verdict_cache k) ~memo:(Knowledge.gap_memo k) ~owned
-         ~limit:t.config.gap_limit (Knowledge.program k) (Knowledge.tree k));
+         ~limit:gap_limit (Knowledge.program k) (Knowledge.tree k));
     (key, (Exec_tree.version (Knowledge.tree k), Knowledge.epoch k))
   in
-  Pool.map ~domains:t.config.pool_size close jobs
+  List.map close jobs
   |> List.iter (fun (key, state) -> Hashtbl.replace t.compute_state key state)
 
 let flush t =

@@ -24,11 +24,11 @@
     knowledge (a shard's partial subtree could prove an unsound
     whole-program property); deployed fixes are adopted by every shard
     and broadcast to the pods.  Shard compute (symbolic gap closing
-    over each shard's fraction of the frontier) runs as one
-    {!Softborg_util.Pool.map} over [pool_size] domains per superstep.
-    The paper's parallelism is across hive nodes, which the shards
-    model; no measurement yet shows the compute phase scaling with
-    domains on real cores. *)
+    over each shard's fraction of the frontier, at most 96 owned gaps
+    per shard knowledge per superstep) runs on the caller's domain, one
+    knowledge after another.  The paper's parallelism is across hive
+    nodes, which the shards model; domains inside one process did not
+    pay on this code (DESIGN.md §15, "One domain"). *)
 
 module Rng := Softborg_util.Rng
 module Sim := Softborg_net.Sim
@@ -45,16 +45,13 @@ type config = {
           vehicle for merge-equality properties. *)
   shard_hive : Hive.config;
       (** Per-shard hive configuration.  [synthesize] is forced off;
-          overload protection, pool size, and caps apply per shard. *)
+          overload protection and caps apply per shard. *)
   merged_hive : Hive.config;
   transport : Transport.config;  (** Applied to every federation link. *)
   pool_size : int;
-      (** Domains for the cross-shard compute phase (default 1: inline,
-          none spawned).  Helpers live only for one phase's map. *)
-  gap_limit : int;
-      (** Frontier gaps each shard may close per compute phase (default
-          96), counted after the {!Shard_map.owner_of_verdict} filter —
-          each shard derives only the verdicts it owns. *)
+      (** Ignored: the compute phase runs on the caller's domain.  Kept
+          so that callers written against a federation that spread its
+          compute phase over domains still build. *)
 }
 
 val default_config : n_shards:int -> unit -> config
@@ -113,9 +110,9 @@ val commit : t -> int
     order; returns the number of payloads merged. *)
 
 val shutdown : t -> unit
-(** Does nothing: neither the shards, the coordinator nor the compute
-    phase owns a domain between calls.  Kept so that callers written
-    against a federation that held worker domains still build. *)
+(** Does nothing: a federation runs on its caller's domain and owns no
+    other.  Kept so that callers written against a federation that held
+    worker domains still build. *)
 
 val stats : t -> stats
 

@@ -30,8 +30,8 @@ let default_config =
 let instant = { default_config with canary_mils = 0 }
 
 (* Same FNV-1a as [Protocol.basis_fingerprint]: seed-free, so cohort
-   membership depends only on (cohort id, fix id) — never on pool
-   size, shard count, or process-global pod-id allocation order. *)
+   membership depends only on (cohort id, fix id) — never on shard
+   count or process-global pod-id allocation order. *)
 let cohort_hash ~cohort ~fix_id =
   let h = ref 0x3bf29ce484222325 in
   let mix b = h := (!h lxor (b land 0xff)) * 0x100000001b3 land max_int in

@@ -5,8 +5,8 @@
     or is pulled back with {!Retracted} when the canary cohort's
     fix-attributed telemetry shows it does harm.  All decisions are
     integer tests over commutative counters, so the outcome is a pure
-    function of the observed run multiset — identical for any decode
-    pool size or shard count, and replayable from a checkpoint. *)
+    function of the observed run multiset — identical for any shard
+    count, and replayable from a checkpoint. *)
 
 type stage = Canary | Fleet | Retracted
 

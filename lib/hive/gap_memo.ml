@@ -25,8 +25,6 @@ let find t ~site ~direction =
     t.misses <- t.misses + 1;
     None
 
-let mem t ~site ~direction = Hashtbl.mem t.table (site, direction)
-
 let add t ~site ~direction verdict = Hashtbl.replace t.table (site, direction) verdict
 
 let length t = Hashtbl.length t.table

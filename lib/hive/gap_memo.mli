@@ -39,10 +39,6 @@ val create : unit -> t
 val find : t -> site:Ir.site -> direction:bool -> verdict option
 (** Cached verdict, if any; updates the hit/miss counters. *)
 
-val mem : t -> site:Ir.site -> direction:bool -> bool
-(** Membership without touching the counters (used when sizing a
-    speculative parallel batch). *)
-
 val add : t -> site:Ir.site -> direction:bool -> verdict -> unit
 
 val length : t -> int

@@ -1,6 +1,5 @@
 module Ir = Softborg_prog.Ir
 module Codec = Softborg_util.Codec
-module Pool = Softborg_util.Pool
 module Env = Softborg_exec.Env
 module Exec_tree = Softborg_tree.Exec_tree
 module Sym_exec = Softborg_symexec.Sym_exec
@@ -31,12 +30,8 @@ let pp_directive fmt = function
       (String.concat ";" (Array.to_list (Array.map string_of_int inputs)))
       (List.length seeds)
 
-(* Speculation's batch size on more than one domain.  The fold reads
-   the hottest candidates first and often stops early, so a verdict far
-   down the list is mostly derived for nothing; on [analysis], a batch
-   of 3 ran no slower than one sized from [Allocate]'s portfolio shares
-   (DESIGN.md §15). *)
-let speculation_limit = 3
+(* Scheduler seeds for a [Probe_schedules] directive. *)
+let schedule_probe_seeds = [ 101; 202; 303; 404 ]
 
 type plan_result = {
   directives : directive list;
@@ -45,8 +40,7 @@ type plan_result = {
   gaps_unknown : int;
 }
 
-let plan ?config ?cache ?(max_directives = 8) ?(schedule_probe_seeds = [ 101; 202; 303; 404 ])
-    ?exclude ?memo ?(domains = 1) program tree =
+let plan ?config ?cache ?(max_directives = 8) ?exclude ?memo program tree =
   let multi_threaded = Array.length program.Ir.threads > 1 in
   let excluded site direction =
     match exclude with None -> false | Some set -> Hashtbl.mem set (site, direction)
@@ -66,9 +60,8 @@ let plan ?config ?cache ?(max_directives = 8) ?(schedule_probe_seeds = [ 101; 20
       |> Seq.take max_considered
       |> List.of_seq
   in
-  (* The verdict cache is mutex-guarded, so sharing it with the
-     speculative helper domains below is safe; cached answers equal
-     recomputed ones, so hits change no output. *)
+  (* Cached answers equal recomputed ones, so cache hits change no
+     output. *)
   let solve site direction = Testgen.for_direction ?config ?cache program ~site ~direction in
   let memoized site direction =
     match memo with
@@ -81,42 +74,6 @@ let plan ?config ?cache ?(max_directives = 8) ?(schedule_probe_seeds = [ 101; 20
         Gap_memo.add memo ~site ~direction verdict;
         verdict)
   in
-  (* Speculative parallel solving: on more than one domain, the first
-     [speculation_limit] distinct un-memoized (site, direction) queries
-     among the candidates are solved up front by one [Pool.map].
-     [Testgen.for_direction] is a pure function of (program, site,
-     direction, config), so the only observable difference is
-     wall-clock time: the decision fold below replays the exact
-     sequential logic over the precomputed verdicts, making the output
-     identical for every domain count. *)
-  let precomputed : (Ir.site * bool, Gap_memo.verdict) Hashtbl.t = Hashtbl.create 8 in
-  if domains > 1 && candidates <> [] then begin
-    let seen = Hashtbl.create 8 in
-    let jobs =
-      List.filter_map
-        (fun (gap : Exec_tree.gap) ->
-          let site = gap.Exec_tree.site and direction = gap.Exec_tree.missing in
-          let known =
-            Hashtbl.mem seen (site, direction)
-            || (match memo with Some m -> Gap_memo.mem m ~site ~direction | None -> false)
-          in
-          if known then None
-          else begin
-            Hashtbl.replace seen (site, direction) ();
-            Some (site, direction)
-          end)
-        candidates
-      |> List.filteri (fun i _ -> i < speculation_limit)
-    in
-    let verdicts = Pool.map ~domains (fun (site, direction) -> solve site direction) jobs in
-    List.iter2
-      (fun (site, direction) verdict ->
-        Hashtbl.replace precomputed (site, direction) verdict;
-        match memo with
-        | Some memo -> Gap_memo.add memo ~site ~direction verdict
-        | None -> ())
-      jobs verdicts
-  end;
   let directives = ref [] in
   let n_directives = ref 0 in
   let considered = ref 0 in
@@ -126,12 +83,7 @@ let plan ?config ?cache ?(max_directives = 8) ?(schedule_probe_seeds = [ 101; 20
     (fun (gap : Exec_tree.gap) ->
       if !n_directives < max_directives && !considered < max_considered then begin
         incr considered;
-        let verdict =
-          match Hashtbl.find_opt precomputed (gap.Exec_tree.site, gap.Exec_tree.missing) with
-          | Some verdict -> verdict
-          | None -> memoized gap.Exec_tree.site gap.Exec_tree.missing
-        in
-        match verdict with
+        match memoized gap.Exec_tree.site gap.Exec_tree.missing with
         | `Test test ->
           directives :=
             Cover_direction

@@ -40,10 +40,8 @@ val plan :
   ?config:Sym_exec.config ->
   ?cache:Softborg_solver.Verdict_cache.t ->
   ?max_directives:int ->
-  ?schedule_probe_seeds:int list ->
   ?exclude:(Ir.site * bool, unit) Hashtbl.t ->
   ?memo:Gap_memo.t ->
-  ?domains:int ->
   Ir.t ->
   Exec_tree.t ->
   plan_result
@@ -54,14 +52,13 @@ val plan :
     [exclude] set (already issued to a pod and not yet covered) are
     skipped in O(1) each.  [memo] caches symbolic verdicts across
     calls (see {!Gap_memo}); [cache] additionally memoizes the
-    underlying path-condition solver queries (shared across provers
-    and safe to share between domains).  With [domains > 1] (default
-    1), the first three distinct un-memoized queries among the
-    candidates are solved speculatively by one {!Softborg_util.Pool.map};
-    the decision fold then replays sequentially over the precomputed
-    verdicts, so the result is identical for every [domains].
-    Multi-threaded programs whose gaps come back [Unknown] yield one
-    [Probe_schedules] directive. *)
+    underlying path-condition solver queries (shared across provers).
+    The plan runs on the caller's domain and derives only the verdicts
+    its decision fold reads, hottest gap first, stopping once it has
+    [max_directives] directives or has considered [3 * max_directives]
+    gaps.  Multi-threaded programs whose gaps come back [Unknown] yield
+    one [Probe_schedules] directive over scheduler seeds 101, 202, 303
+    and 404. *)
 
 val write_directive : Codec.Writer.t -> directive -> unit
 val read_directive : Codec.Reader.t -> directive

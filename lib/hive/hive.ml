@@ -748,8 +748,7 @@ let guidance_tick t k =
     let issued = issued_for t k in
     let result =
       Guidance.plan ~config:t.config.symexec_config ~cache:(Knowledge.verdict_cache k)
-        ~max_directives:t.config.guidance_max
-        ~exclude:issued ~memo:(Knowledge.gap_memo k) ~domains:t.config.pool_size
+        ~max_directives:t.config.guidance_max ~exclude:issued ~memo:(Knowledge.gap_memo k)
         (Knowledge.program k) (Knowledge.tree k)
     in
     (* Remember what was handed out (and what came back Unknown) so the

@@ -73,15 +73,9 @@ type config = {
           planning, gap closing, proof attempts and input-guard
           synthesis. *)
   pool_size : int;
-      (** Domains for speculative guidance solving (default 1 = none
-          spawned, fully sequential): with [pool_size > 1], each
-          guidance plan solves its first few un-memoized gaps in one
-          {!Softborg_util.Pool.map} over at most this many domains,
-          joined before the plan returns.  The plan replays its
-          decisions in deterministic gap order, so any pool size
-          produces the same analysis output — only wall-clock time
-          changes.  A federated platform gives this number to the
-          federation's compute phase instead. *)
+      (** Ignored: a hive runs on its caller's domain.  Kept so that
+          callers written against a hive that solved guidance gaps on
+          more than one domain still build. *)
   overload : overload_config option;
       (** Every upload goes through one admission path: resource-capped
           decode, poison-trace quarantine and mutes, then a bounded
@@ -217,10 +211,9 @@ val tick : t -> unit
 (** Run one analysis tick immediately (also called by the schedule). *)
 
 val shutdown : t -> unit
-(** Does nothing: a hive owns no domain between calls, since every
-    parallel map joins its helpers before it returns.  Kept so that
-    callers written against a hive that held worker domains still
-    build. *)
+(** Does nothing: a hive runs on its caller's domain and owns no
+    other.  Kept so that callers written against a hive that held
+    worker domains still build. *)
 
 val stats : t -> stats
 

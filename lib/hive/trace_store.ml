@@ -50,8 +50,7 @@ type prepared = {
    (federation superstep deltas re-ship them verbatim), the content
    digest, and the byte accounting.  The content buffer differs from
    the real encoding only in the pod varint — spliced to a single zero
-   byte instead of encoding the whole trace a second time.  Pure:
-   safe to run on worker domains. *)
+   byte instead of encoding the whole trace a second time. *)
 let prepare (trace : Trace.t) =
   let encoded = Wire.encode trace in
   let dlen = String.length trace.Trace.program_digest in

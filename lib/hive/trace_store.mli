@@ -28,7 +28,7 @@ type prepared = {
     byte accounting, all derived from one encode. *)
 
 val prepare : Trace.t -> prepared
-(** Encode once, derive everything.  Pure — safe on worker domains.
+(** Encode once, derive everything.
     The hive prepares every decoded upload so admission, the replay
     cache, and the federation ingest tap all reuse the same buffer. *)
 

@@ -9,8 +9,7 @@
     domain, the enumeration wins on tight or unsatisfiable ones.  Both
     members are deterministic, the schedule is fixed (enumeration gets
     the first slice of each round), and the race is strictly
-    sequential, so results are reproducible and safe to call from a
-    {!Softborg_util.Pool.map} helper domain.
+    sequential, so results are reproducible.
 
     Soundness: [Sat] models are verified against the condition before
     being reported; [Unsat] only ever comes from the exhaustive

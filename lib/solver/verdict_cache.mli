@@ -8,12 +8,12 @@
     tick in one bounded LRU keyed by the condition's canonical digest
     ({!Path_cond.digest}).
 
-    The cache is mutex-guarded and safe to share between the domains
-    of a {!Softborg_util.Pool.map}: because every cached value equals what recomputation
-    would produce, hit/miss nondeterminism under concurrency is
-    invisible in outputs.  Since a key pins down the whole query, an
-    entry never goes stale: the hive keeps one cache per program for
-    the program's whole life, fix epochs included. *)
+    Every cached value equals what recomputation would produce, so a
+    hit changes no verdict, only the work done.  Since a key pins down the
+    whole query, an entry never goes stale: the hive keeps one cache
+    per program for the program's whole life, fix epochs included.
+    The cache is not synchronized; like the rest of the hive, it runs
+    on one domain. *)
 
 type entry =
   | Check of [ `Feasible | `Infeasible | `Unknown ]
@@ -23,11 +23,8 @@ type entry =
 
 type t
 
-val create : ?capacity:int -> unit -> t
-(** Default capacity {!default_capacity}. *)
-
-val default_capacity : int
-(** 4096 entries. *)
+val create : unit -> t
+(** An empty cache holding at most 4096 entries. *)
 
 val check_key : domain:int * int -> n_inputs:int -> Path_cond.t -> string
 (** Key for a {!Check} query (budget-independent). *)

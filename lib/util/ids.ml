@@ -29,10 +29,4 @@ end) : S = struct
     !counter
 end
 
-module Pod_id = Make (struct let name = "pod" end)
 module Trace_id = Make (struct let name = "trace" end)
-module Program_id = Make (struct let name = "prog" end)
-module Bug_id = Make (struct let name = "bug" end)
-module Fix_id = Make (struct let name = "fix" end)
-module Proof_id = Make (struct let name = "proof" end)
-module Node_id = Make (struct let name = "node" end)

@@ -1,6 +1,6 @@
-(** Typed identifiers for the entities that flow between pods and the
-    hive.  Keeping them abstract prevents, e.g., a pod id from being
-    used where a trace id is expected. *)
+(** Typed identifiers.  {!Trace_id}, the id of an uploaded trace, is
+    abstract over [int], so it cannot be used where a plain integer is
+    expected. *)
 
 module type S = sig
   type t
@@ -17,10 +17,4 @@ module type S = sig
       order, which the simulator guarantees. *)
 end
 
-module Pod_id : S
 module Trace_id : S
-module Program_id : S
-module Bug_id : S
-module Fix_id : S
-module Proof_id : S
-module Node_id : S

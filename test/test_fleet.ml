@@ -2,7 +2,7 @@
    frames, basis announcement, batch-aware dead-letter accounting, and
    the central invariant — the hive's knowledge bytes are a pure
    function of the trace multiset, independent of how the pods framed
-   it (singles, batches, deltas) and of the hive's pool size. *)
+   it (singles, batches, deltas). *)
 
 module Rng = Softborg_util.Rng
 module Bitvec = Softborg_util.Bitvec
@@ -261,9 +261,9 @@ let fleet_traces ?(n = 24) ?(prog = Corpus.parser) () =
 
 let knowledge_bytes hive = Checkpoint.encode (Hive.knowledge_list hive)
 
-let make_hive ?(pool_size = 1) ?(prog = Corpus.parser) ?overload () =
+let make_hive ?(prog = Corpus.parser) ?overload () =
   let sim = Sim.create () in
-  let config = { (Hive.default_config Hive.Full) with Hive.pool_size; overload } in
+  let config = { (Hive.default_config Hive.Full) with Hive.overload } in
   let hive = Hive.create ~config ~sim () in
   ignore (Hive.register_program hive prog);
   (sim, hive)
@@ -326,20 +326,6 @@ let test_knowledge_frame_agnostic () =
         ((Hive.stats h).Hive.batch_frames_received > 0);
       checks (label ^ " knowledge byte-identical") baseline (knowledge_bytes h))
     [ ("batch-4 delta", 4, true); ("batch-4 full", 4, false); ("batch-7 delta", 7, true) ]
-
-let test_knowledge_pool_agnostic () =
-  let traces = fleet_traces () in
-  let _, h1 = make_hive ~pool_size:1 () in
-  inject_batches h1 ~size:6 traces;
-  let baseline = knowledge_bytes h1 in
-  List.iter
-    (fun pool_size ->
-      let _, h = make_hive ~pool_size () in
-      inject_batches h ~size:6 traces;
-      checks
-        (Printf.sprintf "pool %d byte-identical" pool_size)
-        baseline (knowledge_bytes h))
-    [ 2; 4 ]
 
 let test_announced_basis_batches () =
   (* The hive announces a basis after its first ingested trace; batches
@@ -606,7 +592,6 @@ let () =
       ( "knowledge-identity",
         [
           Alcotest.test_case "frame agnostic" `Quick test_knowledge_frame_agnostic;
-          Alcotest.test_case "pool agnostic" `Quick test_knowledge_pool_agnostic;
           Alcotest.test_case "announced basis" `Quick test_announced_basis_batches;
         ] );
       ( "pod-batching",

@@ -466,35 +466,39 @@ let test_guidance_exclude_respected () =
          | Guidance.Probe_schedules _ -> true)
        second.Guidance.directives)
 
-(* A deterministic partially-explored parser tree; plan mutates its
-   tree (infeasible marks), so each plan call gets a fresh twin. *)
-let guidance_tree ?(n = 50) ?(input_range = 6) () =
+(* A deterministic partially-explored tree (of the parser by default);
+   plan mutates its tree (infeasible marks), so each plan call gets a
+   fresh twin. *)
+let guidance_tree ?(program = Corpus.parser) ?(n = 50) ?(input_range = 6) () =
   let tree = Exec_tree.create () in
   let rng = Rng.create 6 in
   for i = 1 to n do
-    let inputs = Array.init 3 (fun _ -> Rng.int_in rng 0 input_range) in
-    let r = run_once ~seed:i Corpus.parser inputs in
+    let inputs = Array.init program.Ir.n_inputs (fun _ -> Rng.int_in rng 0 input_range) in
+    let r = run_once ~seed:i program inputs in
     ignore (Exec_tree.add_path tree r.Interp.full_path r.Interp.outcome)
   done;
   tree
 
-let test_guidance_pool_deterministic () =
-  (* The speculative parallel solve must not change any observable:
-     identical directives, counters, and post-plan tree for every pool
-     size. *)
-  let plan_with domains =
-    let tree = guidance_tree () in
-    let result = Guidance.plan ~domains Corpus.parser tree in
-    (result, Exec_tree.frontier tree)
-  in
-  let r1, f1 = plan_with 1 in
-  let r2, f2 = plan_with 2 in
-  let r4, f4 = plan_with 4 in
-  checkb "pool=2 plan identical to sequential" true (r1 = r2);
-  checkb "pool=4 plan identical to sequential" true (r1 = r4);
-  checkb "pool=2 leaves identical tree" true (f1 = f2);
-  checkb "pool=4 leaves identical tree" true (f1 = f4);
-  checkb "sequential plan produced directives" true (r1.Guidance.directives <> [])
+let test_guidance_derives_only_what_it_reads () =
+  (* Every verdict a plan adds to its memo is one its decision fold
+     looked up and missed: none is derived ahead of the fold, so a plan
+     that stops after one gap has solved at most one. *)
+  List.iter
+    (fun max_directives ->
+      let memo = Gap_memo.create () in
+      let result =
+        Guidance.plan ~max_directives ~memo Corpus.checksum
+          (guidance_tree ~program:Corpus.checksum ())
+      in
+      let label = Printf.sprintf "max_directives %d: " max_directives in
+      checkb (label ^ "considered a gap") true (result.Guidance.gaps_considered > 0);
+      checkb
+        (label ^ "memo no longer than the gaps considered")
+        true
+        (Gap_memo.length memo <= result.Guidance.gaps_considered);
+      checki (label ^ "every memo entry was a miss") (Gap_memo.length memo)
+        (Gap_memo.misses memo))
+    [ 1; 8 ]
 
 let test_guidance_memo_reused () =
   let memo = Gap_memo.create () in
@@ -996,7 +1000,8 @@ let () =
         [
           Alcotest.test_case "covers gaps" `Quick test_guidance_covers_gaps;
           Alcotest.test_case "exclude respected" `Quick test_guidance_exclude_respected;
-          Alcotest.test_case "pool deterministic" `Quick test_guidance_pool_deterministic;
+          Alcotest.test_case "derives only what it reads" `Quick
+            test_guidance_derives_only_what_it_reads;
           Alcotest.test_case "memo reused" `Quick test_guidance_memo_reused;
           Alcotest.test_case "sublinear counters" `Quick test_guidance_sublinear_counters;
           Alcotest.test_case "wire roundtrip" `Quick test_directive_wire_roundtrip;

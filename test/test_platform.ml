@@ -167,37 +167,6 @@ let test_platform_repeatable_in_process () =
   Alcotest.(check string) "same report" report_a report_b;
   checkb "same knowledge bytes" true (String.equal knowledge_a knowledge_b)
 
-let test_platform_pool_size_invariant () =
-  (* The pool size must not leak into any observable output: the full
-     formatted report of a fault-free simulation is byte-identical for
-     every pool size, whether the hive receives one frame per trace or
-     16-trace batches, and on four shards, where the pool size goes to
-     the federation's compute phase instead of guidance speculation. *)
-  let render config pool_size =
-    let config =
-      {
-        config with
-        Platform.hive_config = { config.Platform.hive_config with Hive.pool_size };
-      }
-    in
-    Format.asprintf "%a" Platform.pp_report (Platform.run config)
-  in
-  List.iter
-    (fun (label, config) ->
-      let baseline = render config 1 in
-      checkb (label ^ " report not empty") true (String.length baseline > 0);
-      List.iter
-        (fun size ->
-          Alcotest.(check string)
-            (Printf.sprintf "%s pool_size %d byte-identical" label size)
-            baseline (render config size))
-        [ 2; 4 ])
-    [
-      ("singles", quick_config Corpus.parser);
-      ("batch-16", Scenario.with_fleet_encoding ~batch:16 (quick_config Corpus.parser));
-      ("shards-4", Scenario.with_shards 4 (quick_config Corpus.parser));
-    ]
-
 let test_platform_wer_mode_builds_no_tree () =
   let report = Platform.run (quick_config ~mode:Hive.Wer Corpus.fig2_write) in
   match report.Platform.knowledge with
@@ -399,7 +368,6 @@ let () =
           Alcotest.test_case "full mode" `Quick test_platform_full_mode_runs;
           Alcotest.test_case "deterministic" `Quick test_platform_deterministic;
           Alcotest.test_case "repeatable in process" `Quick test_platform_repeatable_in_process;
-          Alcotest.test_case "pool size invariance" `Quick test_platform_pool_size_invariant;
           Alcotest.test_case "wer mode" `Quick test_platform_wer_mode_builds_no_tree;
           Alcotest.test_case "cbi mode" `Quick test_platform_cbi_mode_feeds_isolator;
           Alcotest.test_case "lossy network" `Quick test_platform_lossy_network_loses_nothing;

@@ -37,7 +37,7 @@ let checks = Alcotest.check Alcotest.string
 let test_cohort_deterministic () =
   (* Pure function of (cohort, fix id): same answer on every call, and
      any two evaluation orders agree — what makes membership replayable
-     across pool sizes, shard counts, and restores. *)
+     across shard counts and restores. *)
   let sample = List.init 200 (fun c -> List.init 5 (fun f -> Fix_lifecycle.in_cohort ~cohort:c ~fix_id:(f + 1) ~mils:125)) in
   let again = List.init 200 (fun c -> List.init 5 (fun f -> Fix_lifecycle.in_cohort ~cohort:c ~fix_id:(f + 1) ~mils:125)) in
   checkb "replayable" true (sample = again);

@@ -333,9 +333,9 @@ let test_tabular_formats () =
 (* ---- Ids --------------------------------------------------------- *)
 
 let test_ids_fresh_distinct () =
-  let a = Ids.Pod_id.fresh () in
-  let b = Ids.Pod_id.fresh () in
-  checkb "fresh ids differ" false (Ids.Pod_id.equal a b)
+  let a = Ids.Trace_id.fresh () in
+  let b = Ids.Trace_id.fresh () in
+  checkb "fresh ids differ" false (Ids.Trace_id.equal a b)
 
 let test_ids_roundtrip () =
   let id = Ids.Trace_id.of_int 42 in
@@ -405,68 +405,6 @@ let prop_lru_never_exceeds_capacity =
       match List.rev ops with
       | [] -> true
       | (k, _) :: _ -> Lru.mem c k)
-
-(* ---- Pool ------------------------------------------------------------- *)
-
-module Pool = Softborg_util.Pool
-
-let test_pool_map_matches_list_map () =
-  let xs = List.init 100 (fun i -> i - 50) in
-  let f x = (x * x) + (3 * x) in
-  List.iter
-    (fun domains ->
-      Alcotest.(check (list int))
-        (Printf.sprintf "%d domains preserve order and values" domains)
-        (List.map f xs) (Pool.map ~domains f xs))
-    [ 1; 2; 4 ]
-
-let test_pool_small_inputs () =
-  Alcotest.(check (list int)) "empty list" [] (Pool.map ~domains:4 succ []);
-  Alcotest.(check (list int)) "singleton" [ 8 ] (Pool.map ~domains:4 succ [ 7 ])
-
-let test_pool_exception_propagates () =
-  Alcotest.check_raises "first failing element's exception re-raised"
-    (Invalid_argument "boom:2") (fun () ->
-      ignore
-        (Pool.map ~domains:3
-           (fun x -> if x >= 2 then invalid_arg (Printf.sprintf "boom:%d" x) else x)
-           [ 0; 1; 2; 3; 4 ]));
-  (* A failed map must leave nothing behind that breaks the next one. *)
-  (try ignore (Pool.map ~domains:3 (fun _ -> failwith "x") [ 1; 2; 3 ]) with _ -> ());
-  Alcotest.(check (list int)) "next map after a failure" [ 2; 4; 6 ]
-    (Pool.map ~domains:3 (fun x -> 2 * x) [ 1; 2; 3 ])
-
-let test_pool_one_domain_maps_inline () =
-  let self = Domain.self () in
-  List.iter
-    (fun domains ->
-      Alcotest.(check (list bool))
-        (Printf.sprintf "~domains:%d runs every element on the caller" domains)
-        [ true; true; true ]
-        (Pool.map ~domains (fun _ -> Domain.self () = self) [ 0; 1; 2 ]))
-    [ 1; 0 ]
-
-(* OCaml 5.1 caps live domains at 128: a map that left its helper
-   alive, say waiting for more work, would fail to spawn by about the
-   128th call, and one that returned before its helper finished would
-   lose that helper's results. *)
-let test_pool_no_helper_outlives_its_map () =
-  let xs = List.init 8 Fun.id in
-  for call = 1 to 150 do
-    if call mod 2 = 0 then
-      Alcotest.check_raises
-        (Printf.sprintf "call %d re-raises index 3" call)
-        (Failure "index 3")
-        (fun () ->
-          ignore
-            (Pool.map ~domains:2
-               (fun i -> if i = 3 then failwith (Printf.sprintf "index %d" i) else i)
-               xs))
-    else
-      Alcotest.(check (list int))
-        (Printf.sprintf "call %d equals List.map" call)
-        (List.map succ xs) (Pool.map ~domains:2 succ xs)
-  done
 
 let prop_varint_len_matches_writer =
   QCheck.Test.make ~name:"varint_len matches Writer.varint output size" ~count:500
@@ -560,14 +498,5 @@ let () =
           Alcotest.test_case "counters and capacity one" `Quick
             test_lru_counters_and_capacity_one;
           q prop_lru_never_exceeds_capacity;
-        ] );
-      ( "pool",
-        [
-          Alcotest.test_case "map matches List.map" `Quick test_pool_map_matches_list_map;
-          Alcotest.test_case "small inputs" `Quick test_pool_small_inputs;
-          Alcotest.test_case "exception propagates" `Quick test_pool_exception_propagates;
-          Alcotest.test_case "one domain maps inline" `Quick test_pool_one_domain_maps_inline;
-          Alcotest.test_case "no helper outlives its map" `Quick
-            test_pool_no_helper_outlives_its_map;
         ] );
     ]
