@@ -29,5 +29,3 @@ let hooks t =
         if List.exists dangerous t.sets then `Defer else `Proceed);
     Interp.on_crash = (fun ~site:_ ~kind:_ -> `Propagate);
   }
-
-let empty_hooks = Interp.no_hooks

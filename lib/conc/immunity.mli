@@ -25,6 +25,3 @@ val add_pattern : t -> int list -> unit
 
 val hooks : t -> Interp.hooks
 (** The runtime hooks to pass to {!Softborg_exec.Interp.run}. *)
-
-val empty_hooks : Interp.hooks
-(** Convenience: hooks that never defer (unprotected execution). *)

@@ -94,7 +94,3 @@ let pp_snapshot fmt s =
     (if s.canary_fixes > 0 then Printf.sprintf " canary=%d" s.canary_fixes else "")
     (if s.fix_retractions > 0 then Printf.sprintf " retracted=%d" s.fix_retractions else "")
     (if s.pods_exposed > 0 then Printf.sprintf " exposed=%d" s.pods_exposed else "")
-
-let pp_window fmt w =
-  Format.fprintf fmt "[%6.0f,%6.0f) sessions=%-5d failures=%-4d rate=%.4f" w.t_start w.t_end
-    w.w_sessions w.w_failures w.w_failure_rate

@@ -70,4 +70,3 @@ val windows : snapshot list -> window list
 (** Consecutive-snapshot deltas (empty for fewer than two snapshots). *)
 
 val pp_snapshot : Format.formatter -> snapshot -> unit
-val pp_window : Format.formatter -> window -> unit

@@ -146,11 +146,3 @@ let repair_instance ?(mode = Hive.Full) ?(seed = 42) (inst : Corpus_bench.instan
     Platform.pod_config =
       { pod with Pod.workload = Workload.Uniform_inputs { lo = 0; hi }; fault_probability };
   }
-
-let three_way_chaos ?seed ?chaos_seed ?crash_rate ?churn_rate ?degrade_rate () =
-  (* Same chaos_seed across modes: every mode suffers the identical
-     fault schedule, so the comparison stays apples-to-apples. *)
-  List.map
-    (fun (name, config) ->
-      (name, with_chaos ?chaos_seed ?crash_rate ?churn_rate ?degrade_rate config))
-    (three_way_comparison ?seed ())

@@ -88,15 +88,3 @@ val overload_spike :
     [spike_end], appended to any chaos plan already attached.  The
     spike drives the hive's ingest queue into shedding and pressure
     signalling; after [spike_end] pressure decays back to 0. *)
-
-val three_way_chaos :
-  ?seed:int ->
-  ?chaos_seed:int ->
-  ?crash_rate:float ->
-  ?churn_rate:float ->
-  ?degrade_rate:float ->
-  unit ->
-  (string * Platform.config) list
-(** The §5 comparison under faults (experiment E12): all three modes
-    run the {e same} fault plan, so the question is purely whose
-    failure-rate curve keeps decaying through crashes and churn. *)

@@ -44,5 +44,3 @@ let syscall t kind =
     | Ir.Sys_time ->
       t.clock <- t.clock + 1 + Rng.int t.rng 10;
       t.clock
-
-let syscall_count t = t.calls

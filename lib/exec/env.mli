@@ -33,6 +33,3 @@ val syscall : t -> Ir.syscall_kind -> int
 (** Next syscall result: a kind-appropriate non-negative value, or -1
     when the fault plan says this call fails.  Advances the syscall
     counter. *)
-
-val syscall_count : t -> int
-(** Syscalls performed so far. *)

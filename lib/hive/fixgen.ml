@@ -203,11 +203,6 @@ let sabotage_of_variant = function
   | 1 -> Misplaced_guard
   | _ -> Misplaced_suppression
 
-let sabotage_name = function
-  | Spin_immunity -> "spin-immunity"
-  | Misplaced_guard -> "misplaced-guard"
-  | Misplaced_suppression -> "misplaced-suppression"
-
 let sabotage_kind sab ~(program : Ir.t) =
   match sab with
   | Spin_immunity ->

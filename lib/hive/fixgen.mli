@@ -92,8 +92,6 @@ val sabotage_of_variant : int -> sabotage
     a sabotage shape — the fault plan is data-only and cannot name hive
     types. *)
 
-val sabotage_name : sabotage -> string
-
 val sabotage_kind : sabotage -> program:Ir.t -> kind
 (** Construct the wrong fix against a concrete program (lock universe,
     sites).  Deployable by construction — the point is to watch the

@@ -51,7 +51,6 @@ type config = {
   guidance_max : int;
   human_fix_threshold : int;
   human_fix_delay : float;
-  cbi_localization_speedup : float;
   prove : bool;
   symexec_config : Sym_exec.config;
   pool_size : int;
@@ -67,7 +66,6 @@ let default_config mode =
     guidance_max = 8;
     human_fix_threshold = 10;
     human_fix_delay = 2000.0;
-    cbi_localization_speedup = 3.0;
     prove = (mode = Full);
     pool_size = 1;
     overload = None;
@@ -642,9 +640,13 @@ let announce_bases t = announce t ~due:(fun _ -> true)
 
 (* ---- Human repair lab (Wer/Cbi modes) --------------------------------- *)
 
+(* Statistical localization shortens CBI's debugging: its human delay
+   is [human_fix_delay] divided by this. *)
+let cbi_localization_speedup = 3.0
+
 let human_delay t =
   match t.config.mode with
-  | Cbi -> t.config.human_fix_delay /. t.config.cbi_localization_speedup
+  | Cbi -> t.config.human_fix_delay /. cbi_localization_speedup
   | Wer | Full -> t.config.human_fix_delay
 
 let schedule_human_fix t k bucket_key kind =

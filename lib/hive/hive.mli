@@ -63,10 +63,9 @@ type config = {
   analysis_interval : float;  (** Seconds between analysis ticks. *)
   guidance_max : int;  (** Directives per program per tick. *)
   human_fix_threshold : int;  (** Reports before the human acts (Wer/Cbi). *)
-  human_fix_delay : float;  (** Seconds from threshold to deployed fix. *)
-  cbi_localization_speedup : float;
-      (** Cbi human delay = [human_fix_delay /. cbi_localization_speedup]
-          — statistical localization shortens debugging. *)
+  human_fix_delay : float;
+      (** Seconds from threshold to deployed fix; a third of that in
+          Cbi mode, whose statistical localization shortens debugging. *)
   prove : bool;  (** Attempt cumulative proofs on each tick (Full only). *)
   symexec_config : Sym_exec.config;
       (** Bounds for every symbolic query the hive runs: guidance

@@ -314,10 +314,7 @@ let analyze ?symexec_config t =
   new_fixes
 
 let add_fix t kind =
-  let fix = { Fixgen.id = 0; epoch = t.epoch + 1; kind } in
-  (* Re-number through Fixgen's private counter by proposing directly:
-     simplest is to build the fix here with a locally unique id. *)
-  let fix = { fix with Fixgen.id = 1_000_000 + List.length t.fixes } in
+  let fix = { Fixgen.id = 1_000_000 + List.length t.fixes; epoch = t.epoch + 1; kind } in
   bump_epoch t;
   t.fixes <- t.fixes @ [ fix ];
   register_canaries t [ fix ];

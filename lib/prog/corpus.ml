@@ -221,6 +221,37 @@ let bank_transfer =
       teller ~src:2 ~dst:0 ~amount:30;
     ]
 
+(* A benign lock-rich program: two append paths with globally
+   consistent acquisition orders (2<0 and 1<2, acyclic), so every
+   schedule completes and the fleet's natural failure rate is zero.
+   That makes a bad fix's damage unmistakable: an over-broad immunity
+   set [0;1] makes the 2->0 thread defer while the 1->2 thread blocks on
+   the lock it holds, livelocking ~70% of schedules into [Hang].  (On a
+   program with a real deadlock the natural failure rate would mask the
+   harm signal, and once the genuine immunity fix is fleet-wide the
+   merged pattern sets serialize the saboteur's livelock away.) *)
+let audit_ledger =
+  program ~name:"audit-ledger" ~globals:[ "entries" ] ~n_inputs:1 ~n_locks:3
+    [
+      [ assign (gvar "entries") (const 0) ];
+      [
+        lock 2;
+        yield;
+        lock 0;
+        assign (gvar "entries") (glob "entries" +: const 1);
+        unlock 0;
+        unlock 2;
+      ];
+      [
+        lock 1;
+        yield;
+        lock 2;
+        assign (gvar "entries") (glob "entries" +: const 2);
+        unlock 2;
+        unlock 1;
+      ];
+    ]
+
 let all =
   [
     ("fig2-write", fig2_write);

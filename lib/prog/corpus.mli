@@ -44,7 +44,14 @@ val bank_transfer : Ir.t
     two-lock inversion of {!worker_pool}. *)
 
 val all : (string * Ir.t) list
-(** Every corpus program, keyed by name. *)
+(** Every corpus program above, keyed by name. *)
+
+val audit_ledger : Ir.t
+(** Two threads appending under acyclic lock orders (2 then 0, 1 then
+    2): bug-free, so every schedule completes and failures measured on
+    it come only from a deployed fix.  The staged-rollout saboteur's
+    subject: an over-broad immunity set [\[0; 1\]] livelocks most of
+    its schedules.  Not in {!all}. *)
 
 val parser_trigger : int array
 (** An input vector that triggers {!parser}'s planted assertion

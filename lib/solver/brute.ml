@@ -23,12 +23,3 @@ let solve formula =
       if Cnf.eval a formula then Sat a else loop (mask + 1)
   in
   loop 0
-
-let count_models formula =
-  check_size formula;
-  let n = formula.Cnf.n_vars in
-  let count = ref 0 in
-  for mask = 0 to (1 lsl n) - 1 do
-    if Cnf.eval (assignment_of_mask n mask) formula then incr count
-  done;
-  !count

@@ -10,6 +10,3 @@ type verdict =
 val solve : Cnf.formula -> verdict
 (** @raise Invalid_argument if the formula has more than 22 variables
     (enumeration would be unreasonable). *)
-
-val count_models : Cnf.formula -> int
-(** Number of satisfying assignments (same variable bound). *)

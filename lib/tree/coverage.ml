@@ -27,10 +27,3 @@ let snapshots t = List.rev t.snaps
 let executions_to_reach t ~paths =
   List.find_opt (fun s -> s.distinct_paths >= paths) (snapshots t)
   |> Option.map (fun s -> s.executions)
-
-let pp_series fmt t =
-  List.iter
-    (fun s ->
-      Format.fprintf fmt "execs=%-6d paths=%-5d nodes=%-6d frontier=%-4d complete=%.2f@."
-        s.executions s.distinct_paths s.nodes s.frontier_size s.completeness)
-    (snapshots t)

@@ -26,5 +26,3 @@ val snapshots : t -> snapshot list
 val executions_to_reach : t -> paths:int -> int option
 (** First execution count at which [distinct_paths >= paths], if
     reached. *)
-
-val pp_series : Format.formatter -> t -> unit

@@ -69,15 +69,6 @@ let pop_count t =
   done;
   !count
 
-let to_bool_list t =
-  let rec loop i acc = if i < 0 then acc else loop (i - 1) (unsafe_get t i :: acc) in
-  loop (t.len - 1) []
-
-let iteri f t =
-  for i = 0 to t.len - 1 do
-    f i (unsafe_get t i)
-  done
-
 let fold f init t =
   let acc = ref init in
   for i = 0 to t.len - 1 do

@@ -43,12 +43,6 @@ val truncate : t -> int -> unit
 val pop_count : t -> int
 (** Number of set bits. *)
 
-val to_bool_list : t -> bool list
-(** All bits, in index order. *)
-
-val iteri : (int -> bool -> unit) -> t -> unit
-(** [iteri f t] applies [f] to every index/bit pair in order. *)
-
 val fold : ('a -> bool -> 'a) -> 'a -> t -> 'a
 (** Left fold over bits in index order. *)
 

@@ -25,7 +25,6 @@ let create cap =
     miss_count = 0;
   }
 
-let capacity t = t.cap
 let length t = Hashtbl.length t.table
 let hits t = t.hit_count
 let misses t = t.miss_count

@@ -14,7 +14,6 @@ val create : int -> ('k, 'v) t
 (** [create capacity] makes an empty cache.  @raise Invalid_argument
     if [capacity < 1]. *)
 
-val capacity : ('k, 'v) t -> int
 val length : ('k, 'v) t -> int
 
 val find : ('k, 'v) t -> 'k -> 'v option

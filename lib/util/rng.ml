@@ -21,8 +21,6 @@ let split t =
   let child_seed = bits64 t in
   { state = mix64 child_seed; zipf_cache = None }
 
-let copy t = { state = t.state; zipf_cache = t.zipf_cache }
-
 let int t n =
   if n <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* [land max_int] clears the sign bit of the truncated 63-bit value,

@@ -17,9 +17,6 @@ val split : t -> t
 (** [split t] advances [t] and returns an independent child generator.
     Used to hand each pod / link / workload its own stream. *)
 
-val copy : t -> t
-(** Snapshot of the current state (for replay). *)
-
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 

@@ -16,7 +16,10 @@ module Engine = Softborg_exec.Engine
 module Outcome = Softborg_exec.Outcome
 module Corpus_bench = Softborg_corpus.Corpus_bench
 module Fixgen = Softborg_hive.Fixgen
+module Knowledge = Softborg_hive.Knowledge
 module Repair_score = Softborg_hive.Repair_score
+module Platform = Softborg.Platform
+module Scenario = Softborg.Scenario
 
 let checki = Alcotest.check Alcotest.int
 let checkb = Alcotest.check Alcotest.bool
@@ -222,8 +225,10 @@ let test_corpus_shape () =
     instances
 
 (* The scorer itself: every instance of the three-seed corpus must be
-   localized and averted at full precision (the same yardstick the
-   @repair-smoke bench asserts, here under the quick config). *)
+   localized and averted at full precision with most of its fixed tree
+   proved (the yardstick `bench repair` records, here under the quick
+   config), and an instance's buggy build run as a fleet must deploy a
+   fix through the normal pod->hive loop. *)
 let test_scorer_localizes_and_averts () =
   let scores, families = Repair_score.score_corpus ~config:quick_config (Lazy.force corpus3) in
   List.iter
@@ -233,7 +238,9 @@ let test_scorer_localizes_and_averts () =
       checkb (label ^ " isolated") true (s.Repair_score.time_to_isolation <> None);
       checkb (label ^ " localized") true s.Repair_score.localized;
       checkb (label ^ " averted") true s.Repair_score.averted;
-      checki (label ^ " precision 1.0") s.Repair_score.proposed s.Repair_score.correct)
+      checkb (label ^ " fix proposed") true (s.Repair_score.proposed > 0);
+      checki (label ^ " precision 1.0") s.Repair_score.proposed s.Repair_score.correct;
+      checkb (label ^ " coverage > 0.5") true (s.Repair_score.proof_coverage > 0.5))
     scores;
   checki "six families scored" 6 (List.length families);
   List.iter
@@ -241,7 +248,15 @@ let test_scorer_localizes_and_averts () =
       checkb (f.Repair_score.family ^ " recall 1.0") true (f.Repair_score.recall = 1.0);
       checkb (f.Repair_score.family ^ " coverage > 0.5") true
         (f.Repair_score.mean_proof_coverage > 0.5))
-    families
+    families;
+  let inst = List.hd (Lazy.force corpus3) in
+  let report =
+    Platform.run { (Scenario.repair_instance ~seed:5 inst) with Platform.duration = 90.0 }
+  in
+  let know = List.hd report.Platform.knowledge in
+  checkb "fleet run ingested traffic" true (Knowledge.traces_ingested know > 0);
+  checkb "fleet run deployed a fix" true
+    (List.exists Fixgen.is_deployable (Knowledge.fixes know))
 
 let () =
   Alcotest.run "softborg_corpus"

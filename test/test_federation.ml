@@ -1,12 +1,14 @@
 (* The federation battery: the N-shard merge must be indistinguishable,
    byte-for-byte, from one hive fed the same traces — for any shard
    count, any routing split, and any delivery interleaving (latency
-   jitter, duplication, retransmission) the transport produces.  Shard
+   jitter, duplication, retransmission) the transport produces; and its
+   first fix must land no later than a single hive's.  Shard
    checkpoints must make a crash-restore cycle invisible, and the shard
    map must be a pure, codec-stable partition. *)
 
 module Ir = Softborg_prog.Ir
 module Corpus = Softborg_prog.Corpus
+module Generator = Softborg_prog.Generator
 module Env = Softborg_exec.Env
 module Sched = Softborg_exec.Sched
 module Interp = Softborg_exec.Interp
@@ -68,13 +70,14 @@ let fed_config ?(synthesize = false) ?transport ~n_shards () =
     transport = Option.value ~default:base.Federation.transport transport;
   }
 
-let make_fed ?synthesize ?transport ~n_shards ~seed () =
+let default_programs = [ Corpus.parser; Corpus.fig2_write ]
+
+let make_fed ?synthesize ?transport ?(programs = default_programs) ~n_shards ~seed () =
   let sim = Sim.create () in
   let rng = Rng.create seed in
   let config = fed_config ?synthesize ?transport ~n_shards () in
   let fed = Federation.create ~config ~sim ~rng () in
-  ignore (Federation.register_program fed Corpus.parser);
-  ignore (Federation.register_program fed Corpus.fig2_write);
+  List.iter (fun p -> ignore (Federation.register_program fed p)) programs;
   (sim, rng, fed)
 
 (* Attach [n_pods] pod connections; returns the pod-side endpoints. *)
@@ -103,8 +106,8 @@ let settle sim fed =
 
 (* Send every upload through the pod fleet (round-robin), deliver, then
    settle the superstep exchange. *)
-let run_fed ?synthesize ?transport ~n_shards ~seed uploads =
-  let sim, rng, fed = make_fed ?synthesize ?transport ~n_shards ~seed () in
+let run_fed ?synthesize ?transport ?programs ~n_shards ~seed uploads =
+  let sim, rng, fed = make_fed ?synthesize ?transport ?programs ~n_shards ~seed () in
   let pods = attach_pods ?transport sim rng fed 2 in
   List.iteri
     (fun i payload -> Transport.send (List.nth pods (i mod List.length pods)) payload)
@@ -115,12 +118,11 @@ let run_fed ?synthesize ?transport ~n_shards ~seed uploads =
 
 (* The single-hive oracle: one hive ingests the identical upload frames
    directly, in submission order. *)
-let oracle_bytes uploads =
+let oracle_bytes ?(programs = default_programs) uploads =
   let sim = Sim.create () in
   let config = { (Hive.default_config Hive.Full) with Hive.synthesize = false } in
   let hive = Hive.create ~config ~sim () in
-  ignore (Hive.register_program hive Corpus.parser);
-  ignore (Hive.register_program hive Corpus.fig2_write);
+  List.iter (fun p -> ignore (Hive.register_program hive p)) programs;
   List.iter (Hive.ingest_payload hive) uploads;
   (hive, Hive.checkpoint hive)
 
@@ -182,6 +184,41 @@ let prop_merge_equality_survives_link_faults =
       let equal = Hive.checkpoint (Federation.merged fed) = oracle in
       equal)
 
+let test_generated_population_merges () =
+  (* Twelve generated programs with varied early branching, so path
+     prefixes spread across shard ranges instead of piling onto one
+     shard; twelve uploads each. *)
+  let programs =
+    List.init 12 (fun i ->
+        fst
+          (Generator.generate
+             (Rng.create (9100 + i))
+             {
+               Generator.default_params with
+               Generator.bugs = (if i mod 2 = 0 then [ Generator.Rare_assert ] else []);
+               block_depth = 3;
+               stmts_per_block = 6;
+             }))
+  in
+  let uploads =
+    List.concat_map
+      (fun (p : Ir.t) ->
+        List.init 12 (fun i ->
+            upload_of p
+              (run_once ~seed:i p
+                 (Array.init p.Ir.n_inputs (fun k -> (((i * 53) + (k * 19)) mod 211) - 40)))))
+      programs
+  in
+  let _, oracle = oracle_bytes ~programs uploads in
+  List.iter
+    (fun n_shards ->
+      let _sim, fed = run_fed ~programs ~n_shards ~seed:(40 + n_shards) uploads in
+      checks
+        (Printf.sprintf "%d-shard merge equals the single hive" n_shards)
+        oracle
+        (Hive.checkpoint (Federation.merged fed)))
+    [ 1; 2; 4 ]
+
 let test_commit_order_is_shard_then_seq () =
   (* Drive two superstep rounds and check the accounting: every delta
      sent is committed, nothing is merged twice, and the merged trace
@@ -236,6 +273,63 @@ let test_fix_publication_reaches_shards_and_pods () =
     checkb "shard adopted the coordinator's fix set" true (shard_epochs = merged_epochs)
   done;
   checkb "pods received fix updates" true (!pod_fix_updates > 0)
+
+let test_first_fix_no_later_than_single_hive () =
+  (* One 40-upload schedule, every fifth upload hitting parser's planted
+     assertion, against a standalone hive and against federations whose
+     coordinator analyzes every half tick: the first fix must land no
+     later at any shard count.  The faster cadence (free: the
+     coordinator serves no pods) pays for the flush-then-commit hop a
+     superstep merge inserts before evidence reaches the analyzer. *)
+  let uploads =
+    List.init 40 (fun i ->
+        let inputs =
+          if i mod 5 = 0 then Corpus.parser_trigger
+          else Array.init 3 (fun k -> ((i * 7) + (k * 3)) mod 30)
+        in
+        upload_of Corpus.parser (run_once ~seed:i Corpus.parser inputs))
+  in
+  let first_fix sim pod k start =
+    List.iteri
+      (fun i payload ->
+        Sim.schedule_at sim
+          ~time:(2.0 +. (1.5 *. float_of_int i))
+          (fun () -> Transport.send pod payload))
+      uploads;
+    start ();
+    let rec go () =
+      if Knowledge.epoch k > 0 then Sim.now sim
+      else if Sim.now sim > 600.0 || not (Sim.step sim) then Alcotest.fail "no fix by 600s"
+      else go ()
+    in
+    go ()
+  in
+  let single =
+    let sim = Sim.create () in
+    let hive = Hive.create ~sim () in
+    let k = Hive.register_program hive Corpus.parser in
+    let pod, hive_end = Transport.endpoint_pair ~sim ~rng:(Rng.create 3) () in
+    Hive.attach_pod hive hive_end;
+    first_fix sim pod k (fun () -> Hive.start hive)
+  in
+  List.iter
+    (fun n_shards ->
+      let sim = Sim.create () in
+      let base = Federation.default_config ~n_shards () in
+      let config =
+        { base with Federation.superstep_interval = base.Federation.superstep_interval /. 2.0 }
+      in
+      let fed = Federation.create ~config ~sim ~rng:(Rng.create (50 + n_shards)) () in
+      let k = Federation.register_program fed Corpus.parser in
+      let pod, router = Transport.endpoint_pair ~sim ~rng:(Rng.create 5) () in
+      (* No Sim.run between attach and start: the superstep schedule
+         anchors at t=0, exactly like the single hive's ticks. *)
+      Federation.attach_pod fed router;
+      let t = first_fix sim pod k (fun () -> Federation.start fed) in
+      checkb
+        (Printf.sprintf "%d shards: first fix at %.1fs, single hive at %.1fs" n_shards t single)
+        true (t <= single))
+    [ 1; 2; 4; 8 ]
 
 let test_coordinator_retraction_reaches_shards_and_survives_restore () =
   (* Retraction is decided only at the merge coordinator: shards and
@@ -573,8 +667,11 @@ let () =
         [
           q prop_merge_equals_single;
           q prop_merge_equality_survives_link_faults;
+          Alcotest.test_case "generated population" `Quick test_generated_population_merges;
           Alcotest.test_case "delta accounting" `Quick test_commit_order_is_shard_then_seq;
           Alcotest.test_case "fix publication" `Quick test_fix_publication_reaches_shards_and_pods;
+          Alcotest.test_case "first fix no later than one hive" `Quick
+            test_first_fix_no_later_than_single_hive;
           Alcotest.test_case "coordinator retraction" `Quick
             test_coordinator_retraction_reaches_shards_and_survives_restore;
         ] );

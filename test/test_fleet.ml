@@ -21,6 +21,7 @@ module Transport = Softborg_net.Transport
 module Hive = Softborg_hive.Hive
 module Knowledge = Softborg_hive.Knowledge
 module Checkpoint = Softborg_hive.Checkpoint
+module Trace_store = Softborg_hive.Trace_store
 module Protocol = Softborg_hive.Protocol
 module Pod = Softborg_pod.Pod
 module Workload = Softborg_pod.Workload
@@ -253,79 +254,89 @@ let test_batch_record_count_capped () =
 
 (* ---- Frame-agnostic knowledge (the central invariant) ------------------- *)
 
-let fleet_traces ?(n = 24) ?(prog = Corpus.parser) () =
+let fleet_traces ?(n = 24) ?(prog = Corpus.parser) ?(hi = 40) () =
   let rng = Rng.create 23 in
   List.init n (fun i ->
-      let inputs = Array.init prog.Ir.n_inputs (fun _ -> Rng.int rng 40) in
+      let inputs = Array.init prog.Ir.n_inputs (fun _ -> Rng.int rng hi) in
       trace_of ~pod:(1 + (i mod 5)) prog inputs)
 
 let knowledge_bytes hive = Checkpoint.encode (Hive.knowledge_list hive)
 
-let make_hive ?(prog = Corpus.parser) ?overload () =
-  let sim = Sim.create () in
-  let config = { (Hive.default_config Hive.Full) with Hive.overload } in
-  let hive = Hive.create ~config ~sim () in
+let make_hive ?(prog = Corpus.parser) () =
+  let hive = Hive.create ~sim:(Sim.create ()) () in
   ignore (Hive.register_program hive prog);
-  (sim, hive)
+  hive
 
-let inject_singles hive traces =
-  List.iter
-    (fun t ->
-      Hive.inject hive ~slot:0 (Protocol.encode (Protocol.Trace_upload (Wire.encode t))))
-    traces
+let single_frames traces =
+  List.map (fun t -> Protocol.encode (Protocol.Trace_upload (Wire.encode t))) traces
+
+let inject hive frames = List.iter (Hive.inject hive ~slot:0) frames
+let inject_singles hive traces = inject hive (single_frames traces)
 
 (* Batch the traces [size] at a time, first record full, rest
    delta-encoded against it — the self-anchored frame shape. *)
-let inject_batches ?(delta = true) hive ~size traces =
+let batch_frames ?(delta = true) ~size traces =
   let rec chunks = function
     | [] -> []
     | ts ->
-      let rec take n = function
-        | x :: rest when n > 0 ->
-          let head, tail = take (n - 1) rest in
-          (x :: head, tail)
-        | rest -> ([], rest)
-      in
-      let head, tail = take size ts in
-      head :: chunks tail
+      List.filteri (fun i _ -> i < size) ts :: chunks (List.filteri (fun i _ -> i >= size) ts)
   in
-  List.iter
+  List.map
     (fun chunk ->
-      let records =
-        match chunk with
-        | [] -> []
-        | first :: rest ->
-          Wire.encode_record first
-          :: List.map
-               (fun t ->
-                 if delta then Wire.encode_record ~basis:first t else Wire.encode_record t)
-               rest
-      in
-      let digest = (List.hd chunk).Trace.program_digest in
-      Hive.inject hive ~slot:0
-        (Protocol.encode
-           (Protocol.Batch_upload
-              { program_digest = digest; basis_id = 0; basis_check = 0; records })))
+      let first = List.hd chunk in
+      let encode t = if delta then Wire.encode_record ~basis:first t else Wire.encode_record t in
+      Protocol.encode
+        (Protocol.Batch_upload
+           {
+             program_digest = first.Trace.program_digest;
+             basis_id = 0;
+             basis_check = 0;
+             records = Wire.encode_record first :: List.map encode (List.tl chunk);
+           }))
     (chunks traces)
 
 let test_knowledge_frame_agnostic () =
-  let traces = fleet_traces () in
-  let _, h_single = make_hive () in
-  inject_singles h_single traces;
-  let baseline = knowledge_bytes h_single in
-  checkb "knowledge not empty" true (String.length baseline > 0);
-  checki "all ingested" (List.length traces)
-    (Hive.stats h_single).Hive.traces_received;
-  List.iter
-    (fun (label, size, delta) ->
-      let _, h = make_hive () in
-      inject_batches ~delta h ~size traces;
-      checki (label ^ " ingested all") (List.length traces)
+  (* Parser traces seldom share a prefix.  Checksum traces share their
+     whole deterministic mixing loop and step count (the fleet shape),
+     so their delta records actually ship.  Every hive path prepares
+     each trace once, so no admission falls back to re-encoding. *)
+  let check_program (prog : Ir.t) traces framings =
+    let ingest frames =
+      let h = make_hive ~prog () in
+      inject h frames;
+      checki (prog.Ir.name ^ " ingested all") (List.length traces)
         (Hive.stats h).Hive.traces_received;
-      checkb (label ^ " frames counted") true
-        ((Hive.stats h).Hive.batch_frames_received > 0);
-      checks (label ^ " knowledge byte-identical") baseline (knowledge_bytes h))
-    [ ("batch-4 delta", 4, true); ("batch-4 full", 4, false); ("batch-7 delta", 7, true) ]
+      List.iter
+        (fun k ->
+          checki "no fallback encode" 0 (Trace_store.fallback_encodes (Knowledge.store k)))
+        (Hive.knowledge_list h);
+      h
+    in
+    let baseline = knowledge_bytes (ingest (single_frames traces)) in
+    checkb "knowledge not empty" true (String.length baseline > 0);
+    List.iter
+      (fun (size, delta) ->
+        let label =
+          Printf.sprintf "%s batch-%d %s" prog.Ir.name size (if delta then "delta" else "full")
+        in
+        let h = ingest (batch_frames ~delta ~size traces) in
+        checkb (label ^ " frames counted") true ((Hive.stats h).Hive.batch_frames_received > 0);
+        checks (label ^ " knowledge byte-identical") baseline (knowledge_bytes h))
+      framings
+  in
+  check_program Corpus.parser (fleet_traces ()) [ (4, true); (4, false); (7, true) ];
+  let traces = fleet_traces ~n:48 ~prog:Corpus.checksum ~hi:200 () in
+  check_program Corpus.checksum traces [ (16, true); (16, false); (5, true) ];
+  let bytes frames = List.fold_left (fun n f -> n + String.length f) 0 frames in
+  let delta16 = bytes (batch_frames ~size:16 traces) in
+  let singles = bytes (single_frames traces) in
+  checkb "checksum delta records ship" true
+    (delta16 < bytes (batch_frames ~delta:false ~size:16 traces));
+  checkb
+    (Printf.sprintf "batch-16+delta at least 2x smaller than singles (%d vs %d bytes)" delta16
+       singles)
+    true
+    (2 * delta16 <= singles)
 
 let test_announced_basis_batches () =
   (* The hive announces a basis after its first ingested trace; batches
@@ -333,7 +344,7 @@ let test_announced_basis_batches () =
      must land on the same knowledge as singles.  Checksum traces keep
      a constant step count, so the delta candidate genuinely wins. *)
   let traces = fleet_traces ~prog:Corpus.checksum () in
-  let _, h = make_hive ~prog:Corpus.checksum () in
+  let h = make_hive ~prog:Corpus.checksum () in
   inject_singles h [ List.hd traces ];
   Hive.announce_bases h;
   checki "one basis announced" 1 (Hive.stats h).Hive.basis_updates_sent;
@@ -374,7 +385,7 @@ let test_announced_basis_batches () =
     (chunks 5 rest);
   checki "all ingested" (List.length traces) (Hive.stats h).Hive.traces_received;
   (* Against the reference: singles into a plain hive. *)
-  let _, h_ref = make_hive ~prog:Corpus.checksum () in
+  let h_ref = make_hive ~prog:Corpus.checksum () in
   inject_singles h_ref traces;
   checks "announced-basis knowledge byte-identical" (knowledge_bytes h_ref)
     (knowledge_bytes h);

@@ -4,6 +4,7 @@
 module Corpus = Softborg_prog.Corpus
 module Exec_tree = Softborg_tree.Exec_tree
 module Knowledge = Softborg_hive.Knowledge
+module Checkpoint = Softborg_hive.Checkpoint
 module Prover = Softborg_hive.Prover
 module Hive = Softborg_hive.Hive
 module Transport = Softborg_net.Transport
@@ -296,6 +297,7 @@ let test_platform_chaos_checkpoint_identity () =
     Platform.run { base with Platform.chaos = Some plan; checkpoint_interval = 0.0 }
   in
   checkb "same trajectory" true (trajectory plain = trajectory chaos);
+  checki "initial + three scheduled checkpoints" 4 chaos.Platform.final.Metrics.checkpoints;
   checki "three restores" 3 chaos.Platform.final.Metrics.restores;
   match (plain.Platform.knowledge, chaos.Platform.knowledge) with
   | [ kp ], [ kc ] ->
@@ -334,13 +336,18 @@ let test_platform_chaos_rollback_recovers () =
   in
   let f = report.Platform.final in
   checki "one restore" 1 f.Metrics.restores;
-  checkb "checkpoints taken" true (f.Metrics.checkpoints >= 2);
+  checki "initial + one scheduled checkpoint" 2 f.Metrics.checkpoints;
   checkb "fleet kept running" true (f.Metrics.sessions > 50);
   checki "joined pod reported" 4 (List.length report.Platform.pod_metrics);
   match report.Platform.knowledge with
   | [ k ] ->
     checkb "hive relearned after rollback" true (Knowledge.traces_ingested k > 0);
-    checkb "tree rebuilt" true (Exec_tree.n_distinct_paths (Knowledge.tree k) >= 1)
+    checkb "tree rebuilt" true (Exec_tree.n_distinct_paths (Knowledge.tree k) >= 1);
+    (* The knowledge a restore left behind still round-trips. *)
+    let bytes = Checkpoint.encode [ k ] in
+    (match Checkpoint.decode bytes with
+    | Ok ks -> Alcotest.(check string) "checkpoint round trip" bytes (Checkpoint.encode ks)
+    | Error e -> Alcotest.failf "checkpoint decode failed: %s" e)
   | ks -> Alcotest.failf "expected one knowledge entry, got %d" (List.length ks)
 
 let test_platform_chaos_deterministic () =

@@ -1,8 +1,9 @@
 (* Tests for the staged fix rollout: deterministic canary cohorts, the
    sequential canary-vs-control health test, the lifecycle checkpoint
-   codec, quarantine of retracted-fix evidence, and the monotonic
+   codec, quarantine of retracted-fix evidence, the monotonic
    epoch guard that keeps an adversarial (duplicating, reordering)
-   transport from ever resurrecting a retracted fix. *)
+   transport from ever resurrecting a retracted fix, and the rollout's
+   acceptance bars on a fleet running a sabotaged fix. *)
 
 module Ir = Softborg_prog.Ir
 module Corpus = Softborg_prog.Corpus
@@ -525,6 +526,108 @@ let test_rollout_is_a_hive_setting () =
   checkb "saboteur retracted, not promoted" true
     (entry.Fix_lifecycle.stage = Fix_lifecycle.Retracted)
 
+let test_saboteur_confined_and_retracted () =
+  (* The staged-rollout acceptance bars (`bench rollout` records the
+     same arms over 900 s).  A saboteur injected into the benign
+     audit-ledger fleet is retracted fast, only its cohort is ever
+     exposed, and the fleet ends about as healthy as without it; the
+     naive instant arm never retracts and pays for it.  A good fix
+     staged through the same canary reaches the fleet at most a couple
+     of ticks after instant deployment, and every shard count retracts
+     the same saboteur. *)
+  let sample_interval = 15.0 and n_pods = 36 and inject_at = 60.0 in
+  let staged_config =
+    {
+      Fix_lifecycle.default_config with
+      Fix_lifecycle.canary_mils = 125;
+      min_exposed = 4;
+      min_control = 8;
+      max_hold_ticks = 6;
+    }
+  in
+  let arm ?(rollout = false) ?(bad_fix = false) ?(shards = 1) program =
+    let c = Scenario.single_program ~seed:9 program in
+    let c =
+      {
+        c with
+        Platform.duration = 240.0;
+        n_pods;
+        sample_interval;
+        pod_config = { c.Platform.pod_config with Pod.arrival_rate = 0.5; max_steps = 4_000 };
+      }
+    in
+    let c = if rollout then Scenario.with_rollout ~rollout:staged_config c else c in
+    let c = if bad_fix then Scenario.inject_bad_fix ~at:inject_at c else c in
+    Platform.run (if shards > 1 then Scenario.with_shards shards c else c)
+  in
+  let first_time pred report =
+    match List.find_opt pred report.Platform.snapshots with
+    | Some s -> s.Metrics.time
+    | None -> Alcotest.fail "the awaited event never happened"
+  in
+  let rate report = Metrics.failure_rate report.Platform.final in
+  let retractions report = report.Platform.final.Metrics.fix_retractions in
+  let exposed report = report.Platform.final.Metrics.pods_exposed in
+  (* Injected fixes mint ids from 1_000_000 up; every shard republishes
+     the coordinator's ledger, so dedupe. *)
+  let injected_retracted report =
+    List.concat_map
+      (fun k -> List.filter (fun id -> id >= 1_000_000) (Knowledge.retracted_ids k))
+      report.Platform.knowledge
+    |> List.sort_uniq Int.compare
+  in
+  let tick = (Hive.default_config Hive.Full).Hive.analysis_interval in
+  let baseline = arm Corpus.audit_ledger in
+  let naive = arm ~bad_fix:true Corpus.audit_ledger in
+  let staged = arm ~rollout:true ~bad_fix:true Corpus.audit_ledger in
+  checki "naive arm never retracts" 0 (retractions naive);
+  let bad_id =
+    match injected_retracted staged with
+    | [ id ] -> id
+    | ids -> Alcotest.failf "expected one retracted saboteur, got %d" (List.length ids)
+  in
+  let cohort =
+    List.length
+      (List.filter
+         (fun c ->
+           Fix_lifecycle.in_cohort ~cohort:c ~fix_id:bad_id
+             ~mils:staged_config.Fix_lifecycle.canary_mils)
+         (List.init n_pods Fun.id))
+  in
+  let ttr = first_time (fun s -> s.Metrics.fix_retractions > 0) staged -. inject_at in
+  checkb (Printf.sprintf "retracted in %.0fs, within 4 ticks + a sample" ttr) true
+    (ttr <= (4.0 *. tick) +. sample_interval);
+  checkb "cohort under 30% of the fleet" true (10 * cohort < 3 * n_pods);
+  checkb "exposure confined to the cohort" true (exposed staged <= cohort + 1);
+  (* A canary pod hangs for the sampling window, hence the small
+     absolute headroom over the baseline. *)
+  checkb
+    (Printf.sprintf "staged rate %.4f within baseline %.4f x1.1 + 0.02" (rate staged)
+       (rate baseline))
+    true
+    (rate staged <= (rate baseline *. 1.1) +. 0.02);
+  checkb "staging beats instant deployment" true (rate naive > rate staged);
+  let instant = arm Corpus.parser in
+  let staged_good = arm ~rollout:true Corpus.parser in
+  let lag =
+    first_time (fun s -> s.Metrics.fix_promotions > 0) staged_good
+    -. first_time (fun s -> s.Metrics.fixes_deployed > 0) instant
+  in
+  checkb (Printf.sprintf "promotion lag %.0fs within 2 ticks + a sample" lag) true
+    (lag <= (2.0 *. tick) +. sample_interval);
+  checki "good fix never retracted" 0 (retractions staged_good);
+  (* The staged run is the 1-shard row: its config is identical. *)
+  List.iter
+    (fun (shards, r) ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "%d shards retract the same saboteur" shards)
+        [ bad_id ] (injected_retracted r);
+      checkb (Printf.sprintf "%d shards confine exposure" shards) true (exposed r <= cohort + 1))
+    ((1, staged)
+    :: List.map
+         (fun shards -> (shards, arm ~rollout:true ~bad_fix:true ~shards Corpus.audit_ledger))
+         [ 2; 4 ])
+
 let () =
   Alcotest.run "softborg_rollout"
     [
@@ -563,5 +666,7 @@ let () =
           Alcotest.test_case "off is invisible" `Quick test_rollout_off_prints_nothing;
           Alcotest.test_case "on stages fixes" `Slow test_rollout_on_stages_fixes;
           Alcotest.test_case "rollout is a hive setting" `Quick test_rollout_is_a_hive_setting;
+          Alcotest.test_case "saboteur confined and retracted" `Slow
+            test_saboteur_confined_and_retracted;
         ] );
     ]
