@@ -27,6 +27,18 @@ let find t ~site ~direction =
 
 let add t ~site ~direction verdict = Hashtbl.replace t.table (site, direction) verdict
 
+let derive ?memo ?config ?cache program ~site ~direction =
+  let solve () = Testgen.for_direction ?config ?cache program ~site ~direction in
+  match memo with
+  | None -> solve ()
+  | Some t -> (
+    match find t ~site ~direction with
+    | Some verdict -> verdict
+    | None ->
+      let verdict = solve () in
+      add t ~site ~direction verdict;
+      verdict)
+
 let length t = Hashtbl.length t.table
 let hits t = t.hits
 let misses t = t.misses

@@ -1,7 +1,7 @@
 (** Memoized symbolic gap verdicts.
 
-    [Sym_exec.direction_feasible] is a pure function of the program,
-    the target [(site, direction)] and the symexec configuration — it
+    [Testgen.for_direction] is a pure function of the program, the
+    target [(site, direction)] and the symexec configuration — it
     does not depend on which tree node exposed the gap.  The hive asks
     the same questions every tick (guidance planning and gap closing
     both walk the frontier), so one per-knowledge table keyed by
@@ -40,6 +40,20 @@ val find : t -> site:Ir.site -> direction:bool -> verdict option
 (** Cached verdict, if any; updates the hit/miss counters. *)
 
 val add : t -> site:Ir.site -> direction:bool -> verdict -> unit
+
+val derive :
+  ?memo:t ->
+  ?config:Softborg_symexec.Sym_exec.config ->
+  ?cache:Softborg_solver.Verdict_cache.t ->
+  Ir.t ->
+  site:Ir.site ->
+  direction:bool ->
+  verdict
+(** The one place the hive derives a gap verdict: [memo]'s entry if it
+    has one ({!find}, so a hit or a miss is counted), else
+    {!Testgen.for_direction}'s answer, which is then {!add}ed.  Without
+    [memo] it always derives.  The planner and the prover both call
+    it, so each reuses the other's entries. *)
 
 val length : t -> int
 val hits : t -> int

@@ -60,20 +60,6 @@ let plan ?config ?cache ?(max_directives = 8) ?exclude ?memo program tree =
       |> Seq.take max_considered
       |> List.of_seq
   in
-  (* Cached answers equal recomputed ones, so cache hits change no
-     output. *)
-  let solve site direction = Testgen.for_direction ?config ?cache program ~site ~direction in
-  let memoized site direction =
-    match memo with
-    | None -> solve site direction
-    | Some memo -> (
-      match Gap_memo.find memo ~site ~direction with
-      | Some verdict -> verdict
-      | None ->
-        let verdict = solve site direction in
-        Gap_memo.add memo ~site ~direction verdict;
-        verdict)
-  in
   let directives = ref [] in
   let n_directives = ref 0 in
   let considered = ref 0 in
@@ -83,7 +69,12 @@ let plan ?config ?cache ?(max_directives = 8) ?exclude ?memo program tree =
     (fun (gap : Exec_tree.gap) ->
       if !n_directives < max_directives && !considered < max_considered then begin
         incr considered;
-        match memoized gap.Exec_tree.site gap.Exec_tree.missing with
+        (* Cached answers equal recomputed ones, so cache hits change
+           no output. *)
+        match
+          Gap_memo.derive ?memo ?config ?cache program ~site:gap.Exec_tree.site
+            ~direction:gap.Exec_tree.missing
+        with
         | `Test test ->
           directives :=
             Cover_direction

@@ -44,28 +44,16 @@ let make_proof property strength epoch distinct_paths =
 
 let close_gaps ?config ?cache ?memo ?owned ?(limit = 24) program tree =
   let closed = ref 0 in
-  let verdict_for site direction =
-    (* Solving through [Testgen.for_direction] (rather than
-       [Sym_exec.direction_feasible] directly) classifies identically
-       and lets the prover share one memo table with the planner. *)
-    let solve () = Softborg_symexec.Testgen.for_direction ?config ?cache program ~site ~direction in
-    match memo with
-    | None -> solve ()
-    | Some memo -> (
-      match Gap_memo.find memo ~site ~direction with
-      | Some verdict -> verdict
-      | None ->
-        let verdict = solve () in
-        Gap_memo.add memo ~site ~direction verdict;
-        verdict)
-  in
   (* Only the hottest [limit] gaps are pulled from the index; the
      frontier is never materialized in full. *)
   Exec_tree.frontier_seq tree
   |> (match owned with None -> Fun.id | Some owned -> Seq.filter owned)
   |> Seq.take (max 0 limit)
   |> Seq.iter (fun (gap : Exec_tree.gap) ->
-         match verdict_for gap.Exec_tree.site gap.Exec_tree.missing with
+         match
+           Gap_memo.derive ?memo ?config ?cache program ~site:gap.Exec_tree.site
+             ~direction:gap.Exec_tree.missing
+         with
          | `Infeasible ->
            if
              Exec_tree.mark_infeasible tree ~prefix:gap.Exec_tree.prefix

@@ -457,16 +457,20 @@ type direction_verdict =
   | Infeasible
   | Unknown
 
-let direction_feasible ?config ?cache program ~site ~direction =
-  let ex = explore_gen ?config ?cache ?target:(Some (site, direction)) program Consistency.Strict in
+let direction_feasible ?config ?cache ?(level = Consistency.Strict) program ~site ~direction =
+  let ex = explore_gen ?config ?cache ?target:(Some (site, direction)) program level in
   match ex.found with
   | Some (model, origins) -> Feasible { model; origins }
   | None ->
+    (* A havoced global stands for any value, so a local "no path"
+       proves nothing about real executions. *)
+    let relaxed = match level with Consistency.Strict -> false | Consistency.Local _ -> true in
     let multi_threaded = Array.length program.Ir.threads > 1 in
     (* The deferred end-of-path solves, in emission order: a timeout
        among them is all that can still turn Infeasible into Unknown. *)
     let path_timeout () =
       List.exists (fun path -> snd (solve_path ex path) = `Timeout) (List.rev ex.emitted)
     in
-    if ex.truncated || ex.target_timeout || multi_threaded || path_timeout () then Unknown
+    if ex.truncated || ex.target_timeout || relaxed || multi_threaded || path_timeout () then
+      Unknown
     else Infeasible

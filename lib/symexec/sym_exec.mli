@@ -67,12 +67,14 @@ type direction_verdict =
   | Feasible of { model : int array; origins : sym_origin array }
   | Infeasible
       (** No input in the domain reaches the direction.  Only claimed
-          for single-threaded programs with exhaustive exploration. *)
+          at [Strict] consistency, for single-threaded programs with
+          exhaustive exploration. *)
   | Unknown
 
 val direction_feasible :
   ?config:config ->
   ?cache:Verdict_cache.t ->
+  ?level:Consistency.level ->
   Ir.t ->
   site:Ir.site ->
   direction:bool ->
@@ -81,5 +83,13 @@ val direction_feasible :
     [direction]?  Returns with the first SAT model found.  A finished
     path's end-of-path solve runs only when it decides between
     [Infeasible] and [Unknown] — nothing found, exploration exhaustive,
-    single-threaded, no timeout while solving the target — and then in
-    path order, up to the first timeout. *)
+    single-threaded, [Strict], no timeout while solving the target —
+    and then in path order, up to the first timeout.
+
+    [level] (default [Strict]) is the consistency the search runs at.
+    At [Local { thread }] only [thread] runs and every global it reads
+    before writing is a fresh [From_global] symbol, so a [Feasible]
+    model may hold only under that havoc (check it concretely before
+    trusting it) and an empty search answers [Unknown], never
+    [Infeasible].  A [cache] may serve both levels: its keys pin the
+    whole condition. *)

@@ -1,5 +1,8 @@
 module Ir = Softborg_prog.Ir
 module Env = Softborg_exec.Env
+module Interp = Softborg_exec.Interp
+module Sched = Softborg_exec.Sched
+module Vm = Softborg_exec.Vm
 module Codec = Softborg_util.Codec
 
 type test_case = {
@@ -48,9 +51,46 @@ let of_model ~n_inputs ~model ~origins =
   in
   { inputs; fault_plan }
 
+(* Env seeds (syscall results) under which a locally found test must
+   take its direction before it is kept. *)
+let validation_seeds = [ 1; 2; 3; 4 ]
+
+(* Whether [test] drives the VM through (site, direction) under
+   round-robin, the schedule a pod runs a guidance test under, at
+   every validation seed. *)
+let takes_direction program test ~site ~direction =
+  List.for_all
+    (fun seed ->
+      let env = Env.make ~fault_plan:test.fault_plan ~seed ~inputs:test.inputs () in
+      let result = Vm.execute ~program ~env ~sched:Sched.Round_robin () in
+      List.exists
+        (fun (s, d) -> d = direction && Ir.site_equal s site)
+        result.Interp.full_path)
+    validation_seeds
+
+(* The directed search at [Local] consistency, for multi-threaded
+   programs: only the site's thread runs, so other threads'
+   interleavings drop out of the search.  Its model may hold only
+   under havoc, so it counts only once a concrete run confirms it. *)
+let local_test ?config ?cache program ~site ~direction =
+  if Array.length program.Ir.threads <= 1 then None
+  else
+    match
+      Sym_exec.direction_feasible ?config ?cache
+        ~level:(Consistency.Local { thread = site.Ir.thread })
+        program ~site ~direction
+    with
+    | Sym_exec.Feasible { model; origins } ->
+      let test = of_model ~n_inputs:program.Ir.n_inputs ~model ~origins in
+      if takes_direction program test ~site ~direction then Some test else None
+    | Sym_exec.Infeasible | Sym_exec.Unknown -> None
+
 let for_direction ?config ?cache program ~site ~direction =
-  match Sym_exec.direction_feasible ?config ?cache program ~site ~direction with
-  | Sym_exec.Feasible { model; origins } ->
-    `Test (of_model ~n_inputs:program.Ir.n_inputs ~model ~origins)
-  | Sym_exec.Infeasible -> `Infeasible
-  | Sym_exec.Unknown -> `Unknown
+  match local_test ?config ?cache program ~site ~direction with
+  | Some test -> `Test test
+  | None -> (
+    match Sym_exec.direction_feasible ?config ?cache program ~site ~direction with
+    | Sym_exec.Feasible { model; origins } ->
+      `Test (of_model ~n_inputs:program.Ir.n_inputs ~model ~origins)
+    | Sym_exec.Infeasible -> `Infeasible
+    | Sym_exec.Unknown -> `Unknown)

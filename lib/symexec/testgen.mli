@@ -43,4 +43,18 @@ val for_direction :
   [ `Test of test_case | `Infeasible | `Unknown ]
 (** End-to-end: find inputs (and faults) that drive an execution to
     take branch [site] in [direction], or certify that none exist in
-    the domain (single-threaded programs only). *)
+    the domain (single-threaded programs only).
+
+    On a multi-threaded program the search first runs at
+    [Local { thread = site.thread }] consistency, with the same
+    [config] and [cache]: only the site's thread runs, and the globals
+    it reads are havoced.  Its model is projected with {!of_model}
+    (havoced-global symbols have no input and are dropped), and the
+    test is kept only if {!Softborg_exec.Vm.execute} takes
+    [(site, direction)] under [Round_robin] — the schedule a pod runs
+    a guidance test under — at each of a fixed, private list of env
+    seeds.  Otherwise the strict search answers as it would alone.
+    The local step never yields [`Infeasible]: a havoced global stands
+    for any value, so an empty local search proves nothing.
+    Single-threaded programs never run it.  The result stays a pure
+    function of (program, site, direction, config). *)

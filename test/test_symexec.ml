@@ -136,19 +136,20 @@ let test_syscall_fault_path_found () =
 
 (* ---- Consistency levels -------------------------------------------------- *)
 
-let test_local_consistency_overapproximates () =
+(* Thread 1 branches on [flag == 2], a global only thread 0 writes,
+   setting it to 1: under strict consistency only the false direction
+   is feasible, under local consistency (havoced global) both are. *)
+let overapprox_program () =
   let open Build in
   let open Build.Infix in
-  (* Thread 1's branch depends on a global only thread 0 writes; under
-     strict consistency only one direction is feasible, under local
-     consistency (havoced global) both are. *)
-  let prog =
-    program ~name:"overapprox" ~globals:[ "flag" ]
-      [
-        [ assign (gvar "flag") (const 1) ];
-        [ if_ (glob "flag" ==: const 2) [ assign (lvar "x") (const 1) ] [ assign (lvar "x") (const 2) ] ];
-      ]
-  in
+  program ~name:"overapprox" ~globals:[ "flag" ]
+    [
+      [ assign (gvar "flag") (const 1) ];
+      [ if_ (glob "flag" ==: const 2) [ assign (lvar "x") (const 1) ] [ assign (lvar "x") (const 2) ] ];
+    ]
+
+let test_local_consistency_overapproximates () =
+  let prog = overapprox_program () in
   let strict = Sym_exec.explore prog Consistency.Strict in
   let local = Sym_exec.explore prog (Consistency.Local { thread = 1 }) in
   checki "strict: single path" 1 (List.length strict.Sym_exec.paths);
@@ -212,9 +213,14 @@ let test_direction_infeasible_detected () =
 (* Every verdict [Testgen.for_direction] gives at the hive's symexec
    config, over both directions of every branch site of the corpus and
    of the [analysis] benchmark population, serialized and hashed.  The
-   constant was computed by an implementation that solved each finished
-   path as soon as the path ended. *)
-let directed_verdicts_digest = "1e30d624f9adc58ffa05fcb6dcb9fe77"
+   constant includes the local first step on multi-threaded programs,
+   which moves 10 of the 110 lines, all on the two 3-thread generated
+   programs. *)
+let directed_verdicts_digest = "cd91e2cba465bd31aa6db7b588a36cb8"
+
+(* Env seeds the hashed tests are replayed at: none of them is one
+   [Testgen] validates a local model at. *)
+let replay_seeds = [ 5; 6; 7; 8; 101; 202 ]
 
 let test_directed_verdicts_pinned () =
   let config = (Hive.default_config Hive.Full).Hive.symexec_config in
@@ -236,6 +242,16 @@ let test_directed_verdicts_pinned () =
               Printf.bprintf buf "%d:%d:%b=" site.Ir.thread site.Ir.pc direction;
               (match Testgen.for_direction ~config program ~site ~direction with
               | `Test { Testgen.inputs; fault_plan } ->
+                (* A test is worth hashing only if it does what it
+                   claims: the oracle takes the direction with it. *)
+                List.iter
+                  (fun seed ->
+                    let env = Env.make ~fault_plan ~seed ~inputs () in
+                    let r = Interp.run ~program ~env ~sched:Sched.Round_robin () in
+                    if not (List.mem (site, direction) r.Interp.full_path) then
+                      Alcotest.failf "%s %d:%d=%b: test misses its direction at env seed %d"
+                        program.Ir.name site.Ir.thread site.Ir.pc direction seed)
+                  replay_seeds;
                 Printf.bprintf buf "test[%s]"
                   (String.concat "," (Array.to_list (Array.map string_of_int inputs)));
                 (match fault_plan with
@@ -253,6 +269,31 @@ let test_directed_verdicts_pinned () =
   Alcotest.(check string)
     "verdict digest" directed_verdicts_digest
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+let test_local_model_checked_concretely () =
+  (* Havocing [flag] lets the local search take the true direction
+     with flag = 2, a model no input can realize; the concrete check
+     must reject it, and the strict query then answers Unknown. *)
+  let prog = overapprox_program () in
+  let site =
+    match List.filter (fun (s : Ir.site) -> s.Ir.thread = 1) (Ir.branch_sites prog) with
+    | [ site ] -> site
+    | sites -> Alcotest.failf "expected one branch in thread 1, got %d" (List.length sites)
+  in
+  let local = Sym_exec.explore prog (Consistency.Local { thread = 1 }) in
+  checkb "local search takes the true direction" true
+    (List.exists
+       (fun (p : Sym_exec.path) ->
+         p.Sym_exec.solver_verdict = `Sat && List.mem (site, true) p.Sym_exec.decisions)
+       local.Sym_exec.paths);
+  (match Testgen.for_direction prog ~site ~direction:true with
+  | `Unknown -> ()
+  | `Test _ -> Alcotest.fail "true direction: kept a model that holds only under havoc"
+  | `Infeasible -> Alcotest.fail "true direction: Infeasible claimed for a multi-threaded program");
+  match Testgen.for_direction prog ~site ~direction:false with
+  | `Test _ -> ()
+  | `Unknown -> Alcotest.fail "false direction: no test"
+  | `Infeasible -> Alcotest.fail "false direction: Infeasible claimed for a multi-threaded program"
 
 let test_direction_unknown_for_multithreaded () =
   let sites = Ir.branch_sites Corpus.worker_pool in
@@ -407,5 +448,7 @@ let () =
           Alcotest.test_case "unknown for multithreaded" `Quick
             test_direction_unknown_for_multithreaded;
           Alcotest.test_case "hive-config verdicts pinned" `Quick test_directed_verdicts_pinned;
+          Alcotest.test_case "local model checked concretely" `Quick
+            test_local_model_checked_concretely;
         ] );
     ]
