@@ -1108,6 +1108,15 @@ let micro_ingest ?(smoke = false) () =
       let plan_memo = Gap_memo.create () in
       Exec_tree.iter_open_dirs tree (fun site missing ->
           Gap_memo.add plan_memo ~site ~direction:missing `Unknown);
+      (* What a hive's issued set holds after an [Unknown] verdict:
+         every open direction. *)
+      let issued = Hashtbl.create 64 in
+      Exec_tree.iter_open_dirs tree (fun site missing -> Hashtbl.replace issued (site, missing) ());
+      let rekey_tree = synthetic_tree ~paths:n in
+      let recorded =
+        let rng = Rng.create 99 in
+        List.init 256 (fun _ -> synthetic_path rng)
+      in
       let open Bechamel in
       let tests =
         [
@@ -1135,6 +1144,22 @@ let micro_ingest ?(smoke = false) () =
                     reads, exclusion checks, memo lookups — with the
                     symbolic solver out of the picture. *)
                  ignore (Guidance.plan ~memo:plan_memo Corpus.parser tree)));
+          Test.make
+            ~name:(Printf.sprintf "plan-excluded-%s" s)
+            (Staged.stage (fun () ->
+                 (* Every open direction excluded: the walk over the
+                    whole index, each gap skipped on its key. *)
+                 ignore (Guidance.plan ~exclude:issued ~memo:plan_memo Corpus.parser tree)));
+          Test.make
+            ~name:(Printf.sprintf "rekey-%s" s)
+            (Staged.stage (fun () ->
+                 (* One tick's worth of merges bumps the hit counts
+                    along 256 paths; the next read re-keys each touched
+                    node's open gaps once. *)
+                 List.iter
+                   (fun path -> ignore (Exec_tree.add_path rekey_tree path Outcome.Success))
+                   recorded;
+                 ignore (Exec_tree.frontier_top rekey_tree 8)));
           Test.make
             ~name:(Printf.sprintf "add-path-%s" s)
             (Staged.stage (fun () ->

@@ -45,6 +45,9 @@ type shard = {
   s_uplink : Transport.endpoint;  (* shard side of the link to the coordinator *)
   mutable s_ends : Transport.endpoint list;  (* hive-side pod attachments *)
   mutable s_pending : string list;  (* admitted canonical payloads, newest first *)
+  (* (program digest, binding) this shard's tables derived and the
+     coordinator has not been sent yet, newest first. *)
+  mutable s_verdicts : (string * Gap_memo.binding) list;
   mutable s_next_seq : int;
 }
 
@@ -73,6 +76,7 @@ type stats = {
   deltas_sent : int;
   deltas_committed : int;
   payloads_merged : int;
+  payloads_decoded : int;
   fix_updates_sent : int;
   per_shard : shard_stats list;
 }
@@ -88,10 +92,13 @@ type t = {
   (* Superstep inboxes: deltas received but not yet committed, keyed by
      sequence number per shard.  Commit drains them in (shard, seq)
      order — the fixed total order of the merge. *)
-  inboxes : (int, string list) Hashtbl.t array;
+  inboxes : (int, (string * int) list * (string * Gap_memo.binding) list) Hashtbl.t array;
   next_expected : int array;
   mutable attachments : attachment list;
   published_epoch : (string, int) Hashtbl.t;
+  (* digest -> every verdict [publish] has handed the shards, so a
+     restored shard can be handed them again. *)
+  published_verdicts : (string, Gap_memo.t) Hashtbl.t;
   (* (shard, digest) -> knowledge state at the last compute phase, so
      unchanged shards skip re-running symbolic gap closing. *)
   compute_state : (int * string, int * int) Hashtbl.t;
@@ -99,6 +106,7 @@ type t = {
   mutable deltas_sent : int;
   mutable deltas_committed : int;
   mutable payloads_merged : int;
+  mutable payloads_decoded : int;
   mutable fix_updates_sent : int;
 }
 
@@ -106,13 +114,13 @@ type t = {
 
 let stash t payload =
   match Protocol.decode payload with
-  | Ok (Protocol.Knowledge_delta { shard; seq; payloads })
+  | Ok (Protocol.Knowledge_delta { shard; seq; payloads; verdicts })
     when shard >= 0 && shard < Array.length t.shards ->
     (* The transport already suppresses link-level duplicates; the seq
        guard additionally drops a delta re-sent after a shard restore
        rewound its counter. *)
     if seq >= t.next_expected.(shard) && not (Hashtbl.mem t.inboxes.(shard) seq) then
-      Hashtbl.replace t.inboxes.(shard) seq payloads
+      Hashtbl.replace t.inboxes.(shard) seq (payloads, verdicts)
   | Ok _ | Error _ -> ()
 
 let create ~config ~sim ~rng () =
@@ -130,6 +138,7 @@ let create ~config ~sim ~rng () =
           s_uplink = fst uplinks.(i);
           s_ends = [];
           s_pending = [];
+          s_verdicts = [];
           s_next_seq = 0;
         })
   in
@@ -149,11 +158,13 @@ let create ~config ~sim ~rng () =
       next_expected = Array.make n 0;
       attachments = [];
       published_epoch = Hashtbl.create 4;
+      published_verdicts = Hashtbl.create 4;
       compute_state = Hashtbl.create 8;
       supersteps = 0;
       deltas_sent = 0;
       deltas_committed = 0;
       payloads_merged = 0;
+      payloads_decoded = 0;
       fix_updates_sent = 0;
     }
   in
@@ -242,10 +253,9 @@ let compute_phase t =
        (site, direction), not by the prefix it appears under, and hot
        sites recur in every shard's subtree — per-verdict ownership is
        what partitions the solver work instead of replicating it. *)
-    let owned (gap : Exec_tree.gap) =
-      Shard_map.owner_of_verdict t.map ~program:digest
-        ~thread:gap.Exec_tree.site.Ir.thread ~pc:gap.Exec_tree.site.Ir.pc
-        ~direction:gap.Exec_tree.missing
+    let owned (site : Ir.site) direction =
+      Shard_map.owner_of_verdict t.map ~program:digest ~thread:site.Ir.thread ~pc:site.Ir.pc
+        ~direction
       = shard
     in
     ignore
@@ -257,21 +267,70 @@ let compute_phase t =
   List.map close jobs
   |> List.iter (fun (key, state) -> Hashtbl.replace t.compute_state key state)
 
+let by_digest a b = String.compare (Knowledge.digest a) (Knowledge.digest b)
+
+(* Move the verdicts this shard's tables derived since the last call
+   into its send buffer, program by program in digest order. *)
+let collect_verdicts s =
+  List.sort by_digest (Hive.knowledge_list s.s_hive)
+  |> List.iter (fun k ->
+         let digest = Knowledge.digest k in
+         List.iter
+           (fun binding -> s.s_verdicts <- (digest, binding) :: s.s_verdicts)
+           (Gap_memo.take_derived (Knowledge.gap_memo k)))
+
+(* Byte-identical payloads travel once with their number of copies, in
+   order of first admission.  [pending] is newest first. *)
+let group_payloads pending =
+  let copies = Hashtbl.create 64 in
+  let first_seen =
+    List.fold_left
+      (fun first_seen payload ->
+        match Hashtbl.find_opt copies payload with
+        | Some n ->
+          incr n;
+          first_seen
+        | None ->
+          Hashtbl.add copies payload (ref 1);
+          payload :: first_seen)
+      [] (List.rev pending)
+  in
+  List.rev_map (fun payload -> (payload, !(Hashtbl.find copies payload))) first_seen
+
+(* A shard with nothing admitted sends no delta: its verdicts wait for
+   the next one, so verdicts never add a frame (or a random draw of an
+   uplink's loss model) to the exchange. *)
 let flush t =
   Array.iter
     (fun s ->
       if s.s_pending <> [] then begin
-        let payloads = List.rev s.s_pending in
+        let payloads = group_payloads s.s_pending in
         s.s_pending <- [];
+        collect_verdicts s;
+        let verdicts = List.rev s.s_verdicts in
+        s.s_verdicts <- [];
         let seq = s.s_next_seq in
         s.s_next_seq <- seq + 1;
         Transport.send s.s_uplink
-          (Protocol.encode (Protocol.Knowledge_delta { shard = s.s_index; seq; payloads }));
+          (Protocol.encode
+             (Protocol.Knowledge_delta { shard = s.s_index; seq; payloads; verdicts }));
         t.deltas_sent <- t.deltas_sent + 1;
         Log.debug (fun m ->
-            m "shard %d delta seq=%d payloads=%d" s.s_index seq (List.length payloads))
+            m "shard %d delta seq=%d payloads=%d verdicts=%d" s.s_index seq
+              (List.length payloads) (List.length verdicts))
       end)
     t.shards
+
+(* Bind [binding] in [hive]'s table for the program unless it is bound
+   already.  Handing a verdict over is neither a lookup nor a
+   derivation: no counter moves and nothing is logged to be shipped
+   back. *)
+let hand_over hive digest ((site, direction), verdict) =
+  match Hive.knowledge hive ~digest with
+  | None -> ()
+  | Some k ->
+    let memo = Knowledge.gap_memo k in
+    if not (Gap_memo.mem memo ~site ~direction) then Gap_memo.add memo ~site ~direction verdict
 
 let commit t =
   let merged_now = ref 0 in
@@ -280,15 +339,17 @@ let commit t =
       let rec drain () =
         match Hashtbl.find_opt inbox t.next_expected.(i) with
         | None -> ()
-        | Some payloads ->
+        | Some (payloads, verdicts) ->
           Hashtbl.remove inbox t.next_expected.(i);
           t.next_expected.(i) <- t.next_expected.(i) + 1;
           t.deltas_committed <- t.deltas_committed + 1;
           List.iter
-            (fun payload ->
-              incr merged_now;
-              Hive.ingest_payload t.merged payload)
+            (fun (payload, copies) ->
+              merged_now := !merged_now + copies;
+              t.payloads_decoded <- t.payloads_decoded + 1;
+              Hive.ingest_payload ~copies t.merged payload)
             payloads;
+          List.iter (fun (digest, binding) -> hand_over t.merged digest binding) verdicts;
           drain ()
       in
       drain ())
@@ -296,17 +357,38 @@ let commit t =
   t.payloads_merged <- t.payloads_merged + !merged_now;
   !merged_now
 
+let published_for t digest =
+  match Hashtbl.find_opt t.published_verdicts digest with
+  | Some memo -> memo
+  | None ->
+    let memo = Gap_memo.create () in
+    Hashtbl.replace t.published_verdicts digest memo;
+    memo
+
+(* Every verdict the coordinator holds — committed from a shard or
+   derived by its own tick — reaches every shard that lacks it, once. *)
+let publish_verdicts t k =
+  let digest = Knowledge.digest k in
+  let published = published_for t digest in
+  Gap_memo.iter (Knowledge.gap_memo k) (fun (((site, direction), verdict) as binding) ->
+      if not (Gap_memo.mem published ~site ~direction) then begin
+        Gap_memo.add published ~site ~direction verdict;
+        Array.iter (fun s -> hand_over s.s_hive digest binding) t.shards
+      end)
+
 (* Publish fixes the merged analysis deployed — or retracted — since
    the last superstep: shards adopt the full set plus the retracted ids
    (so their replay hooks and ingest quarantine for any epoch match the
    coordinator's), pods get the frame a standalone hive would send
    ({!Hive.fix_update}; the coordinator serves no pods, so its pressure
    level stays 0).  Retraction is decided only here at the coordinator;
-   shards and pods learn of it in superstep order, as a higher epoch. *)
+   shards and pods learn of it in superstep order, as a higher epoch.
+   Verdicts go to the shards the same way, program by program. *)
 let publish t =
   Hive.knowledge_list t.merged
-  |> List.sort (fun a b -> String.compare (Knowledge.digest a) (Knowledge.digest b))
+  |> List.sort by_digest
   |> List.iter (fun k ->
+         publish_verdicts t k;
          let digest = Knowledge.digest k in
          let epoch = Knowledge.epoch k in
          let prev = Option.value ~default:0 (Hashtbl.find_opt t.published_epoch digest) in
@@ -354,6 +436,7 @@ let stats t =
     deltas_sent = t.deltas_sent;
     deltas_committed = t.deltas_committed;
     payloads_merged = t.payloads_merged;
+    payloads_decoded = t.payloads_decoded;
     fix_updates_sent = t.fix_updates_sent;
     per_shard =
       Array.to_list t.shards
@@ -387,19 +470,28 @@ let links t =
 (* ---- Shard checkpoint / restore ----------------------------------------- *)
 
 let checkpoint_magic = "SBFS"
-let checkpoint_version = 1
+
+(* v2: the verdicts not yet sent follow the pending payloads. *)
+let checkpoint_version = 2
 
 (* A shard checkpoint wraps the hive checkpoint with the federation's
-   shard-local transfer state (unsent pending payloads and the delta
-   sequence counter), so a crash-restore cycle resumes exchange without
-   losing admitted-but-unflushed work that the checkpoint saw. *)
+   shard-local transfer state (unsent pending payloads and verdicts,
+   and the delta sequence counter), so a crash-restore cycle resumes
+   exchange without losing admitted-but-unflushed work that the
+   checkpoint saw. *)
 let checkpoint_shard t i =
   let s = t.shards.(i) in
+  collect_verdicts s;
   let w = Codec.Writer.create () in
   String.iter (fun c -> Codec.Writer.byte w (Char.code c)) checkpoint_magic;
   Codec.Writer.varint w checkpoint_version;
   Codec.Writer.varint w s.s_next_seq;
   Codec.Writer.list w (Codec.Writer.bytes w) (List.rev s.s_pending);
+  Codec.Writer.list w
+    (fun (digest, binding) ->
+      Codec.Writer.bytes w digest;
+      Gap_memo.write_binding w binding)
+    (List.rev s.s_verdicts);
   Codec.Writer.bytes w (Hive.checkpoint s.s_hive);
   Codec.Writer.contents w
 
@@ -418,6 +510,11 @@ let restore_shard t i data =
       else
         let next_seq = Codec.Reader.varint r in
         let pending = Codec.Reader.list r Codec.Reader.bytes in
+        let verdicts =
+          Codec.Reader.list r (fun r ->
+              let digest = Codec.Reader.bytes r in
+              (digest, Gap_memo.read_binding r))
+        in
         let hive = Codec.Reader.bytes r in
         Codec.Reader.expect_end r;
         match Hive.restore s.s_hive hive with
@@ -428,15 +525,20 @@ let restore_shard t i data =
              and a reused seq would be dropped as a duplicate. *)
           s.s_next_seq <- max s.s_next_seq next_seq;
           s.s_pending <- List.rev pending;
+          s.s_verdicts <- List.rev verdicts;
           (* Catch the restored knowledge up with fixes published (and
              retracted) after the checkpoint was taken (no-op when none
-             were — adoption is epoch-monotonic). *)
+             were — adoption is epoch-monotonic), and with the verdicts
+             published so far (no-op for those the checkpoint held). *)
           List.iter
             (fun k ->
               Hive.adopt_fixes s.s_hive ~digest:(Knowledge.digest k)
                 ~fixes:(Knowledge.fixes k) ~epoch:(Knowledge.epoch k)
                 ~retracted:(Knowledge.retracted_ids k))
             (Hive.knowledge_list t.merged);
+          Hashtbl.iter
+            (fun digest published -> Gap_memo.iter published (hand_over s.s_hive digest))
+            t.published_verdicts;
           Ok n
   with
   | result -> result

@@ -12,13 +12,24 @@
     round, each shard ingests its routed uploads and buffers their
     canonical re-encodings (the hive's ingest tap); at the superstep
     boundary the buffers travel to the merge coordinator as
-    {!Protocol.Knowledge_delta} frames, and the coordinator commits
-    complete deltas atomically in (shard index, sequence) order — the
-    fixed total order of the merge.  Because knowledge checkpoint
-    bytes are a pure function of the ingested evidence multiset, the
-    merged knowledge is byte-identical to a single hive fed the same
-    traces, for any shard count and any delivery interleaving the
-    reliable transport produces.
+    {!Protocol.Knowledge_delta} frames, each distinct payload once
+    with its number of copies, and the coordinator commits complete
+    deltas atomically in (shard index, sequence) order — the fixed
+    total order of the merge — decoding each distinct payload once and
+    ingesting it once per copy.  Because knowledge checkpoint bytes
+    are a pure function of the ingested evidence multiset, the merged
+    knowledge is byte-identical to a single hive fed the same traces,
+    for any shard count and any delivery interleaving the reliable
+    transport produces.
+
+    Gap verdicts are derived once per federation, up to the exchange's
+    latency: the verdicts a shard's tables derive ride in its next
+    delta ({!Gap_memo.take_derived}), the commit adds them to the
+    coordinator's tables, and the publish step hands every shard the
+    coordinator's bindings it lacks — so neither side solves again
+    what the other already has.  A verdict the coordinator's tick
+    needs in the same superstep as the shard that derived it, whose
+    delta is still in flight, is derived by both.
 
     Fix synthesis and whole-program proofs run only on the merged
     knowledge (a shard's partial subtree could prove an unsound
@@ -70,7 +81,10 @@ type stats = {
   supersteps : int;
   deltas_sent : int;
   deltas_committed : int;
-  payloads_merged : int;
+  payloads_merged : int;  (** Payload copies ingested by the coordinator. *)
+  payloads_decoded : int;
+      (** Distinct payloads of the committed deltas: the coordinator
+          decodes each once, however many copies it carries. *)
   fix_updates_sent : int;  (** Fix broadcasts from the coordinator, retractions included. *)
   per_shard : shard_stats list;
 }
@@ -97,17 +111,21 @@ val start : t -> unit
 
 val superstep : t -> unit
 (** Run one superstep immediately: compute phase, delta flush, ordered
-    commit, then (if configured) merged analysis and fix publication.
-    Also called by the schedule. *)
+    commit, then (if configured) merged analysis and the publication of
+    fixes and gap verdicts.  Also called by the schedule. *)
 
 val flush : t -> unit
-(** Send each shard's pending payloads as a {!Protocol.Knowledge_delta};
-    no-op for shards with nothing pending.  Exposed for deterministic
-    test driving. *)
+(** Send each shard's pending payloads, grouped into distinct payloads
+    with copy counts, and the verdicts it derived since its last delta
+    as a {!Protocol.Knowledge_delta}; no-op for shards with no payload
+    pending (their verdicts wait for the next delta).  Exposed for
+    deterministic test driving. *)
 
 val commit : t -> int
 (** Drain complete inbox deltas into the merged hive in (shard, seq)
-    order; returns the number of payloads merged. *)
+    order, adding their verdicts to the coordinator's tables; returns
+    the number of payload copies merged. *)
+
 
 val shutdown : t -> unit
 (** Does nothing: a federation runs on its caller's domain and owns no
@@ -121,12 +139,14 @@ val links : t -> Link.t list
     for chaos harnesses to degrade. *)
 
 val checkpoint_shard : t -> int -> string
-(** Serialize one shard: its unflushed payload buffer, delta sequence
-    counter, and full hive checkpoint (gap verdicts included). *)
+(** Serialize one shard: its unflushed payload buffer, the verdicts it
+    derived and has not sent yet, its delta sequence counter, and its
+    full hive checkpoint (gap verdicts included). *)
 
 val restore_shard : t -> int -> string -> (int, string) result
 (** Restore a shard from {!checkpoint_shard} bytes, as after a crash:
     parse-then-commit, never rewinding the delta sequence counter, and
-    re-adopting fixes published since the checkpoint.  Returns the
+    re-adopting the fixes and gap verdicts published since the
+    checkpoint.  Returns the
     number of programs restored; trailing bytes after the hive
     checkpoint are malformed. *)

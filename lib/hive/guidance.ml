@@ -42,23 +42,20 @@ type plan_result = {
 
 let plan ?config ?cache ?(max_directives = 8) ?exclude ?memo program tree =
   let multi_threaded = Array.length program.Ir.threads > 1 in
-  let excluded site direction =
-    match exclude with None -> false | Some set -> Hashtbl.mem set (site, direction)
-  in
   (* Each gap costs a directed symbolic exploration; bound the total
      work per planning call, not just the directives handed out. *)
   let max_considered = 3 * max_directives in
   (* The first [max_considered] non-excluded gaps, hottest first,
      pulled lazily from the tree's frontier index — the frontier is
-     never materialized or sorted in full. *)
+     never sorted, and an excluded gap is skipped on its index key
+     without its record being built. *)
   let candidates =
     if max_considered <= 0 then []
     else
-      Exec_tree.frontier_seq tree
-      |> Seq.filter (fun (gap : Exec_tree.gap) ->
-             not (excluded gap.Exec_tree.site gap.Exec_tree.missing))
-      |> Seq.take max_considered
-      |> List.of_seq
+      let keep =
+        Option.map (fun set site direction -> not (Hashtbl.mem set (site, direction))) exclude
+      in
+      Exec_tree.frontier_seq ?keep tree |> Seq.take max_considered |> List.of_seq
   in
   let directives = ref [] in
   let n_directives = ref 0 in

@@ -537,6 +537,28 @@ let offer t (oc : overload_config) item =
 
 let muted t slot = Sim.now t.sim < Option.value ~default:neg_infinity (Hashtbl.find_opt t.mute_until slot)
 
+(* A single-upload frame decoded to its one work item, or [None] for
+   every other frame and for a trace that does not decode. *)
+let decode_single (oc : overload_config) slot = function
+  | Protocol.Trace_upload inner -> (
+    match Wire.decode ~caps:oc.caps inner with
+    | Error _ -> None
+    | Ok trace ->
+      Some
+        {
+          q_slot = slot;
+          q_failing = Outcome.is_failure trace.Trace.outcome;
+          q_work = Trace_work (Trace_store.prepare trace);
+        })
+  | Protocol.Sampled_report { program_digest; report } ->
+    Some
+      {
+        q_slot = slot;
+        q_failing = Outcome.is_failure report.Softborg_trace.Sampling.outcome;
+        q_work = Sampled_work { program_digest; report };
+      }
+  | _ -> None
+
 (* The hive's one receive path: resource-capped total decode, poison
    quarantine, mute enforcement, then bounded enqueue. *)
 let admit t (oc : overload_config) slot payload =
@@ -553,16 +575,10 @@ let admit t (oc : overload_config) slot payload =
          the federation coordinator unpacks deltas itself so commit
          order stays canonical. *)
       ()
-    | Ok (Protocol.Trace_upload inner) -> (
-      match Wire.decode ~caps:oc.caps inner with
-      | Error _ -> quarantine t oc slot
-      | Ok trace ->
-        offer t oc
-          {
-            q_slot = slot;
-            q_failing = Outcome.is_failure trace.Trace.outcome;
-            q_work = Trace_work (Trace_store.prepare trace);
-          })
+    | Ok (Protocol.Trace_upload _ as message) -> (
+      match decode_single oc slot message with
+      | None -> quarantine t oc slot
+      | Some item -> offer t oc item)
     | Ok (Protocol.Batch_upload { program_digest; basis_id; basis_check; records }) -> (
       (* [Protocol.decode ~caps] already bounded the record count and
          frame size; the batch decode enforces the total bit budget and
@@ -574,13 +590,8 @@ let admit t (oc : overload_config) slot payload =
           (fun (failing, work) ->
             offer t oc { q_slot = slot; q_failing = failing; q_work = work })
           works)
-    | Ok (Protocol.Sampled_report { program_digest; report }) ->
-      offer t oc
-        {
-          q_slot = slot;
-          q_failing = Outcome.is_failure report.Softborg_trace.Sampling.outcome;
-          q_work = Sampled_work { program_digest; report };
-        }
+    | Ok (Protocol.Sampled_report _ as message) ->
+      Option.iter (offer t oc) (decode_single oc slot message)
 
 (* Without overload protection a hive still admits through [admit],
    with the default caps and quarantine but no service time: nothing
@@ -605,8 +616,25 @@ let inject t ~slot payload = admit t (admission t) slot payload
 (* Federation entry points: the merge coordinator commits a shard's
    delta payloads synchronously, whatever this hive's overload config,
    under a slot no pod attachment uses; a shard exposes its admitted
-   work via the tap. *)
-let ingest_payload t payload = admit t idle_overload_config (-1) payload
+   work via the tap.  [copies] equal payloads are decoded and prepared
+   once, then admitted one by one exactly as [copies] receptions
+   would be (counters, mute check, tap and ingest per copy).  A frame
+   that is not one decodable upload takes the plain path per copy. *)
+let ingest_payload ?(copies = 1) t payload =
+  let oc = idle_overload_config and slot = -1 in
+  let single =
+    match Protocol.decode ~caps:oc.caps payload with
+    | Ok message -> decode_single oc slot message
+    | Error _ -> None
+  in
+  for _ = 1 to copies do
+    match single with
+    | None -> admit t oc slot payload
+    | Some item ->
+      t.messages_received <- t.messages_received + 1;
+      if muted t slot then t.muted_drops <- t.muted_drops + 1 else offer t oc item
+  done
+
 let set_ingest_tap t tap = t.ingest_tap <- Some tap
 
 (* ---- Basis announcements ----------------------------------------------- *)

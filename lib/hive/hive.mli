@@ -162,11 +162,14 @@ val inject_fix : t -> digest:string -> Fixgen.kind -> unit
     rollout — and broadcast downstream.  The chaos
     harness's bad-fix saboteur enters here. *)
 
-val ingest_payload : t -> string -> unit
-(** Admit one encoded protocol frame and ingest it synchronously, with
-    the default caps and whatever this hive's overload config — the
-    federation coordinator commits shard delta payloads through
-    this. *)
+val ingest_payload : ?copies:int -> t -> string -> unit
+(** Admit one encoded protocol frame [copies] times (default 1) and
+    ingest each copy synchronously, with the default caps and whatever
+    this hive's overload config — the federation coordinator commits
+    shard delta payloads through this.  A single-upload frame is
+    decoded and prepared once for all its copies; every copy still
+    counts as a message and a trace received, reaches the ingest tap
+    and is ingested, exactly as [copies] separate calls would. *)
 
 val set_ingest_tap : t -> (string -> unit) -> unit
 (** Observe the canonical re-encoding of every upload this hive

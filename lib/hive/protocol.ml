@@ -20,7 +20,12 @@ type message =
       pressure : int;
     }
   | Pressure_update of { level : int }
-  | Knowledge_delta of { shard : int; seq : int; payloads : string list }
+  | Knowledge_delta of {
+      shard : int;
+      seq : int;
+      payloads : (string * int) list;
+      verdicts : (string * Gap_memo.binding) list;
+    }
   | Batch_upload of {
       program_digest : string;
       basis_id : int;
@@ -115,11 +120,20 @@ let encode message =
   | Pressure_update { level } ->
     Codec.Writer.byte w 4;
     Codec.Writer.varint w level
-  | Knowledge_delta { shard; seq; payloads } ->
+  | Knowledge_delta { shard; seq; payloads; verdicts } ->
     Codec.Writer.byte w 6;
     Codec.Writer.varint w shard;
     Codec.Writer.varint w seq;
-    Codec.Writer.list w (Codec.Writer.bytes w) payloads
+    Codec.Writer.list w
+      (fun (payload, copies) ->
+        Codec.Writer.bytes w payload;
+        Codec.Writer.varint w copies)
+      payloads;
+    Codec.Writer.list w
+      (fun (digest, binding) ->
+        Codec.Writer.bytes w digest;
+        Gap_memo.write_binding w binding)
+      verdicts
   | Batch_upload { program_digest; basis_id; basis_check; records } ->
     Codec.Writer.byte w 8;
     Codec.Writer.bytes w program_digest;
@@ -177,9 +191,21 @@ let decode ?caps s =
     | 6 ->
       let shard = Codec.Reader.varint r in
       let seq = Codec.Reader.varint r in
-      let payloads = Codec.Reader.list r Codec.Reader.bytes in
+      let payloads =
+        Codec.Reader.list r (fun r ->
+            let payload = Codec.Reader.bytes r in
+            let copies = Codec.Reader.varint r in
+            if copies < 1 then raise (Codec.Malformed "delta payload with no copies");
+            (payload, copies))
+      in
       check_rows ?caps ~what:"delta payloads" (List.length payloads);
-      Knowledge_delta { shard; seq; payloads }
+      let verdicts =
+        Codec.Reader.list r (fun r ->
+            let digest = Codec.Reader.bytes r in
+            (digest, Gap_memo.read_binding r))
+      in
+      check_rows ?caps ~what:"delta verdicts" (List.length verdicts);
+      Knowledge_delta { shard; seq; payloads; verdicts }
     | 8 ->
       let program_digest = Codec.Reader.bytes r in
       let basis_id = Codec.Reader.varint r in

@@ -41,12 +41,24 @@ type message =
   | Pressure_update of { level : int }
       (** Standalone backpressure broadcast, sent when the hive's load
           level changes and no other downstream push is imminent. *)
-  | Knowledge_delta of { shard : int; seq : int; payloads : string list }
-      (** Superstep uplink from a shard to the merge coordinator:
-          the canonical ingest payloads (encoded protocol frames)
-          the shard admitted since its previous delta.  [seq] orders
-          deltas from one shard; the coordinator commits rounds in
-          (shard, seq) order. *)
+  | Knowledge_delta of {
+      shard : int;
+      seq : int;
+      payloads : (string * int) list;
+          (** The canonical ingest payloads (encoded protocol frames)
+              the shard admitted since its previous delta, each
+              distinct byte string once with its number of copies
+              ([>= 1]), in the order of first admission. *)
+      verdicts : (string * Gap_memo.binding) list;
+          (** (program digest, binding) for each gap verdict the
+              shard derived itself since its previous delta
+              ({!Gap_memo.take_derived}), oldest first, each binding
+              written with {!Gap_memo.write_binding}. *)
+    }
+      (** Superstep uplink from a shard to the merge coordinator.
+          [seq] orders deltas from one shard; the coordinator commits
+          rounds in (shard, seq) order, ingesting each payload
+          [copies] times and adding the verdicts to its own tables. *)
   | Batch_upload of {
       program_digest : string;  (** Shared by every record in the batch. *)
       basis_id : int;

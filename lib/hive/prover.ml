@@ -46,8 +46,7 @@ let close_gaps ?config ?cache ?memo ?owned ?(limit = 24) program tree =
   let closed = ref 0 in
   (* Only the hottest [limit] gaps are pulled from the index; the
      frontier is never materialized in full. *)
-  Exec_tree.frontier_seq tree
-  |> (match owned with None -> Fun.id | Some owned -> Seq.filter owned)
+  Exec_tree.frontier_seq ?keep:owned tree
   |> Seq.take (max 0 limit)
   |> Seq.iter (fun (gap : Exec_tree.gap) ->
          match

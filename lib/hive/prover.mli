@@ -45,7 +45,7 @@ val close_gaps :
   ?config:Sym_exec.config ->
   ?cache:Softborg_solver.Verdict_cache.t ->
   ?memo:Gap_memo.t ->
-  ?owned:(Exec_tree.gap -> bool) ->
+  ?owned:(Ir.site -> bool -> bool) ->
   ?limit:int ->
   Ir.t ->
   Exec_tree.t ->
@@ -55,8 +55,10 @@ val close_gaps :
     tree" hurdle).  Considers at most [limit] gaps (default 24 — each
     costs a directed symbolic exploration), pulled lazily from
     {!Exec_tree.frontier_seq} so the cost is O(limit), and returns the
-    number closed.  [owned] restricts attention to a subset of the
-    frontier before the limit applies — federation shards pass their
+    number closed.  [owned site direction] restricts attention to a
+    subset of the frontier before the limit applies, tested on the
+    index key so an unowned gap's record is never built
+    ({!Exec_tree.frontier_seq}'s [keep]) — federation shards pass their
     {!Shard_map.owner_of_verdict} test, so each distinct (site,
     direction) verdict is derived on exactly one shard instead of once
     per shard whose subtree exposes the site.  [memo] caches verdicts across calls

@@ -43,24 +43,32 @@ let owner_of_prefix t prefix =
 (* Path-less work (sampled reports) routes by program digest via a
    seed-free FNV-1a fold, so every router instance — and a restarted
    one — agrees on the owner without shared state. *)
-let owner_of_digest t digest =
-  let h = ref 0x811c9dc5 in
-  String.iter
-    (fun c ->
-      h := !h lxor Char.code c;
-      h := !h * 0x01000193 land 0x3FFFFFFF)
-    digest;
-  let value = !h land ((1 lsl t.prefix_bits) - 1) in
-  scale t value
+let fnv_offset = 0x811c9dc5
+let fnv_byte h c = (h lxor c) * 0x01000193 land 0x3FFFFFFF
+let fnv_string h s = String.fold_left (fun h c -> fnv_byte h (Char.code c)) h s
+
+(* The bytes of [string_of_int n], folded without building it. *)
+let rec fnv_decimal h n =
+  let h = if n >= 10 then fnv_decimal h (n / 10) else h in
+  fnv_byte h (Char.code '0' + (n mod 10))
+
+let fnv_int h n = if n < 0 then fnv_string h (string_of_int n) else fnv_decimal h n
+let owner_of_hash t h = scale t (h land ((1 lsl t.prefix_bits) - 1))
+let owner_of_digest t digest = owner_of_hash t (fnv_string fnv_offset digest)
 
 (* Gap verdicts are path-independent: the solver's directed exploration
    (and both memo layers above it) key on (site, direction) alone, and a
    hot branch site recurs in every shard's subtree.  Owning verdicts by
    prefix would therefore make each shard re-derive nearly the full
    verdict set; hashing (program, site, direction) instead partitions
-   the solver work itself. *)
+   the solver work itself.  The hashed bytes are those of
+   ["<program>/<thread>:<pc>:<t|f>"], fed to the fold one piece at a
+   time: the ownership test runs once per frontier entry a shard's
+   compute phase walks, so it formats no string. *)
 let owner_of_verdict t ~program ~thread ~pc ~direction =
-  owner_of_digest t
-    (Printf.sprintf "%s/%d:%d:%c" program thread pc (if direction then 't' else 'f'))
+  let h = fnv_byte (fnv_string fnv_offset program) (Char.code '/') in
+  let h = fnv_byte (fnv_int h thread) (Char.code ':') in
+  let h = fnv_byte (fnv_int h pc) (Char.code ':') in
+  owner_of_hash t (fnv_byte h (Char.code (if direction then 't' else 'f')))
 
 let pp fmt t = Format.fprintf fmt "shard-map{n=%d bits=%d}" t.n_shards t.prefix_bits

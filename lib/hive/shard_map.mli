@@ -40,6 +40,9 @@ val owner_of_verdict :
     by the prefix the gap appears under — and a hot site recurs in
     every shard's subtree, so verdict work is partitioned by a hash of
     (program digest, site, direction) rather than by path range:
-    each distinct verdict is derived on exactly one shard. *)
+    each distinct verdict is derived on exactly one shard.  Equals
+    [owner_of_digest t (Printf.sprintf "%s/%d:%d:%c" program thread pc
+    (if direction then 't' else 'f'))], computed without building the
+    string. *)
 
 val pp : Format.formatter -> t -> unit

@@ -50,7 +50,11 @@ type prepared = {
    (federation superstep deltas re-ship them verbatim), the content
    digest, and the byte accounting.  The content buffer differs from
    the real encoding only in the pod varint — spliced to a single zero
-   byte instead of encoding the whole trace a second time. *)
+   byte instead of encoding the whole trace a second time.  The size
+   recorded is the content buffer's, not the upload's: the pod varint
+   takes two bytes from pod 128 on, and the store keeps the size of a
+   content's first copy, so sizing the upload would make the stored
+   bytes depend on which pod's copy arrived first. *)
 let prepare (trace : Trace.t) =
   let encoded = Wire.encode trace in
   let dlen = String.length trace.Trace.program_digest in
@@ -68,7 +72,7 @@ let prepare (trace : Trace.t) =
     p_trace = trace;
     p_encoded = encoded;
     p_key = Digest.to_hex (Digest.string content);
-    p_size = String.length encoded;
+    p_size = String.length content;
   }
 
 let with_trace prepared trace = { prepared with p_trace = trace }
@@ -93,15 +97,11 @@ let admit_keyed ?prepared t (trace : Trace.t) =
   match prepared with
   | Some p -> record t p.p_key p.p_size
   | None ->
-    (* No prepared bytes: encode here.  The canonical buffer differs
-       from the pod's actual upload only in the pod varint (a zero, one
-       byte), so the wire size is recovered arithmetically instead of
-       encoding the trace a second time. *)
+    (* No prepared bytes: encode the content here (the same buffer
+       [prepare] hashes and sizes). *)
     t.fallback_encodes <- t.fallback_encodes + 1;
     let encoded = encode_content trace in
-    let key = Digest.to_hex (Digest.string encoded) in
-    let size = String.length encoded - 1 + Codec.varint_len trace.Trace.pod in
-    record t key size
+    record t (Digest.to_hex (Digest.string encoded)) (String.length encoded)
 
 let admit t trace = snd (admit_keyed t trace)
 let fallback_encodes t = t.fallback_encodes

@@ -22,7 +22,10 @@ type prepared = {
   p_trace : Trace.t;
   p_encoded : string;  (** Canonical {!Softborg_trace.Wire.encode} bytes. *)
   p_key : string;  (** Content digest, as {!content_key}. *)
-  p_size : int;  (** Wire bytes for accounting ([= String.length p_encoded]). *)
+  p_size : int;
+      (** Bytes for accounting: the content encoding's length, i.e. the
+          upload's with the pod varint counted as one byte, so a
+          content weighs the same whichever pod reports it. *)
 }
 (** A trace together with its canonical wire bytes, content key, and
     byte accounting, all derived from one encode. *)
@@ -38,7 +41,7 @@ val with_trace : prepared -> Trace.t -> prepared
 
 val admit : t -> Trace.t -> admission
 (** Record one uploaded trace.  Encodes the trace exactly once: the
-    content digest and the wire-byte accounting come from the same
+    content digest and the byte accounting come from the same
     buffer. *)
 
 val admit_keyed : ?prepared:prepared -> t -> Trace.t -> string * admission
@@ -65,10 +68,10 @@ val received : t -> int
 (** Total uploads admitted (with multiplicity). *)
 
 val bytes_received : t -> int
-(** Wire bytes across all uploads. *)
+(** Content bytes across all uploads (see [p_size]). *)
 
 val bytes_stored : t -> int
-(** Wire bytes actually kept (one copy per distinct content). *)
+(** Content bytes actually kept (one copy per distinct content). *)
 
 val dedup_ratio : t -> float
 (** bytes_received / bytes_stored (1.0 when everything is novel). *)

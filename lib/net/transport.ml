@@ -70,9 +70,16 @@ type endpoint = {
   mutable out_link : Link.t option;  (* towards the peer *)
   mutable peer : endpoint option;
   mutable next_seq : int;
-  mutable unacked : (int, string * int) Hashtbl.t option;  (* seq -> payload, retries *)
-  acked : (int, unit) Hashtbl.t;
-  seen : (int, unit) Hashtbl.t;
+  unacked : (int, string * int) Hashtbl.t;  (* seq -> payload, retries *)
+  (* Delivered sequence numbers: every one below [low_water], plus
+     those in [seen_above].  Whenever [low_water] is delivered the mark
+     moves up past it, so the table holds only deliveries that arrived
+     ahead of an earlier number still missing (reordered, or behind a
+     drop awaiting retransmission).  A number the sender abandoned
+     after [max_retries] never arrives: the mark stops there, and the
+     table keeps every later delivery, as a plain set would. *)
+  mutable low_water : int;
+  seen_above : (int, unit) Hashtbl.t;
   mutable handler : string -> unit;
   mutable give_up_handler : string -> unit;  (* dead-letter callback *)
   mutable messages_sent : int;
@@ -90,9 +97,9 @@ let make_endpoint ~sim ~config =
     out_link = None;
     peer = None;
     next_seq = 0;
-    unacked = Some (Hashtbl.create 16);
-    acked = Hashtbl.create 16;
-    seen = Hashtbl.create 16;
+    unacked = Hashtbl.create 16;
+    low_water = 0;
+    seen_above = Hashtbl.create 16;
     handler = ignore;
     give_up_handler = ignore;
     messages_sent = 0;
@@ -103,7 +110,17 @@ let make_endpoint ~sim ~config =
     acks_sent = 0;
   }
 
-let unacked t = match t.unacked with Some h -> h | None -> assert false
+let delivered_before t seq = seq < t.low_water || Hashtbl.mem t.seen_above seq
+
+let mark_delivered t seq =
+  if seq = t.low_water then begin
+    t.low_water <- seq + 1;
+    while Hashtbl.mem t.seen_above t.low_water do
+      Hashtbl.remove t.seen_above t.low_water;
+      t.low_water <- t.low_water + 1
+    done
+  end
+  else Hashtbl.replace t.seen_above seq ()
 
 let rec transmit t packet =
   match (t.out_link, t.peer) with
@@ -114,27 +131,25 @@ let rec transmit t packet =
 and receive t raw =
   match decode_packet raw with
   | exception (Codec.Truncated | Codec.Malformed _) -> ()
-  | Ack { seq } ->
-    Hashtbl.replace t.acked seq ();
-    Hashtbl.remove (unacked t) seq
+  | Ack { seq } -> Hashtbl.remove t.unacked seq
   | Data { seq; payload } ->
     (* Always (re-)acknowledge; the previous ack may have been lost. *)
     t.acks_sent <- t.acks_sent + 1;
     transmit t (Ack { seq });
-    if Hashtbl.mem t.seen seq then t.duplicates_suppressed <- t.duplicates_suppressed + 1
+    if delivered_before t seq then t.duplicates_suppressed <- t.duplicates_suppressed + 1
     else begin
-      Hashtbl.replace t.seen seq ();
+      mark_delivered t seq;
       t.delivered <- t.delivered + 1;
       t.handler payload
     end
 
 let rec arm_retry t seq timeout =
   Sim.schedule t.sim ~delay:timeout (fun () ->
-      match Hashtbl.find_opt (unacked t) seq with
+      match Hashtbl.find_opt t.unacked seq with
       | None -> ()  (* acked in the meantime *)
       | Some (payload, retries) ->
         if retries >= t.config.max_retries then begin
-          Hashtbl.remove (unacked t) seq;
+          Hashtbl.remove t.unacked seq;
           t.gave_up <- t.gave_up + 1;
           (* Dead-letter surface: the sender learns which payload was
              abandoned and may count it or re-enqueue it (a re-send gets
@@ -142,7 +157,7 @@ let rec arm_retry t seq timeout =
           t.give_up_handler payload
         end
         else begin
-          Hashtbl.replace (unacked t) seq (payload, retries + 1);
+          Hashtbl.replace t.unacked seq (payload, retries + 1);
           t.retransmissions <- t.retransmissions + 1;
           transmit t (Data { seq; payload });
           arm_retry t seq (timeout *. t.config.backoff)
@@ -152,7 +167,7 @@ let send t payload =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   t.messages_sent <- t.messages_sent + 1;
-  Hashtbl.replace (unacked t) seq (payload, 0);
+  Hashtbl.replace t.unacked seq (payload, 0);
   transmit t (Data { seq; payload });
   arm_retry t seq t.config.retry_timeout
 

@@ -68,6 +68,13 @@ let takes_direction program test ~site ~direction =
         result.Interp.full_path)
     validation_seeds
 
+(* Paths the local search may emit before it leaves the direction to
+   the strict query.  The directions it answers it answers within the
+   first few paths; the ones it cannot answer would otherwise spend
+   the caller's whole budget (96 paths at the hive's config) finding
+   nothing before the strict query runs anyway. *)
+let local_max_paths = 16
+
 (* The directed search at [Local] consistency, for multi-threaded
    programs: only the site's thread runs, so other threads'
    interleavings drop out of the search.  Its model may hold only
@@ -75,8 +82,12 @@ let takes_direction program test ~site ~direction =
 let local_test ?config ?cache program ~site ~direction =
   if Array.length program.Ir.threads <= 1 then None
   else
+    let config = Option.value ~default:Sym_exec.default_config config in
+    let config =
+      { config with Sym_exec.max_paths = min config.Sym_exec.max_paths local_max_paths }
+    in
     match
-      Sym_exec.direction_feasible ?config ?cache
+      Sym_exec.direction_feasible ~config ?cache
         ~level:(Consistency.Local { thread = site.Ir.thread })
         program ~site ~direction
     with

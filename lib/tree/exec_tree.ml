@@ -24,7 +24,8 @@ module Bucket_map = Map.Make (String)
 type node = {
   id : int;  (* per-tree identity; keys the open-gap table *)
   depth : int;
-  parent : (node * Edge_map.key) option;  (* [None] only for the root *)
+  parent : node;  (* the root is its own parent *)
+  decision : Edge_map.key;  (* the edge from [parent]; a placeholder at the root *)
   mutable edges : (node * int ref) Edge_map.t;  (* child, traversal count *)
   mutable infeasible : Edge_set.t;  (* directions proven infeasible *)
   mutable hits : int;
@@ -55,33 +56,33 @@ module Gap_index_key = struct
   let compare_decision ((s1 : Ir.site), (d1 : bool)) (s2, d2) =
     match Ir.site_compare s1 s2 with 0 -> Bool.compare d1 d2 | c -> c
 
-  let rec ancestor_at node depth =
-    if node.depth <= depth then node
-    else match node.parent with Some (p, _) -> ancestor_at p depth | None -> node
+  let rec ancestor_at node depth = if node.depth > depth then ancestor_at node.parent depth else node
 
-  (* Compare the root-to-node decision sequences of two nodes at equal
-     depth, front to back (the recursion bottoms out at the roots and
-     compares decisions while unwinding). *)
-  let rec compare_lineage a b =
-    if a == b then 0
-    else
-      match (a.parent, b.parent) with
-      | None, None -> 0
-      | Some (pa, da), Some (pb, db) -> (
-        match compare_lineage pa pb with 0 -> compare_decision da db | c -> c)
-      | None, Some _ | Some _, None -> 0 (* unreachable at equal depths *)
+  (* Two distinct nodes of one tree at equal depth: climb both until
+     their parents coincide, which is their lowest common ancestor, and
+     order them by the two decisions just below it (distinct children
+     of one node hold distinct decisions).  Every decision above the
+     ancestor is shared, so this is the lexicographic order of the two
+     root-to-node sequences.  A loop over plain fields: nothing is
+     allocated and no frame is pushed per level. *)
+  let rec compare_below_lca a b =
+    if a.parent == b.parent then compare_decision a.decision b.decision
+    else compare_below_lca a.parent b.parent
 
   (* [Stdlib.compare (prefix_of a) (prefix_of b)] without materializing
-     either list: lexicographic over the aligned ancestor prefixes,
-     with a proper prefix ordered before its extensions (as [] sorts
-     before any cons). *)
+     either list: the deeper node is first lifted to the other's depth;
+     if that lands on the other node, the shallower prefix is a proper
+     prefix of the deeper one and sorts first (as [] sorts before any
+     cons). *)
   let compare_prefix a b =
     if a == b then 0
-    else if a.depth = b.depth then compare_lineage a b
+    else if a.depth = b.depth then compare_below_lca a b
     else if a.depth < b.depth then
-      match compare_lineage a (ancestor_at b a.depth) with 0 -> -1 | c -> c
+      let b' = ancestor_at b a.depth in
+      if a == b' then -1 else compare_below_lca a b'
     else
-      match compare_lineage (ancestor_at a b.depth) b with 0 -> 1 | c -> c
+      let a' = ancestor_at a b.depth in
+      if a' == b then 1 else compare_below_lca a' b
 
   let compare ka kb =
     match Int.compare kb.k_hits ka.k_hits with
@@ -150,7 +151,8 @@ let new_node t parent decision =
   {
     id = t.next_id;
     depth = parent.depth + 1;
-    parent = Some (parent, decision);
+    parent;
+    decision;
     edges = Edge_map.empty;
     infeasible = Edge_set.empty;
     hits = 0;
@@ -159,20 +161,29 @@ let new_node t parent decision =
     open_dirs = Edge_set.empty;
   }
 
+(* The root's decision is never read: no node lies above it. *)
+let root_decision = ({ Ir.thread = 0; pc = 0 }, false)
+
+let make_root ~id ~hits ~infeasible ~terminal =
+  let rec root =
+    {
+      id;
+      depth = 0;
+      parent = root;
+      decision = root_decision;
+      edges = Edge_map.empty;
+      infeasible;
+      hits;
+      keyed_hits = hits;
+      terminal;
+      open_dirs = Edge_set.empty;
+    }
+  in
+  root
+
 let create () =
   {
-    root =
-      {
-        id = 0;
-        depth = 0;
-        parent = None;
-        edges = Edge_map.empty;
-        infeasible = Edge_set.empty;
-        hits = 0;
-        keyed_hits = 0;
-        terminal = Bucket_map.empty;
-        open_dirs = Edge_set.empty;
-      };
+    root = make_root ~id:0 ~hits:0 ~infeasible:Edge_set.empty ~terminal:Bucket_map.empty;
     nodes = 1;
     executions = 0;
     distinct_paths = 0;
@@ -372,9 +383,7 @@ let marked_infeasible node site direction = Edge_set.mem (site, direction) node.
 
 (* Root-to-node decision sequence, reconstructed from parent links. *)
 let prefix_of node =
-  let rec up node acc =
-    match node.parent with None -> acc | Some (p, decision) -> up p (decision :: acc)
-  in
+  let rec up node acc = if node.depth = 0 then acc else up node.parent (node.decision :: acc) in
   up node []
 
 (* Hottest nodes first; ties broken structurally so the order is a
@@ -399,13 +408,23 @@ let frontier t =
   rekey_stale t;
   List.rev (Gap_map.fold (fun key () acc -> gap_of_index_key t key :: acc) t.gap_index [])
 
-let frontier_seq t =
+let frontier_seq ?keep t =
   rekey_stale t;
   (* [to_seq] on the persistent map snapshots it: mutating the tree
      while consuming the sequence (as gap closing during planning
      does) walks the frontier as of this call, exactly like iterating
      a materialized list. *)
   let snapshot = Gap_map.to_seq t.gap_index in
+  let snapshot =
+    match keep with
+    | None -> snapshot
+    | Some keep ->
+      (* The filter reads the index key, so a dropped gap never has its
+         prefix rebuilt. *)
+      Seq.filter
+        (fun ((key : Gap_index_key.t), ()) -> keep key.Gap_index_key.k_site key.Gap_index_key.k_missing)
+        snapshot
+  in
   Seq.map (fun (key, ()) -> gap_of_index_key t key) snapshot
 
 let frontier_top t k =
@@ -650,21 +669,11 @@ let read r =
     incr next_restored_id;
     !next_restored_id
   in
-  let node_of_record ~depth ~parent rec_ =
-    {
-      id = fresh_id ();
-      depth;
-      parent;
-      edges = Edge_map.empty;
-      infeasible = rec_.r_infeasible;
-      hits = rec_.r_hits;
-      keyed_hits = rec_.r_hits;
-      terminal = rec_.r_terminal;
-      open_dirs = Edge_set.empty;
-    }
-  in
   let root_record = read_node_record r in
-  let root = node_of_record ~depth:0 ~parent:None root_record in
+  let root =
+    make_root ~id:(fresh_id ()) ~hits:root_record.r_hits ~infeasible:root_record.r_infeasible
+      ~terminal:root_record.r_terminal
+  in
   let restored = ref 1 in
   (* Reattach preorder records: the stack holds nodes whose child
      records are still pending, with the edge specs left to fill. *)
@@ -673,7 +682,20 @@ let read r =
     | (_, []) :: stack -> fill stack
     | (node, (key, count) :: specs) :: stack ->
       let child_record = read_node_record r in
-      let child = node_of_record ~depth:(node.depth + 1) ~parent:(Some (node, key)) child_record in
+      let child =
+        {
+          id = fresh_id ();
+          depth = node.depth + 1;
+          parent = node;
+          decision = key;
+          edges = Edge_map.empty;
+          infeasible = child_record.r_infeasible;
+          hits = child_record.r_hits;
+          keyed_hits = child_record.r_hits;
+          terminal = child_record.r_terminal;
+          open_dirs = Edge_set.empty;
+        }
+      in
       node.edges <- Edge_map.add key (child, ref count) node.edges;
       incr restored;
       fill ((child, child_record.r_edges) :: (node, specs) :: stack)

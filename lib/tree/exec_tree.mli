@@ -83,12 +83,17 @@ val frontier_top : t -> int -> gap list
     of nodes queued since the last read — the per-tick planning read,
     independent of tree size. *)
 
-val frontier_seq : t -> gap Seq.t
+val frontier_seq : ?keep:(Ir.site -> bool -> bool) -> t -> gap Seq.t
 (** The frontier as a lazy sequence in the same order, materializing
-    one gap record per element forced.  The sequence snapshots the
-    index at the call: closing gaps while consuming it (as planning
-    does) still walks the frontier as of the call, exactly like
-    iterating a pre-built list. *)
+    one gap record per element forced.  [keep site missing] (default:
+    keep all) is tested on each index entry {e before} its record is
+    built, so the gaps it drops cost no prefix rebuild and do not count
+    in {!gaps_materialized}: callers that skip gaps by (site, direction)
+    — the planner's exclusion set, a shard's verdict ownership — pass
+    the test here instead of filtering built records.  The sequence
+    snapshots the index at the call: closing gaps while consuming it
+    (as planning does) still walks the frontier as of the call, exactly
+    like iterating a pre-built list. *)
 
 val frontier_size : t -> int
 (** [List.length (frontier t)] in O(1). *)
@@ -106,7 +111,8 @@ val gaps_sorted : t -> int
 
 val gaps_materialized : t -> int
 (** Cumulative count of gap records materialized (prefix rebuilt) by
-    {!frontier}, {!frontier_top} and {!frontier_seq}. *)
+    {!frontier}, {!frontier_top} and {!frontier_seq}; entries that
+    {!frontier_seq}'s [keep] drops are not counted. *)
 
 val mark_infeasible : t -> prefix:(Ir.site * bool) list -> site:Ir.site -> direction:bool -> bool
 (** Record that symbolic analysis proved the given gap infeasible,

@@ -24,6 +24,7 @@ module Knowledge = Softborg_hive.Knowledge
 module Protocol = Softborg_hive.Protocol
 module Shard_map = Softborg_hive.Shard_map
 module Federation = Softborg_hive.Federation
+module Exec_tree = Softborg_tree.Exec_tree
 
 let checki = Alcotest.check Alcotest.int
 let checkb = Alcotest.check Alcotest.bool
@@ -35,13 +36,13 @@ let run_once ?(seed = 7) program inputs =
   let env = Env.make ~seed ~inputs () in
   Interp.run ~program ~env ~sched:Sched.Round_robin ()
 
-let upload_of program r =
-  let trace = Trace.of_result ~program_digest:(Ir.digest program) ~pod:1 ~fix_epoch:0 r in
+let upload_of ?(pod = 1) program r =
+  let trace = Trace.of_result ~program_digest:(Ir.digest program) ~pod ~fix_epoch:0 r in
   Protocol.encode (Protocol.Trace_upload (Wire.encode trace))
 
-(* Pre-computed upload frames over two programs, so each QCheck case
-   picks a random multiset without re-running the interpreter. *)
-let upload_pool =
+(* Pre-computed runs over two programs, so each QCheck case picks a
+   random multiset without re-running the interpreter. *)
+let run_pool =
   let rng = Rng.create 4242 in
   let parser =
     List.init 32 (fun i ->
@@ -49,16 +50,26 @@ let upload_pool =
           if Rng.int rng 5 = 0 then Corpus.parser_trigger
           else Array.init 3 (fun _ -> Rng.int_in rng 0 30)
         in
-        upload_of Corpus.parser (run_once ~seed:i Corpus.parser inputs))
+        (Corpus.parser, run_once ~seed:i Corpus.parser inputs))
   in
   let fig2 =
     List.init 16 (fun i ->
-        upload_of Corpus.fig2_write (run_once ~seed:i Corpus.fig2_write [| Rng.int_in rng (-5) 305 |]))
+        (Corpus.fig2_write, run_once ~seed:i Corpus.fig2_write [| Rng.int_in rng (-5) 305 |]))
   in
   Array.of_list (parser @ fig2)
 
+let upload_pool = Array.map (fun (program, r) -> upload_of program r) run_pool
+
 let pick_uploads rng n =
   List.init n (fun _ -> upload_pool.(Rng.int rng (Array.length upload_pool)))
+
+(* Like [pick_uploads], but each upload reports a pod id drawn from
+   0..[max_pod]: one content then arrives from pods whose ids take one
+   varint byte and pods whose ids take two. *)
+let pick_uploads_any_pod ~max_pod rng n =
+  List.init n (fun _ ->
+      let program, r = run_pool.(Rng.int rng (Array.length run_pool)) in
+      upload_of ~pod:(Rng.int_in rng 0 max_pod) program r)
 
 (* ---- Drivers ------------------------------------------------------------ *)
 
@@ -142,7 +153,7 @@ let prop_merge_equals_single =
     QCheck.(triple small_nat (int_range 1 36) (int_range 0 2))
     (fun (seed, n, shard_choice) ->
       let n_shards = [| 1; 2; 4 |].(shard_choice) in
-      let uploads = pick_uploads (Rng.create (seed * 31 + 5)) n in
+      let uploads = pick_uploads_any_pod ~max_pod:300 (Rng.create (seed * 31 + 5)) n in
       let _sim, fed = run_fed ~n_shards ~seed:(seed + 1) uploads in
       let oracle_hive, oracle = oracle_bytes uploads in
       let merged = Federation.merged fed in
@@ -236,6 +247,86 @@ let test_commit_order_is_shard_then_seq () =
       (Hive.knowledge_list (Federation.merged fed))
   in
   checki "merged hive ingested the full multiset" (List.length uploads) merged_traces
+
+let test_repeated_uploads_travel_once () =
+  (* Each pod sends every one of its uploads three times within one
+     superstep, so the canonical payloads repeat byte for byte and each
+     delta carries them once with [copies = 3].  The merge must still
+     equal the single hive fed every copy, at 1/2/4 shards, also when
+     every shard is checkpointed and restored while the copies are
+     pending. *)
+  let uploads = pick_uploads (Rng.create 61) 16 in
+  let repeated = List.concat_map (fun u -> [ u; u; u ]) uploads in
+  let _, oracle = oracle_bytes repeated in
+  List.iter
+    (fun (n_shards, restore) ->
+      let sim, rng, fed = make_fed ~n_shards ~seed:(70 + n_shards) () in
+      let pods = attach_pods sim rng fed 2 in
+      List.iteri
+        (fun i payload -> Transport.send (List.nth pods (i / 3 mod List.length pods)) payload)
+        repeated;
+      Sim.run sim;
+      if restore then
+        for i = 0 to n_shards - 1 do
+          match Federation.restore_shard fed i (Federation.checkpoint_shard fed i) with
+          | Error e -> Alcotest.failf "restore failed: %s" e
+          | Ok _ -> ()
+        done;
+      settle sim fed;
+      let label = Printf.sprintf "%d shards%s" n_shards (if restore then ", restored" else "") in
+      let stats = Federation.stats fed in
+      checki (label ^ ": every copy merged") (List.length repeated)
+        stats.Federation.payloads_merged;
+      checkb (label ^ ": repeated payloads decoded once each") true
+        (stats.Federation.payloads_decoded <= List.length uploads);
+      checks (label ^ ": merge equals the single hive") oracle
+        (Hive.checkpoint (Federation.merged fed)))
+    [ (1, false); (2, false); (4, false); (1, true); (2, true); (4, true) ]
+
+let test_verdicts_derived_once_per_federation () =
+  (* A verdict shard 0 derives reaches the coordinator's table at the
+     next commit and every other shard's at the publish that follows;
+     a shard restored from a checkpoint older than the verdict gets it
+     again.  Every one of these lookups is a hit. *)
+  let module Gap_memo = Softborg_hive.Gap_memo in
+  let sim, rng, fed = make_fed ~synthesize:true ~n_shards:4 ~seed:91 () in
+  ignore (attach_pods sim rng fed 1);
+  let digest = Ir.digest Corpus.parser in
+  let knowledge hive = Option.get (Hive.knowledge hive ~digest) in
+  let old_shard_1 = Federation.checkpoint_shard fed 1 in
+  let shard0 = Federation.shard_hive fed 0 in
+  List.iter (Hive.ingest_payload shard0) (pick_uploads (Rng.create 93) 6);
+  let k0 = knowledge shard0 in
+  let gap =
+    match Exec_tree.frontier_top (Knowledge.tree k0) 1 with
+    | [ gap ] -> gap
+    | _ -> Alcotest.fail "shard 0 has no open gap"
+  in
+  let site = gap.Exec_tree.site and direction = gap.Exec_tree.missing in
+  let config = (Hive.default_config Hive.Full).Hive.symexec_config in
+  let verdict =
+    Gap_memo.derive ~memo:(Knowledge.gap_memo k0) ~config Corpus.parser ~site ~direction
+  in
+  let hit_in what k =
+    let memo = Knowledge.gap_memo k in
+    let misses = Gap_memo.misses memo in
+    checkb (what ^ " holds the verdict") true (Gap_memo.find memo ~site ~direction = Some verdict);
+    checki (what ^ ": the lookup is no miss") misses (Gap_memo.misses memo)
+  in
+  Federation.flush fed;
+  Sim.run sim;
+  ignore (Federation.commit fed);
+  hit_in "the coordinator after the commit" (knowledge (Federation.merged fed));
+  Federation.superstep fed;
+  for i = 1 to Federation.n_shards fed - 1 do
+    hit_in
+      (Printf.sprintf "shard %d after the publish" i)
+      (knowledge (Federation.shard_hive fed i))
+  done;
+  (match Federation.restore_shard fed 1 old_shard_1 with
+  | Error e -> Alcotest.failf "restore failed: %s" e
+  | Ok _ -> ());
+  hit_in "shard 1 restored from before the verdict" (knowledge (Federation.shard_hive fed 1))
 
 let test_fix_publication_reaches_shards_and_pods () =
   (* With synthesis on, the coordinator's deployed fixes must propagate:
@@ -615,6 +706,18 @@ let prop_shard_map_partition =
         QCheck.Test.fail_report "rendezvous owner exceeds a member's owner";
       true)
 
+let prop_owner_of_verdict_is_fnv_of_label =
+  QCheck.Test.make ~name:"verdict owner hashes the site label" ~count:500
+    QCheck.(
+      pair
+        (triple (int_range 1 16) (int_range 1 20) (string_gen_of_size Gen.(0 -- 40) Gen.char))
+        (triple int int bool))
+    (fun ((n_shards, prefix_bits, program), (thread, pc, direction)) ->
+      let map = Shard_map.create ~prefix_bits ~n_shards () in
+      Shard_map.owner_of_verdict map ~program ~thread ~pc ~direction
+      = Shard_map.owner_of_digest map
+          (Printf.sprintf "%s/%d:%d:%c" program thread pc (if direction then 't' else 'f')))
+
 let test_shard_map_covers_all_shards () =
   (* With at least as many ranges as shards, every shard owns a value —
      no shard can sit idle by construction. *)
@@ -669,6 +772,10 @@ let () =
           q prop_merge_equality_survives_link_faults;
           Alcotest.test_case "generated population" `Quick test_generated_population_merges;
           Alcotest.test_case "delta accounting" `Quick test_commit_order_is_shard_then_seq;
+          Alcotest.test_case "repeated uploads travel once" `Quick
+            test_repeated_uploads_travel_once;
+          Alcotest.test_case "verdicts derived once per federation" `Quick
+            test_verdicts_derived_once_per_federation;
           Alcotest.test_case "fix publication" `Quick test_fix_publication_reaches_shards_and_pods;
           Alcotest.test_case "first fix no later than one hive" `Quick
             test_first_fix_no_later_than_single_hive;
@@ -686,6 +793,7 @@ let () =
         [
           Alcotest.test_case "validation" `Quick test_shard_map_validation;
           q prop_shard_map_partition;
+          q prop_owner_of_verdict_is_fnv_of_label;
           Alcotest.test_case "coverage" `Quick test_shard_map_covers_all_shards;
         ] );
       ( "platform",

@@ -546,6 +546,38 @@ let test_guidance_sublinear_counters () =
   checki "planning sorts no gaps" 0 (Exec_tree.gaps_sorted tree - sorted0);
   checkb "planning materializes O(k) gaps, not O(frontier)" true
     (Exec_tree.gaps_materialized tree - materialized0 <= 3 * max_directives);
+  checki "considered capped at 3k" (3 * max_directives) result.Guidance.gaps_considered;
+  (* Second input: an exclusion set covering every open direction but
+     the 3k coldest, so the considered window lies behind almost the
+     whole frontier and the planner passes every excluded gap on its
+     way there.  Branch sites drawn from a wide pc range give each open
+     direction its own label. *)
+  let tree = Exec_tree.create () in
+  let rng = Rng.create 23 in
+  for _ = 1 to 60 do
+    let path =
+      List.init 10 (fun d -> ({ Ir.thread = 0; pc = (d * 1000) + Rng.int rng 1000 }, Rng.bool rng))
+    in
+    ignore (Exec_tree.add_path tree path Softborg_exec.Outcome.Success)
+  done;
+  let memo = Gap_memo.create () in
+  Exec_tree.iter_open_dirs tree (fun site missing ->
+      Gap_memo.add memo ~site ~direction:missing `Unknown);
+  let exclude = Hashtbl.create 64 in
+  let kept = Hashtbl.create 64 in
+  List.iter
+    (fun (gap : Exec_tree.gap) ->
+      let label = (gap.Exec_tree.site, gap.Exec_tree.missing) in
+      if Hashtbl.length kept < 3 * max_directives || Hashtbl.mem kept label then
+        Hashtbl.replace kept label ()
+      else Hashtbl.replace exclude label ())
+    (List.rev (Exec_tree.frontier tree));
+  checkb "the exclusion set covers all but 3k open directions" true
+    (Hashtbl.length exclude > 10 * (3 * max_directives));
+  let materialized0 = Exec_tree.gaps_materialized tree in
+  let result = Guidance.plan ~max_directives ~exclude ~memo Corpus.parser tree in
+  checkb "excluded gaps are skipped without being materialized" true
+    (Exec_tree.gaps_materialized tree - materialized0 <= 3 * max_directives);
   checki "considered capped at 3k" (3 * max_directives) result.Guidance.gaps_considered
 
 let test_directive_wire_roundtrip () =
@@ -651,6 +683,20 @@ let test_protocol_roundtrips () =
           pressure = 2;
         };
       Protocol.Pressure_update { level = 3 };
+      Protocol.Knowledge_delta
+        {
+          shard = 2;
+          seq = 5;
+          payloads = [ (Protocol.encode (Protocol.Trace_upload (Wire.encode trace)), 3); ("x", 1) ];
+          verdicts =
+            [
+              ("d", (({ Ir.thread = 0; pc = 4 }, true), `Infeasible));
+              ( "d",
+                ( ({ Ir.thread = 1; pc = 2 }, false),
+                  `Test { Softborg_symexec.Testgen.inputs = [| 1; -2 |]; fault_plan = Env.No_faults }
+                ) );
+            ];
+        };
     ]
   in
   List.iter
@@ -661,9 +707,16 @@ let test_protocol_roundtrips () =
     messages
 
 let test_protocol_rejects_garbage () =
-  match Protocol.decode "\xffgarbage" with
+  (match Protocol.decode "\xffgarbage" with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "decoded garbage"
+  | Ok _ -> Alcotest.fail "decoded garbage");
+  let no_copies =
+    Protocol.encode
+      (Protocol.Knowledge_delta { shard = 0; seq = 0; payloads = [ ("x", 0) ]; verdicts = [] })
+  in
+  match Protocol.decode no_copies with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "decoded a delta payload with no copies"
 
 (* Tags 5, 7 and 10 carried a routing table, shard telemetry and a
    separate retraction frame; nothing read them, and the hive treats a
@@ -756,8 +809,9 @@ let test_store_heaviest () =
 
 let test_store_byte_counters_match_wire () =
   (* Regression for the single-encode admit rewrite: the byte counters
-     must equal the actual per-upload wire sizes, including pods whose
-     varint needs 1, 2 and 3 bytes. *)
+     must equal the per-upload wire sizes with the pod varint counted
+     as one byte — the size of the content encoding, whatever the
+     pod — including pods whose varint needs 1, 2 and 3 bytes. *)
   let store = Trace_store.create () in
   let r5 = run_once Corpus.fig2_write [| 5 |] in
   let r200 = run_once Corpus.fig2_write [| 200 |] in
@@ -773,7 +827,7 @@ let test_store_byte_counters_match_wire () =
   let total_bytes = ref 0 in
   List.iter
     (fun trace ->
-      let wire_size = String.length (Wire.encode trace) in
+      let wire_size = String.length (Wire.encode trace) - Codec.varint_len trace.Trace.pod + 1 in
       total_bytes := !total_bytes + wire_size;
       match Trace_store.admit store trace with
       | Trace_store.Novel -> novel_bytes := !novel_bytes + wire_size
@@ -782,6 +836,30 @@ let test_store_byte_counters_match_wire () =
   checki "bytes received match wire sizes" !total_bytes (Trace_store.bytes_received store);
   checki "bytes stored match novel wire sizes" !novel_bytes (Trace_store.bytes_stored store);
   checki "two distinct contents" 2 (Trace_store.distinct store)
+
+let test_knowledge_bytes_ignore_arrival_order () =
+  (* One content reported by pods 5 and 200 (one- and two-byte pod
+     varints), ingested in both orders: the knowledge bytes must be
+     equal, as they are a function of the ingested multiset. *)
+  let r = run_once Corpus.fig2_write [| 5 |] in
+  let upload pod = Trace.of_result ~program_digest:(Ir.digest Corpus.fig2_write) ~pod ~fix_epoch:0 r in
+  let knowledge_bytes pods =
+    let k = Knowledge.create Corpus.fig2_write in
+    List.iter
+      (fun pod ->
+        let trace = upload pod in
+        match Knowledge.ingest_trace ~prepared:(Trace_store.prepare trace) k trace with
+        | Ok () -> ()
+        | Error e -> Alcotest.fail e)
+      pods;
+    let w = Codec.Writer.create () in
+    Knowledge.write w k;
+    (Trace_store.bytes_stored (Knowledge.store k), Codec.Writer.contents w)
+  in
+  let stored_a, bytes_a = knowledge_bytes [ 5; 200 ] in
+  let stored_b, bytes_b = knowledge_bytes [ 200; 5 ] in
+  checki "bytes stored do not depend on the first pod" stored_a stored_b;
+  checkb "knowledge bytes do not depend on arrival order" true (bytes_a = bytes_b)
 
 let test_store_admit_keyed_matches_content_key () =
   let store = Trace_store.create () in
@@ -1030,6 +1108,8 @@ let () =
             test_store_byte_counters_match_wire;
           Alcotest.test_case "admit_keyed matches content_key" `Quick
             test_store_admit_keyed_matches_content_key;
+          Alcotest.test_case "knowledge bytes ignore arrival order" `Quick
+            test_knowledge_bytes_ignore_arrival_order;
           Alcotest.test_case "replay cache skips replay" `Quick
             test_knowledge_replay_cache_skips_replay;
           Alcotest.test_case "replay cache cleared on epoch" `Quick

@@ -301,6 +301,76 @@ let test_transport_adversarial_battery () =
     (Link.sent link_ab - Link.dropped link_ab + Link.duplicated link_ab)
     (Link.delivered link_ab)
 
+let test_transport_dedup_below_and_around_gaps () =
+  let lossless = { Link.drop_probability = 0.0; mean_latency = 0.02; min_latency = 0.001 } in
+  let links a b =
+    match (Transport.out_link a, Transport.out_link b) with
+    | Some ab, Some ba -> (ab, ba)
+    | _ -> Alcotest.fail "endpoints have no links"
+  in
+  (* 1. Every ack is lost for a while, so the sender keeps re-sending
+     message 0 after 200 later messages were delivered: its copies
+     arrive far below the receiver's low mark and must be suppressed. *)
+  let sim, a, b = pair ~config:{ Transport.default_config with Transport.link = lossless } 41 in
+  let _, ba = links a b in
+  Link.set_config ba { lossless with Link.drop_probability = 1.0 };
+  let counts = Hashtbl.create 256 in
+  let arrivals = ref [] in
+  Transport.on_receive b (fun payload ->
+      arrivals := payload :: !arrivals;
+      Hashtbl.replace counts payload (1 + Option.value ~default:0 (Hashtbl.find_opt counts payload)));
+  Transport.send a "first";
+  Sim.run ~until:0.1 sim;
+  for i = 1 to 200 do
+    Transport.send a (Printf.sprintf "m-%d" i)
+  done;
+  Sim.run ~until:2.0 sim;
+  Link.set_config ba lossless;
+  Sim.run sim;
+  checki "every message delivered" 201 (Hashtbl.length counts);
+  Hashtbl.iter (fun payload n -> checki (payload ^ " reached the handler once") 1 n) counts;
+  checkb "message 0 was delivered before the 200 later ones" true
+    (List.nth !arrivals 200 = "first");
+  let sa = Transport.stats a and sb = Transport.stats b in
+  checkb "message 0 was re-sent" true (sa.Transport.retransmissions > 200);
+  checki "every re-sent copy suppressed" sa.Transport.retransmissions
+    sb.Transport.duplicates_suppressed;
+  (* 2. One packet is dropped while high-variance latency scrambles the
+     rest: deliveries arrive out of order around the gap, the re-sent
+     packet fills it, and each message reaches the handler once. *)
+  let config =
+    {
+      Transport.default_config with
+      Transport.link = { Link.drop_probability = 0.0; mean_latency = 0.3; min_latency = 0.0 };
+    }
+  in
+  let sim, a, b = pair ~config 43 in
+  let ab, _ = links a b in
+  let received = ref [] in
+  Transport.on_receive b (fun payload -> received := payload :: !received);
+  let sent = List.init 40 (fun i -> Printf.sprintf "m-%02d" i) in
+  List.iteri
+    (fun i payload ->
+      Link.set_config ab
+        { (Link.config ab) with Link.drop_probability = (if i = 5 then 1.0 else 0.0) };
+      Transport.send a payload)
+    sent;
+  Link.set_config ab { (Link.config ab) with Link.drop_probability = 0.0 };
+  Sim.run sim;
+  let received = List.rev !received in
+  checkb "arrival order was scrambled" true (received <> sent);
+  let rec before_dropped = function
+    | [] -> []
+    | "m-05" :: _ -> []
+    | m :: rest -> m :: before_dropped rest
+  in
+  checkb "later messages arrived before the dropped one" true
+    (List.exists (fun m -> m > "m-05") (before_dropped received));
+  Alcotest.(check (list string)) "each message reached the handler once" sent
+    (List.sort compare received);
+  checkb "the dropped packet was re-sent" true
+    ((Transport.stats a).Transport.retransmissions > 0)
+
 let prop_transport_reliable_random_configs =
   QCheck.Test.make ~name:"transport delivers everything exactly once" ~count:30
     QCheck.(pair small_nat (int_range 0 35))
@@ -357,6 +427,8 @@ let () =
           Alcotest.test_case "duplication" `Quick test_transport_survives_duplication;
           Alcotest.test_case "reordering" `Quick test_transport_survives_reordering;
           Alcotest.test_case "adversarial battery" `Quick test_transport_adversarial_battery;
+          Alcotest.test_case "dedup below and around gaps" `Quick
+            test_transport_dedup_below_and_around_gaps;
           q prop_transport_reliable_random_configs;
         ] );
     ]
