@@ -1343,6 +1343,50 @@ let micro_solver ?(smoke = false) () =
   Printf.printf "gap-verdicts: %d directions over %d programs\n"
     (List.fold_left (fun acc (_, directions) -> acc + List.length directions) 0 gap_directions)
     (List.length gap_programs);
+  (* The hive's two whole-program explorations over the same programs
+     and config: [Fixgen.propose] with one crash evidence per (site,
+     kind) a fully solved exploration crashes at, then an assertion-
+     safety attempt on a one-execution tree, with a fresh verdict cache
+     per program per run. *)
+  let proof_tree = Exec_tree.create () in
+  ignore (Exec_tree.add_path proof_tree [] Outcome.Success);
+  let fix_inputs =
+    List.map
+      (fun (program : Ir.t) ->
+        let report = Sym_exec.explore ~config:gap_config program Consistency.Strict in
+        let crashes =
+          List.filter_map
+            (fun (p : Sym_exec.path) ->
+              match p.Sym_exec.outcome with
+              | Sym_exec.Crashed { site; kind; _ } -> Some (site, kind)
+              | Sym_exec.Completed | Sym_exec.Path_deadlock | Sym_exec.Step_limit -> None)
+            report.Sym_exec.paths
+          |> List.sort_uniq compare
+          |> List.map (fun ((site : Ir.site), crash_kind) ->
+                 {
+                   Fixgen.site;
+                   crash_kind;
+                   bucket = Format.asprintf "%a:%s" Ir.pp_site site (Outcome.crash_kind_name crash_kind);
+                   count = 1;
+                 })
+        in
+        (program, crashes))
+      gap_programs
+  in
+  let fix_and_proof () =
+    List.iter
+      (fun (program, crashes) ->
+        ignore
+          (Fixgen.propose ~symexec_config:gap_config ~program ~deadlock_patterns:[] ~crashes
+             ~existing:[] ~next_epoch:1 ());
+        ignore
+          (Prover.attempt_assert_safety ~config:gap_config ~cache:(Verdict_cache.create ())
+             ~program ~tree:proof_tree ~crash_observations:0 ~epoch:0 ()))
+      fix_inputs
+  in
+  Printf.printf "fix-and-proof: %d crash evidences over %d programs\n"
+    (List.fold_left (fun acc (_, crashes) -> acc + List.length crashes) 0 fix_inputs)
+    (List.length fix_inputs);
   let open Bechamel in
   let results =
     ns_per_run ~quota ~limit
@@ -1361,11 +1405,14 @@ let micro_solver ?(smoke = false) () =
                ignore (Pc_solve.solve ~cache:warm ~domain ~n_inputs:2 feas_cond)));
       ]
   in
-  (* One derivation takes a good part of a second, so it gets its own
-     quota. *)
+  (* One derivation takes a good part of a second, so these rows get
+     their own quota. *)
   let gap_results =
     ns_per_run ~quota:(if smoke then 0.02 else 5.0) ~limit
-      [ Test.make ~name:"gap-verdicts" (Staged.stage derive_gap_verdicts) ]
+      [
+        Test.make ~name:"gap-verdicts" (Staged.stage derive_gap_verdicts);
+        Test.make ~name:"fix-and-proof" (Staged.stage fix_and_proof);
+      ]
   in
   let results = List.sort compare (results @ gap_results) in
   Tabular.print ~title:"solver racing wall-clock"

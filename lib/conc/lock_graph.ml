@@ -19,20 +19,22 @@ let add_edge t held acquired =
       (function None -> Some 1 | Some n -> Some (n + 1))
       t.edge_counts
 
-let add_events t events =
-  (* Track the held set per thread through the event sequence. *)
-  let held : (int, Int_set.t) Hashtbl.t = Hashtbl.create 4 in
-  let held_of thread = Option.value ~default:Int_set.empty (Hashtbl.find_opt held thread) in
-  List.iter
-    (fun event ->
-      match event with
-      | Interp.Acquired { thread; lock; _ } ->
-        let h = held_of thread in
-        Int_set.iter (fun other -> add_edge t other lock) h;
-        Hashtbl.replace held thread (Int_set.add lock h)
-      | Interp.Released { thread; lock; _ } ->
-        Hashtbl.replace held thread (Int_set.remove lock (held_of thread)))
-    events
+let add_events t = function
+  | [] -> ()  (* most traces take no lock: allocate nothing for them *)
+  | events ->
+    (* Track the held set per thread through the event sequence. *)
+    let held : (int, Int_set.t) Hashtbl.t = Hashtbl.create 4 in
+    let held_of thread = Option.value ~default:Int_set.empty (Hashtbl.find_opt held thread) in
+    List.iter
+      (fun event ->
+        match event with
+        | Interp.Acquired { thread; lock; _ } ->
+          let h = held_of thread in
+          Int_set.iter (fun other -> add_edge t other lock) h;
+          Hashtbl.replace held thread (Int_set.add lock h)
+        | Interp.Released { thread; lock; _ } ->
+          Hashtbl.replace held thread (Int_set.remove lock (held_of thread)))
+      events
 
 let merge dst src =
   Pair_map.iter

@@ -14,7 +14,8 @@ type t
 val create : unit -> t
 
 val add_events : t -> Interp.lock_event list -> unit
-(** Fold one execution's lock events into the graph. *)
+(** Fold one execution's lock events into the graph.  An empty list
+    (a run that took no lock) allocates nothing. *)
 
 val merge : t -> t -> unit
 (** [merge dst src] adds all of [src]'s observations into [dst]. *)

@@ -92,23 +92,33 @@ let input_only_condition ~n_inputs condition =
   && List.for_all (fun i -> i < n_inputs) (Path_cond.inputs_used condition)
 
 (* Find a feasible symbolic crash path matching the evidence, to derive
-   an input guard from its path condition. *)
-let guard_condition ?symexec_config ~program evidence =
+   an input guard from its path condition.  Only a crash at the
+   evidence's site and kind whose condition is input-only can yield
+   the guard, so only those paths are solved, in emission order, up to
+   the first feasible one. *)
+let guard_condition ?symexec_config ?cache ~program evidence =
   if Array.length program.Ir.threads > 1 then None
   else
-    let report = Sym_exec.explore ?config:symexec_config program Consistency.Strict in
+    let config = Option.value ~default:Sym_exec.default_config symexec_config in
+    let report =
+      Sym_exec.explore
+        ~config:{ config with Sym_exec.solve_models = false }
+        ?cache program Consistency.Strict
+    in
     List.find_map
       (fun (p : Sym_exec.path) ->
-        match (p.Sym_exec.outcome, p.Sym_exec.solver_verdict) with
-        | Sym_exec.Crashed { site; kind; _ }, `Sat
-          when Ir.site_equal site evidence.site && kind = evidence.crash_kind ->
-          if input_only_condition ~n_inputs:program.Ir.n_inputs p.Sym_exec.condition then
-            Some p.Sym_exec.condition
-          else None
+        match p.Sym_exec.outcome with
+        | Sym_exec.Crashed { site; kind; _ }
+          when Ir.site_equal site evidence.site
+               && kind = evidence.crash_kind
+               && input_only_condition ~n_inputs:program.Ir.n_inputs p.Sym_exec.condition -> (
+          match (Sym_exec.solve_path ~config ?cache p).Sym_exec.solver_verdict with
+          | `Sat -> Some p.Sym_exec.condition
+          | `Unsat | `Timeout | `Unsolved -> None)
         | _ -> None)
       report.Sym_exec.paths
 
-let propose ?symexec_config ~program ~deadlock_patterns ~crashes ~existing ~next_epoch () =
+let propose ?symexec_config ?cache ~program ~deadlock_patterns ~crashes ~existing ~next_epoch () =
   let fixes = ref [] in
   let next_id = ref (next_id_over existing) in
   let emit kind =
@@ -124,7 +134,7 @@ let propose ?symexec_config ~program ~deadlock_patterns ~crashes ~existing ~next
   List.iter
     (fun evidence ->
       if not (covers_bucket existing evidence.bucket) then begin
-        (match guard_condition ?symexec_config ~program evidence with
+        (match guard_condition ?symexec_config ?cache ~program evidence with
         | Some condition ->
           emit
             (Input_guard

@@ -56,6 +56,7 @@ type crash_evidence = {
 
 val propose :
   ?symexec_config:Sym_exec.config ->
+  ?cache:Softborg_solver.Verdict_cache.t ->
   program:Ir.t ->
   deadlock_patterns:int list list ->
   crashes:crash_evidence list ->
@@ -66,7 +67,13 @@ val propose :
 (** Synthesize fixes for evidence not yet covered by [existing] ones.
     Each crash bucket yields one deployable fix (an input guard when
     the bucket's path condition is input-only, otherwise a crash
-    suppression) plus one repair-lab patch candidate. *)
+    suppression) plus one repair-lab patch candidate.
+
+    The guard comes from the first path, in emission order, of a strict
+    {!Sym_exec.explore} of a single-threaded [program] that crashed at
+    the bucket's site and kind, has an input-only condition and solves
+    [`Sat].  Only such crash paths are solved, up to the first [`Sat];
+    [cache] memoizes the exploration's checks and those solves. *)
 
 module Interp := Softborg_exec.Interp
 

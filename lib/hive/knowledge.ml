@@ -303,7 +303,7 @@ let register_canaries t new_fixes =
 
 let analyze ?symexec_config t =
   let new_fixes =
-    Fixgen.propose ?symexec_config ~program:t.program
+    Fixgen.propose ?symexec_config ~cache:t.verdict_cache ~program:t.program
       ~deadlock_patterns:(deadlock_pattern_sets t) ~crashes:(crash_evidence t)
       ~existing:t.fixes ~next_epoch:(t.epoch + 1) ()
   in

@@ -78,7 +78,8 @@ val gap_memo : t -> Gap_memo.t
 val verdict_cache : t -> Softborg_solver.Verdict_cache.t
 (** Memoized path-condition solver verdicts for this program, shared
     by every symbolic query the hive runs (guidance, gap closing,
-    proof attempts, cooperating provers).  Same lifetime as
+    proof attempts, guard synthesis in {!analyze}, cooperating
+    provers).  Same lifetime as
     {!gap_memo}. *)
 
 val hooks_for_epoch : t -> int -> Interp.hooks
@@ -116,7 +117,8 @@ val deadlock_bucket_info : t -> (string * int list * int) list
 val bucket_counts : t -> (string * int) list
 
 val analyze : ?symexec_config:Sym_exec.config -> t -> Fixgen.fix list
-(** Synthesize fixes for uncovered evidence.  Deploying fixes bumps
+(** Synthesize fixes for uncovered evidence ({!Fixgen.propose}, with
+    this knowledge's {!verdict_cache}).  Deploying fixes bumps
     the epoch and invalidates proofs established against older
     epochs.  Returns the newly created fixes (including repair-lab
     candidates, which do not deploy and do not bump the epoch). *)

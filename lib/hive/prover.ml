@@ -61,41 +61,39 @@ let close_gaps ?config ?cache ?memo ?owned ?(limit = 24) program tree =
          | `Test _ | `Unknown -> ());
   !closed
 
+(* A path leaves the proof standing only if it solved [`Unsat], or
+   [`Sat] and completed or deadlocked: a timeout leaves it undecided,
+   a feasible crash is a counterexample and a feasible step-limit path
+   never finished. *)
+let rules_out_proof (p : Sym_exec.path) =
+  match (p.Sym_exec.solver_verdict, p.Sym_exec.outcome) with
+  | (`Timeout | `Unsolved), _ -> true
+  | `Sat, (Sym_exec.Crashed _ | Sym_exec.Step_limit) -> true
+  | `Sat, (Sym_exec.Completed | Sym_exec.Path_deadlock) | `Unsat, _ -> false
+
 let attempt_assert_safety ?config ?cache ~program ~tree ~crash_observations ~epoch () =
   if crash_observations > 0 then None
   else begin
     let cfg = Option.value ~default:Sym_exec.default_config config in
     let single_threaded = Array.length program.Ir.threads <= 1 in
     if single_threaded then begin
-      let report = Sym_exec.explore ?config ?cache program Softborg_symexec.Consistency.Strict in
-      let fully_solved =
-        List.for_all
-          (fun (p : Sym_exec.path) ->
-            match p.Sym_exec.solver_verdict with `Sat | `Unsat -> true | `Timeout | `Unsolved -> false)
-          report.Sym_exec.paths
+      let report =
+        Sym_exec.explore
+          ~config:{ cfg with Sym_exec.solve_models = false }
+          ?cache program Softborg_symexec.Consistency.Strict
       in
-      let feasible_crash =
-        List.exists
-          (fun (p : Sym_exec.path) ->
-            match (p.Sym_exec.outcome, p.Sym_exec.solver_verdict) with
-            | Sym_exec.Crashed _, `Sat -> true
-            | _ -> false)
-          report.Sym_exec.paths
-      in
-      let clean_paths_terminate =
-        List.for_all
-          (fun (p : Sym_exec.path) ->
-            match (p.Sym_exec.outcome, p.Sym_exec.solver_verdict) with
-            | _, `Unsat -> true
-            | (Sym_exec.Completed | Sym_exec.Path_deadlock), _ -> true
-            | Sym_exec.Crashed _, _ -> false
-            | Sym_exec.Step_limit, _ -> false)
-          report.Sym_exec.paths
-      in
-      if
+      (* A truncated exploration proves nothing whatever its verdicts
+         say, so its paths stay unsolved.  Otherwise the paths are
+         solved in emission order up to the first that rules the proof
+         out. *)
+      let proved =
         (not report.Sym_exec.truncated)
-        && fully_solved && (not feasible_crash) && clean_paths_terminate
-      then
+        && not
+             (List.exists
+                (fun p -> rules_out_proof (Sym_exec.solve_path ~config:cfg ?cache p))
+                report.Sym_exec.paths)
+      in
+      if proved then
         Some
           (make_proof Assert_safety
              (Proved { domain = cfg.Sym_exec.domain })

@@ -81,7 +81,15 @@ val attempt_assert_safety :
     program (thread interleavings would weaken exploration to one
     schedule).  Multi-threaded or incomplete evidence yields a [Tested]
     proof instead — the weaker end of the spectrum — provided at least
-    one execution has been observed and none failed. *)
+    one execution has been observed and none failed.
+
+    The exploration runs without end-of-path solves
+    ({!Sym_exec.solve_path} runs them here, at [config] and [cache]).
+    A truncated one solves none: its answer is [Tested] or [None]
+    whatever the verdicts say.  An exhaustive one solves its paths in
+    emission order and stops at the first that rules the proof out (a
+    timeout, or a feasible path that crashed or hit the step limit).
+    The answer is the one solving every path would give. *)
 
 val attempt_deadlock_freedom :
   ?max_runs:int ->

@@ -183,21 +183,30 @@ let feasible ex m =
 let push_child ex child =
   if feasible ex child then ex.stack <- child :: ex.stack else ex.pruned <- ex.pruned + 1
 
-(* [path.origins] holds one entry per symbol, so its length is the
-   condition's arity. *)
-let solve_path ex (path : path) =
-  if not ex.config.solve_models then (None, `Unsolved)
+(* The end-of-path solve, with the solver steps it took.  [path.origins]
+   holds one entry per symbol, so its length is the condition's arity. *)
+let solve_counted ~config ?cache (path : path) =
+  if not config.solve_models then (path, 0)
   else begin
     let outcome =
-      Pc_solve.solve ?cache:ex.cache ~budget:ex.config.solver_budget ~domain:ex.config.domain
+      Pc_solve.solve ?cache ~budget:config.solver_budget ~domain:config.domain
         ~n_inputs:(Array.length path.origins) path.condition
     in
-    ex.solver_steps <- ex.solver_steps + outcome.Interval.steps;
-    match outcome.Interval.verdict with
-    | Interval.Sat model -> (Some model, `Sat)
-    | Interval.Unsat -> (None, `Unsat)
-    | Interval.Timeout -> (None, `Timeout)
+    let path =
+      match outcome.Interval.verdict with
+      | Interval.Sat model -> { path with model = Some model; solver_verdict = `Sat }
+      | Interval.Unsat -> { path with model = None; solver_verdict = `Unsat }
+      | Interval.Timeout -> { path with model = None; solver_verdict = `Timeout }
+    in
+    (path, outcome.Interval.steps)
   end
+
+let solve_path ?(config = default_config) ?cache path = fst (solve_counted ~config ?cache path)
+
+let solve_emitted ex path =
+  let path, steps = solve_counted ~config:ex.config ?cache:ex.cache path in
+  ex.solver_steps <- ex.solver_steps + steps;
+  path
 
 let finalize ex m outcome =
   (* Unsat paths are over-approximation artifacts; keep them in the
@@ -219,9 +228,7 @@ let finalize ex m outcome =
        [direction_feasible]'s Infeasible-or-Unknown decision reads
        their solves, and it runs them itself once it gets there. *)
     | Some _ -> path
-    | None ->
-      let model, solver_verdict = solve_path ex path in
-      { path with model; solver_verdict }
+    | None -> solve_emitted ex path
   in
   ex.emitted <- path :: ex.emitted
 
@@ -469,7 +476,9 @@ let direction_feasible ?config ?cache ?(level = Consistency.Strict) program ~sit
     (* The deferred end-of-path solves, in emission order: a timeout
        among them is all that can still turn Infeasible into Unknown. *)
     let path_timeout () =
-      List.exists (fun path -> snd (solve_path ex path) = `Timeout) (List.rev ex.emitted)
+      List.exists
+        (fun path -> (solve_emitted ex path).solver_verdict = `Timeout)
+        (List.rev ex.emitted)
     in
     if ex.truncated || ex.target_timeout || relaxed || multi_threaded || path_timeout () then
       Unknown

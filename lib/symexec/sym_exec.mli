@@ -41,7 +41,9 @@ type config = {
   max_steps_per_path : int;  (** Instruction budget per path (default 4000). *)
   solver_budget : int;  (** Steps for each end-of-path solve (default 200_000). *)
   domain : int * int;  (** Symbol domain for solving (default (-64, 255)). *)
-  solve_models : bool;  (** Solve each surviving path for a model (default true). *)
+  solve_models : bool;
+      (** Run end-of-path solves (default true).  Off, {!explore} and
+          {!solve_path} leave every path [`Unsolved]. *)
 }
 
 val default_config : config
@@ -57,11 +59,22 @@ type report = {
 val explore : ?config:config -> ?cache:Verdict_cache.t -> Ir.t -> Consistency.level -> report
 (** Enumerate paths under the given consistency level, scheduling
     threads round-robin.  With [solve_models], each surviving path is
-    solved: [`Unsat] paths are over-approximation artifacts (possible
-    under [Local] consistency or after conservative pruning), [`Sat]
-    paths carry a model.  With [cache], feasibility checks and
-    end-of-path solves are memoized across calls; cache hits cost zero
-    [solver_steps]. *)
+    solved by {!solve_path}: [`Unsat] paths are over-approximation
+    artifacts (possible under [Local] consistency or after conservative
+    pruning), [`Sat] paths carry a model.  Without it every path comes
+    back [`Unsolved] and [solver_steps] is 0; a caller that reads only
+    some verdicts explores so and solves those paths itself.  With
+    [cache], feasibility checks and end-of-path solves are memoized
+    across calls; cache hits cost zero [solver_steps]. *)
+
+val solve_path : ?config:config -> ?cache:Verdict_cache.t -> path -> path
+(** The end-of-path solve {!explore} makes: one budget-bounded search
+    for a model of [path.condition] over [config.domain], with
+    [config.solver_budget] steps, filling [model] and [solver_verdict].
+    [config] defaults to {!default_config}.  With [solve_models] off,
+    [path] comes back unchanged.  Solving an [`Unsolved] path this way
+    gives exactly the verdict and model an exploration with
+    [solve_models] on records for it. *)
 
 type direction_verdict =
   | Feasible of { model : int array; origins : sym_origin array }

@@ -71,7 +71,9 @@ module Reader = struct
     t.pos <- t.pos + 1;
     v
 
-  let varint t =
+  (* The raw bit pattern, which [Writer.uvarint] may have written with
+     the sign bit set. *)
+  let uvarint t =
     let rec loop shift acc =
       if shift >= Sys.int_size then raise (Malformed "varint too long");
       let b = byte t in
@@ -80,8 +82,15 @@ module Reader = struct
     in
     loop 0 0
 
+  (* [Writer.varint] writes no negative value, so one that decodes
+     negative (a count or length, most often) is garbage. *)
+  let varint t =
+    let v = uvarint t in
+    if v < 0 then raise (Malformed "varint overflows into the sign bit");
+    v
+
   let zigzag t =
-    let v = varint t in
+    let v = uvarint t in
     (v lsr 1) lxor (-(v land 1))
 
   let bool t =

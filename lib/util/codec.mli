@@ -57,7 +57,11 @@ module Reader : sig
   (** Bytes left to read. *)
 
   val byte : t -> int
+
   val varint : t -> int
+  (** @raise Malformed on a value with the sign bit set, which
+      [Writer.varint] never writes. *)
+
   val zigzag : t -> int
   val bool : t -> bool
   val float : t -> float

@@ -78,6 +78,17 @@ let test_lock_graph_from_real_trace () =
   Lock_graph.add_events g r.Interp.lock_events;
   checki "worker A's 0->1 edge observed" 1 (Lock_graph.edge_count g 0 1)
 
+(* Most merged traces carry no lock event; folding one must cost no
+   allocation (a held-set table and its closure per call, before). *)
+let test_lock_graph_empty_allocates_nothing () =
+  let g = Lock_graph.create () in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1_000 do
+    Lock_graph.add_events g []
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.0)) "minor words for 1,000 empty folds" 0.0 words
+
 (* ---- Deadlock mining ------------------------------------------------- *)
 
 let test_deadlock_predicted_from_success () =
@@ -283,6 +294,8 @@ let () =
           Alcotest.test_case "three cycle" `Quick test_lock_graph_three_cycle;
           Alcotest.test_case "merge" `Quick test_lock_graph_merge;
           Alcotest.test_case "from real trace" `Quick test_lock_graph_from_real_trace;
+          Alcotest.test_case "empty trace allocates nothing" `Quick
+            test_lock_graph_empty_allocates_nothing;
         ] );
       ( "deadlock",
         [

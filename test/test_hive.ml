@@ -408,6 +408,253 @@ let test_proof_invalidation () =
           }));
   checki "proof invalidated by fix deployment" 0 (List.length (Knowledge.valid_proofs k))
 
+(* ---- Deferred end-of-path solves ------------------------------------------ *)
+
+module Sym_exec = Softborg_symexec.Sym_exec
+module Consistency = Softborg_symexec.Consistency
+module Generator = Softborg_prog.Generator
+module Scenario = Softborg.Scenario
+
+let hive_symexec_config = (Hive.default_config Hive.Full).Hive.symexec_config
+
+let analysis_population () =
+  let _, population =
+    Scenario.buggy_population ~seed:42 ~n_programs:8
+      ~bugs:
+        [ Generator.Rare_assert; Generator.Unchecked_syscall; Generator.Div_by_zero;
+          Generator.Deadlock_pair ]
+      ()
+  in
+  List.map fst population
+
+(* The prover reads a tree only for its execution and path counts. *)
+let one_execution_tree () =
+  let tree = Exec_tree.create () in
+  ignore (Exec_tree.add_path tree [] Outcome.Success);
+  tree
+
+let input_only ~n_inputs condition =
+  condition <> [] && List.for_all (fun i -> i < n_inputs) (Path_cond.inputs_used condition)
+
+let matches_evidence (evidence : Fixgen.crash_evidence) (p : Sym_exec.path) =
+  match p.Sym_exec.outcome with
+  | Sym_exec.Crashed { site; kind; _ } ->
+    Ir.site_equal site evidence.Fixgen.site && kind = evidence.Fixgen.crash_kind
+  | Sym_exec.Completed | Sym_exec.Path_deadlock | Sym_exec.Step_limit -> false
+
+(* The folds [Fixgen] and [Prover] made over an exploration that
+   solved every path, kept as the reference: the guard is the first
+   feasible input-only crash path at the evidence's site and kind, and
+   a proof needs an exhaustive, fully solved exploration with no
+   feasible crash whose other paths complete, deadlock or are
+   infeasible. *)
+let reference_guard ~n_inputs (report : Sym_exec.report) (evidence : Fixgen.crash_evidence) =
+  List.find_map
+    (fun (p : Sym_exec.path) ->
+      match (p.Sym_exec.outcome, p.Sym_exec.solver_verdict) with
+      | Sym_exec.Crashed { site; kind; _ }, `Sat
+        when Ir.site_equal site evidence.Fixgen.site && kind = evidence.Fixgen.crash_kind ->
+        if input_only ~n_inputs p.Sym_exec.condition then Some p.Sym_exec.condition else None
+      | _ -> None)
+    report.Sym_exec.paths
+
+let reference_proved (report : Sym_exec.report) =
+  let fully_solved =
+    List.for_all
+      (fun (p : Sym_exec.path) ->
+        match p.Sym_exec.solver_verdict with `Sat | `Unsat -> true | `Timeout | `Unsolved -> false)
+      report.Sym_exec.paths
+  in
+  let feasible_crash =
+    List.exists
+      (fun (p : Sym_exec.path) ->
+        match (p.Sym_exec.outcome, p.Sym_exec.solver_verdict) with
+        | Sym_exec.Crashed _, `Sat -> true
+        | _ -> false)
+      report.Sym_exec.paths
+  in
+  let clean_paths_terminate =
+    List.for_all
+      (fun (p : Sym_exec.path) ->
+        match (p.Sym_exec.outcome, p.Sym_exec.solver_verdict) with
+        | _, `Unsat -> true
+        | (Sym_exec.Completed | Sym_exec.Path_deadlock), _ -> true
+        | Sym_exec.Crashed _, _ -> false
+        | Sym_exec.Step_limit, _ -> false)
+      report.Sym_exec.paths
+  in
+  (not report.Sym_exec.truncated) && fully_solved && (not feasible_crash) && clean_paths_terminate
+
+(* The same report with every timed-out path read as infeasible. *)
+let without_timeouts (report : Sym_exec.report) =
+  {
+    report with
+    Sym_exec.paths =
+      List.map
+        (fun (p : Sym_exec.path) ->
+          if p.Sym_exec.solver_verdict = `Timeout then { p with Sym_exec.solver_verdict = `Unsat }
+          else p)
+        report.Sym_exec.paths;
+  }
+
+(* One crash evidence per (site, kind) the full exploration holds. *)
+let crash_evidence_of (report : Sym_exec.report) =
+  List.filter_map
+    (fun (p : Sym_exec.path) ->
+      match p.Sym_exec.outcome with
+      | Sym_exec.Crashed { site; kind; _ } -> Some (site, kind)
+      | Sym_exec.Completed | Sym_exec.Path_deadlock | Sym_exec.Step_limit -> None)
+    report.Sym_exec.paths
+  |> List.sort_uniq compare
+  |> List.map (fun ((site : Ir.site), crash_kind) ->
+         {
+           Fixgen.site;
+           crash_kind;
+           bucket =
+             Printf.sprintf "%d:%d:%s" site.Ir.thread site.Ir.pc
+               (Outcome.crash_kind_name crash_kind);
+           count = 1;
+         })
+
+let guard_of_fixes fixes =
+  List.find_map
+    (fun (fix : Fixgen.fix) ->
+      match fix.Fixgen.kind with
+      | Fixgen.Input_guard { condition; _ } -> Some (Some condition)
+      | Fixgen.Crash_suppression _ -> Some None
+      | Fixgen.Deadlock_immunity _ | Fixgen.Patch_candidate _ -> None)
+    fixes
+
+(* Programs with the symexec config each is explored at: the
+   [analysis] population and the corpus at the hive's config, the
+   corpus again at a 10-step solver budget (every solve that is not
+   decided at once times out, so timeouts alone stand between some
+   programs and a proof), and 64 generated programs at a tenth of the
+   hive's budget, where more solves time out and the full-solve
+   reference stays cheap.  The explorations skip multi-threaded
+   programs, so only single-threaded ones are kept. *)
+let deferred_solve_inputs () =
+  let generated =
+    List.init 64 (fun seed ->
+        let bug =
+          List.nth
+            [ Generator.Rare_assert; Generator.Unchecked_syscall; Generator.Div_by_zero;
+              Generator.Hang_loop ]
+            (seed mod 4)
+        in
+        fst
+          (Generator.generate (Rng.create (1000 + seed))
+             { Generator.default_params with Generator.bugs = [ bug ] }))
+  in
+  let with_budget solver_budget = { hive_symexec_config with Sym_exec.solver_budget } in
+  let corpus = List.map snd Corpus.all in
+  List.filter
+    (fun (_, (program : Ir.t)) -> Array.length program.Ir.threads = 1)
+    (List.map (fun p -> (hive_symexec_config, p)) (analysis_population () @ corpus)
+    @ List.map (fun p -> (with_budget 10, p)) corpus
+    @ List.map (fun p -> (with_budget 2_000, p)) generated)
+
+(* [Fixgen.propose] and [Prover.attempt_assert_safety] explore unsolved
+   and solve only the paths their answer reads; they must answer
+   exactly as the reference folds over a fully solved exploration do.
+   Each program shares one verdict cache across its calls, as a
+   knowledge does. *)
+let test_deferred_solves_match_full_folds () =
+  let inputs = deferred_solve_inputs () in
+  let generated =
+    List.length
+      (List.filter (fun (config, _) -> config.Sym_exec.solver_budget = 2_000) inputs)
+  in
+  checkb (Printf.sprintf "%d single-threaded generated programs" generated) true (generated >= 50);
+  let truncated = ref 0 and proved = ref 0 and timed_out = ref 0 and refuted = ref 0 in
+  let evidences = ref 0 and guards = ref 0 in
+  let rejected_first = ref 0 and rejected_solved = ref 0 in
+  List.iter
+    (fun (config, (program : Ir.t)) ->
+      let full = Sym_exec.explore ~config program Consistency.Strict in
+      let n_inputs = program.Ir.n_inputs in
+      let cache = Verdict_cache.create () in
+      List.iter
+        (fun evidence ->
+          incr evidences;
+          let expected = reference_guard ~n_inputs full evidence in
+          let fixes =
+            Fixgen.propose ~symexec_config:config ~cache ~program ~deadlock_patterns:[]
+              ~crashes:[ evidence ] ~existing:[] ~next_epoch:1 ()
+          in
+          checkb
+            (Printf.sprintf "%s guard for %s" program.Ir.name evidence.Fixgen.bucket)
+            true
+            (guard_of_fixes fixes = Some expected);
+          (* Did a matching crash path get rejected (Unsat, Timeout or
+             not input-only) before the accepted one? *)
+          match expected with
+          | None -> ()
+          | Some condition ->
+            incr guards;
+            let rec rejected_before = function
+              | [] -> None
+              | (p : Sym_exec.path) :: rest ->
+                if p.Sym_exec.condition == condition then None
+                else if matches_evidence evidence p then Some p
+                else rejected_before rest
+            in
+            match rejected_before full.Sym_exec.paths with
+            | None -> ()
+            | Some p ->
+              incr rejected_first;
+              if input_only ~n_inputs p.Sym_exec.condition then incr rejected_solved)
+        (crash_evidence_of full);
+      let expected_proof = reference_proved full in
+      if full.Sym_exec.truncated then incr truncated
+      else if expected_proof then incr proved
+      else if reference_proved (without_timeouts full) then incr timed_out
+      else incr refuted;
+      let strength =
+        Option.map
+          (fun (proof : Prover.proof) -> Prover.strength_name proof.Prover.strength)
+          (Prover.attempt_assert_safety ~config ~cache ~program ~tree:(one_execution_tree ())
+             ~crash_observations:0 ~epoch:0 ())
+      in
+      checkb
+        (Printf.sprintf "%s proof strength" program.Ir.name)
+        true
+        (strength = Some (if expected_proof then "proved" else "tested")))
+    inputs;
+  checkb
+    (Printf.sprintf
+       "branches reached over %d programs: %d truncated, %d proved, %d kept from a proof by \
+        timeouts alone, %d refuted otherwise; %d of %d evidences guarded, %d after a rejected \
+        matching path (%d input-only)"
+       (List.length inputs) !truncated !proved !timed_out !refuted !guards !evidences
+       !rejected_first !rejected_solved)
+    true
+    (!truncated > 0 && !proved > 0 && !timed_out > 0 && !refuted > 0 && !rejected_solved > 0)
+
+(* gen-198734's exploration truncates at the hive's path budget, so a
+   proof attempt reads no verdict: it must miss the cache exactly as
+   often as the unsolved exploration does on its own. *)
+let test_truncated_prover_solves_nothing () =
+  let config = hive_symexec_config in
+  let program =
+    List.find (fun (p : Ir.t) -> p.Ir.name = "gen-198734") (analysis_population ())
+  in
+  let explored = Verdict_cache.create () in
+  let report =
+    Sym_exec.explore
+      ~config:{ config with Sym_exec.solve_models = false }
+      ~cache:explored program Consistency.Strict
+  in
+  checkb "exploration truncates" true report.Sym_exec.truncated;
+  let proving = Verdict_cache.create () in
+  (match
+     Prover.attempt_assert_safety ~config ~cache:proving ~program ~tree:(one_execution_tree ())
+       ~crash_observations:0 ~epoch:0 ()
+   with
+  | Some { Prover.strength = Prover.Tested _; _ } -> ()
+  | Some { Prover.strength = Prover.Proved _; _ } | None -> Alcotest.fail "expected Tested");
+  checki "cache misses" (Verdict_cache.misses explored) (Verdict_cache.misses proving)
+
 (* ---- Guidance -------------------------------------------------------------- *)
 
 let test_guidance_covers_gaps () =
@@ -1117,6 +1364,12 @@ let () =
           Alcotest.test_case "gap verdicts survive epochs" `Quick
             test_knowledge_gap_verdicts_survive_epochs;
           Alcotest.test_case "knowledge accounting" `Quick test_knowledge_store_accounting;
+        ] );
+      ( "deferred solves",
+        [
+          Alcotest.test_case "match the full folds" `Quick test_deferred_solves_match_full_folds;
+          Alcotest.test_case "truncated prover solves nothing" `Quick
+            test_truncated_prover_solves_nothing;
         ] );
       ( "report",
         [ Alcotest.test_case "renders everything" `Quick test_report_renders_everything ] );

@@ -270,6 +270,22 @@ let test_codec_truncated () =
   let r = Codec.Reader.of_string partial in
   Alcotest.check_raises "truncated varint" Codec.Truncated (fun () -> ignore (Codec.Reader.varint r))
 
+(* Nine continuation-coded bytes reach bit 62, the sign bit: as a count
+   that is garbage, and the reader must say so rather than pass a
+   negative length on to [List.init] or [String.sub]. *)
+let test_codec_negative_count () =
+  let overflow = String.make 8 '\128' ^ "\127" in
+  List.iter
+    (fun (name, read) ->
+      match read (Codec.Reader.of_string overflow) with
+      | () -> Alcotest.failf "%s accepted a negative count" name
+      | exception Codec.Malformed _ -> ())
+    [
+      ("varint", fun r -> ignore (Codec.Reader.varint r));
+      ("bytes", fun r -> ignore (Codec.Reader.bytes r));
+      ("list", fun r -> ignore (Codec.Reader.list r Codec.Reader.byte));
+    ]
+
 let test_codec_mixed_payload () =
   let w = Codec.Writer.create () in
   Codec.Writer.bool w true;
@@ -473,6 +489,7 @@ let () =
           q prop_varint_len_matches_writer;
           Alcotest.test_case "zigzag cases" `Quick test_codec_zigzag;
           Alcotest.test_case "truncated" `Quick test_codec_truncated;
+          Alcotest.test_case "negative count" `Quick test_codec_negative_count;
           Alcotest.test_case "mixed payload" `Quick test_codec_mixed_payload;
           q prop_codec_varint_roundtrip;
           q prop_codec_zigzag_roundtrip;
