@@ -1365,9 +1365,10 @@ let () =
             test_knowledge_gap_verdicts_survive_epochs;
           Alcotest.test_case "knowledge accounting" `Quick test_knowledge_store_accounting;
         ] );
-      ( "deferred solves",
+      ( "deferred",
         [
-          Alcotest.test_case "match the full folds" `Quick test_deferred_solves_match_full_folds;
+          Alcotest.test_case "solves match the full folds" `Quick
+            test_deferred_solves_match_full_folds;
           Alcotest.test_case "truncated prover solves nothing" `Quick
             test_truncated_prover_solves_nothing;
         ] );
