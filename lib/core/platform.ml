@@ -94,7 +94,7 @@ let fed_config config =
        time-to-first-fix on par with the single hive. *)
     Federation.superstep_interval = base.Hive.analysis_interval /. 2.0;
     synthesize = true;
-    shard_hive = { base with Hive.synthesize = false; prove = false };
+    shard_hive = base;
     merged_hive = { base with Hive.overload = None };
     transport = config.transport_config;
   }

@@ -1,9 +1,7 @@
 module Rng = Softborg_util.Rng
 module Codec = Softborg_util.Codec
-module Ir = Softborg_prog.Ir
 module Wire = Softborg_trace.Wire
 module Trace = Softborg_trace.Trace
-module Exec_tree = Softborg_tree.Exec_tree
 module Sim = Softborg_net.Sim
 module Transport = Softborg_net.Transport
 
@@ -21,19 +19,13 @@ type config = {
   pool_size : int;
 }
 
-(* Frontier gaps each shard may close per compute phase, counted after
-   the ownership filter. *)
-let gap_limit = 96
-
 let default_config ~n_shards () =
   let base = Hive.default_config Hive.Full in
   {
     shard_map = Shard_map.create ~n_shards ();
     superstep_interval = base.Hive.analysis_interval;
     synthesize = true;
-    (* Shards never mint fixes or whole-program proofs; see the
-       [create]-time override below. *)
-    shard_hive = { base with Hive.synthesize = false; prove = false };
+    shard_hive = base;
     merged_hive = base;
     transport = Transport.default_config;
     pool_size = 1;
@@ -99,9 +91,6 @@ type t = {
   (* digest -> every verdict [publish] has handed the shards, so a
      restored shard can be handed them again. *)
   published_verdicts : (string, Gap_memo.t) Hashtbl.t;
-  (* (shard, digest) -> knowledge state at the last compute phase, so
-     unchanged shards skip re-running symbolic gap closing. *)
-  compute_state : (int * string, int * int) Hashtbl.t;
   mutable supersteps : int;
   mutable deltas_sent : int;
   mutable deltas_committed : int;
@@ -125,7 +114,11 @@ let stash t payload =
 
 let create ~config ~sim ~rng () =
   let n = Shard_map.n_shards config.shard_map in
-  let shard_config = { config.shard_hive with Hive.synthesize = false } in
+  (* Shards never mint fixes or whole-program proofs: a shard's partial
+     evidence would mint fix ids and epochs that diverge from the
+     coordinator's, and its partial subtree could prove an unsound
+     whole-program property. *)
+  let shard_config = { config.shard_hive with Hive.synthesize = false; prove = false } in
   let uplinks =
     Array.init n (fun _ ->
         Transport.endpoint_pair ~config:config.transport ~sim ~rng:(Rng.split rng) ())
@@ -159,7 +152,6 @@ let create ~config ~sim ~rng () =
       attachments = [];
       published_epoch = Hashtbl.create 4;
       published_verdicts = Hashtbl.create 4;
-      compute_state = Hashtbl.create 8;
       supersteps = 0;
       deltas_sent = 0;
       deltas_committed = 0;
@@ -231,41 +223,6 @@ let attach_pod t pod_link =
   Transport.on_receive pod_link (route t a)
 
 (* ---- The superstep ------------------------------------------------------ *)
-
-(* Compute phase: close symbolic gaps on every shard knowledge that
-   changed since last time.  Verdicts land in each knowledge's gap
-   memo, which the shard's own guidance tick then reads for free. *)
-let compute_phase t =
-  let jobs =
-    Array.to_list t.shards
-    |> List.concat_map (fun s ->
-           Hive.knowledge_list s.s_hive
-           |> List.filter_map (fun k ->
-                  let key = (s.s_index, Knowledge.digest k) in
-                  let state = (Exec_tree.version (Knowledge.tree k), Knowledge.epoch k) in
-                  if Hashtbl.find_opt t.compute_state key = Some state then None
-                  else Some (key, k)))
-  in
-  let close ((key, k) : (int * string) * Knowledge.t) =
-    let shard, digest = key in
-    (* Each shard closes only the verdicts it owns (see
-       {!Shard_map.owner_of_verdict}): a gap verdict is keyed by
-       (site, direction), not by the prefix it appears under, and hot
-       sites recur in every shard's subtree — per-verdict ownership is
-       what partitions the solver work instead of replicating it. *)
-    let owned (site : Ir.site) direction =
-      Shard_map.owner_of_verdict t.map ~program:digest ~thread:site.Ir.thread ~pc:site.Ir.pc
-        ~direction
-      = shard
-    in
-    ignore
-      (Prover.close_gaps ~config:t.config.shard_hive.Hive.symexec_config
-         ~cache:(Knowledge.verdict_cache k) ~memo:(Knowledge.gap_memo k) ~owned
-         ~limit:gap_limit (Knowledge.program k) (Knowledge.tree k));
-    (key, (Exec_tree.version (Knowledge.tree k), Knowledge.epoch k))
-  in
-  List.map close jobs
-  |> List.iter (fun (key, state) -> Hashtbl.replace t.compute_state key state)
 
 let by_digest a b = String.compare (Knowledge.digest a) (Knowledge.digest b)
 
@@ -406,7 +363,6 @@ let publish t =
 
 let superstep t =
   t.supersteps <- t.supersteps + 1;
-  compute_phase t;
   flush t;
   ignore (commit t);
   if t.config.synthesize then begin

@@ -34,12 +34,12 @@
     Fix synthesis and whole-program proofs run only on the merged
     knowledge (a shard's partial subtree could prove an unsound
     whole-program property); deployed fixes are adopted by every shard
-    and broadcast to the pods.  Shard compute (symbolic gap closing
-    over each shard's fraction of the frontier, at most 96 owned gaps
-    per shard knowledge per superstep) runs on the caller's domain, one
-    knowledge after another.  The paper's parallelism is across hive
-    nodes, which the shards model; domains inside one process did not
-    pay on this code (DESIGN.md §15, "One domain"). *)
+    and broadcast to the pods.  A shard closes gaps only where a
+    standalone hive does, in its guidance tick; the superstep moves
+    data and runs no symbolic work outside the coordinator's tick.
+    Everything runs on the caller's domain.  The paper's parallelism
+    is across hive nodes, which the shards model; domains inside one
+    process did not pay on this code (DESIGN.md §15, "One domain"). *)
 
 module Rng := Softborg_util.Rng
 module Sim := Softborg_net.Sim
@@ -55,14 +55,15 @@ type config = {
           commit.  [false] gives a pure-ingestion federation — the
           vehicle for merge-equality properties. *)
   shard_hive : Hive.config;
-      (** Per-shard hive configuration.  [synthesize] is forced off;
-          overload protection and caps apply per shard. *)
+      (** Per-shard hive configuration.  [synthesize] and [prove] are
+          forced off, so a shard never mints fixes or proofs; overload
+          protection and caps apply per shard. *)
   merged_hive : Hive.config;
   transport : Transport.config;  (** Applied to every federation link. *)
   pool_size : int;
-      (** Ignored: the compute phase runs on the caller's domain.  Kept
-          so that callers written against a federation that spread its
-          compute phase over domains still build. *)
+      (** Ignored: a federation runs on the caller's domain.  Kept so
+          that callers written against a federation that spread its
+          shards' work over domains still build. *)
 }
 
 val default_config : n_shards:int -> unit -> config
@@ -110,8 +111,8 @@ val start : t -> unit
 (** Start every shard's analysis tick and the superstep schedule. *)
 
 val superstep : t -> unit
-(** Run one superstep immediately: compute phase, delta flush, ordered
-    commit, then (if configured) merged analysis and the publication of
+(** Run one superstep immediately: delta flush, ordered commit, then
+    (if configured) the coordinator's tick and the publication of
     fixes and gap verdicts.  Also called by the schedule. *)
 
 val flush : t -> unit

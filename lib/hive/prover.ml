@@ -42,12 +42,16 @@ let make_proof property strength epoch distinct_paths =
   incr next_proof_id;
   { id = !next_proof_id; property; strength; epoch; distinct_paths; valid = true }
 
-let close_gaps ?config ?cache ?memo ?owned ?(limit = 24) program tree =
+(* Gaps one call considers: each costs a directed symbolic
+   exploration. *)
+let gap_limit = 24
+
+let close_gaps ?config ?cache ?memo program tree =
   let closed = ref 0 in
-  (* Only the hottest [limit] gaps are pulled from the index; the
+  (* Only the hottest [gap_limit] gaps are pulled from the index; the
      frontier is never materialized in full. *)
-  Exec_tree.frontier_seq ?keep:owned tree
-  |> Seq.take (max 0 limit)
+  Exec_tree.frontier_seq tree
+  |> Seq.take gap_limit
   |> Seq.iter (fun (gap : Exec_tree.gap) ->
          match
            Gap_memo.derive ?memo ?config ?cache program ~site:gap.Exec_tree.site

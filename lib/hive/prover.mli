@@ -45,23 +45,15 @@ val close_gaps :
   ?config:Sym_exec.config ->
   ?cache:Softborg_solver.Verdict_cache.t ->
   ?memo:Gap_memo.t ->
-  ?owned:(Ir.site -> bool -> bool) ->
-  ?limit:int ->
   Ir.t ->
   Exec_tree.t ->
   int
 (** Symbolically close the tree's frontier: mark directions that no
     in-domain input reaches as infeasible (paper §3.3, the "incomplete
-    tree" hurdle).  Considers at most [limit] gaps (default 24 — each
-    costs a directed symbolic exploration), pulled lazily from
-    {!Exec_tree.frontier_seq} so the cost is O(limit), and returns the
-    number closed.  [owned site direction] restricts attention to a
-    subset of the frontier before the limit applies, tested on the
-    index key so an unowned gap's record is never built
-    ({!Exec_tree.frontier_seq}'s [keep]) — federation shards pass their
-    {!Shard_map.owner_of_verdict} test, so each distinct (site,
-    direction) verdict is derived on exactly one shard instead of once
-    per shard whose subtree exposes the site.  [memo] caches verdicts across calls
+    tree" hurdle).  Considers at most 24 gaps (each costs a directed
+    symbolic exploration), pulled lazily from {!Exec_tree.frontier_seq}
+    so the cost does not grow with the frontier, and returns the number
+    closed.  [memo] caches verdicts across calls
     (and across the guidance planner, which shares the same table);
     [cache] memoizes the underlying path-condition solver queries.
     Feasible gaps are left open for execution guidance. *)

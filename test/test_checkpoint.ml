@@ -333,8 +333,9 @@ let prop_shard_checkpoint_roundtrip =
           Sim.run sim;
           ignore (Federation.commit fed)
         | 3 ->
-          (* Tick a shard, then run a superstep: its compute phase
-             closes gaps into every shard's gap memo. *)
+          (* Tick a shard, then run a superstep: the tick's guidance
+             fills that shard's gap memo, and the superstep flushes
+             and commits (with synthesis off it publishes nothing). *)
           Hive.tick (Federation.shard_hive fed (Rng.int rng n_shards));
           Federation.superstep fed;
           Sim.run sim

@@ -328,6 +328,55 @@ let test_verdicts_derived_once_per_federation () =
   | Ok _ -> ());
   hit_in "shard 1 restored from before the verdict" (knowledge (Federation.shard_hive fed 1))
 
+let test_superstep_solves_nothing_on_shards () =
+  (* A superstep moves data: it flushes, commits, runs the
+     coordinator's tick and publishes.  A shard closes gaps only in its
+     own guidance tick, so a superstep with no shard tick neither
+     solves a gap on a shard nor marks one infeasible there. *)
+  let sim, _rng, fed = make_fed ~synthesize:true ~n_shards:2 ~seed:95 () in
+  let fig2 =
+    List.init 12 (fun i ->
+        upload_of Corpus.fig2_write (run_once ~seed:i Corpus.fig2_write [| (i * 27) - 5 |]))
+  in
+  let parser = Array.to_list (Array.sub upload_pool 0 12) in
+  List.iteri
+    (fun i payload -> Hive.ingest_payload (Federation.shard_hive fed (i mod 2)) payload)
+    (parser @ fig2);
+  let shard_state () =
+    List.init (Federation.n_shards fed) (fun i ->
+        List.map
+          (fun k ->
+            ( Knowledge.digest k,
+              Softborg_hive.Gap_memo.misses (Knowledge.gap_memo k),
+              Exec_tree.version (Knowledge.tree k) ))
+          (sorted_knowledge (Federation.shard_hive fed i)))
+  in
+  let before = shard_state () in
+  Federation.superstep fed;
+  Sim.run sim;
+  Alcotest.(check (list (list (triple string int int))))
+    "each shard program's (digest, memo misses, tree version)" before (shard_state ())
+
+let test_shards_never_prove () =
+  (* A shard config that asks for proofs and synthesis gets neither: a
+     shard's partial subtree could prove an unsound whole-program
+     property, and its fixes would diverge from the coordinator's. *)
+  let sim = Sim.create () in
+  let config =
+    { (fed_config ~n_shards:2 ()) with Federation.shard_hive = Hive.default_config Hive.Full }
+  in
+  let fed = Federation.create ~config ~sim ~rng:(Rng.create 97) () in
+  List.iter (fun p -> ignore (Federation.register_program fed p)) default_programs;
+  let shard0 = Federation.shard_hive fed 0 in
+  for i = 0 to 9 do
+    Hive.ingest_payload shard0
+      (upload_of Corpus.fig2_write (run_once ~seed:i Corpus.fig2_write [| (i * 31) - 5 |]))
+  done;
+  Hive.tick shard0;
+  let stats = Hive.stats shard0 in
+  checki "no proof on the shard" 0 stats.Hive.proofs_established;
+  checki "no fix on the shard" 0 stats.Hive.fixes_deployed
+
 let test_fix_publication_reaches_shards_and_pods () =
   (* With synthesis on, the coordinator's deployed fixes must propagate:
      shards adopt the full set (same epoch), pods receive a Fix_update. *)
@@ -697,26 +746,11 @@ let prop_shard_map_partition =
           end)
         path;
       (* Zero-padding: a short path and its explicit all-false extension
-         share an owner, and no extension maps below it — the padded
-         owner is the rendezvous shard for the whole subtree. *)
+         share an owner. *)
       let padded = path @ List.init prefix_bits (fun _ -> false) in
-      if Shard_map.owner_of_prefix map path <> Shard_map.owner_of_bits map (Bitvec.of_bools padded)
-      then QCheck.Test.fail_report "zero-pad owner mismatch";
-      if Shard_map.owner_of_prefix map path > owner then
-        QCheck.Test.fail_report "rendezvous owner exceeds a member's owner";
+      if owner <> Shard_map.owner_of_bits map (Bitvec.of_bools padded) then
+        QCheck.Test.fail_report "zero-pad owner mismatch";
       true)
-
-let prop_owner_of_verdict_is_fnv_of_label =
-  QCheck.Test.make ~name:"verdict owner hashes the site label" ~count:500
-    QCheck.(
-      pair
-        (triple (int_range 1 16) (int_range 1 20) (string_gen_of_size Gen.(0 -- 40) Gen.char))
-        (triple int int bool))
-    (fun ((n_shards, prefix_bits, program), (thread, pc, direction)) ->
-      let map = Shard_map.create ~prefix_bits ~n_shards () in
-      Shard_map.owner_of_verdict map ~program ~thread ~pc ~direction
-      = Shard_map.owner_of_digest map
-          (Printf.sprintf "%s/%d:%d:%c" program thread pc (if direction then 't' else 'f')))
 
 let test_shard_map_covers_all_shards () =
   (* With at least as many ranges as shards, every shard owns a value —
@@ -728,7 +762,7 @@ let test_shard_map_covers_all_shards () =
       let seen = Array.make n_shards false in
       for v = 0 to (1 lsl bits) - 1 do
         let path = List.init bits (fun i -> (v lsr (bits - 1 - i)) land 1 = 1) in
-        seen.(Shard_map.owner_of_prefix map path) <- true
+        seen.(Shard_map.owner_of_bits map (Bitvec.of_bools path)) <- true
       done;
       Array.iteri
         (fun i covered -> if not covered then Alcotest.failf "shard %d owns no range" i)
@@ -776,6 +810,9 @@ let () =
             test_repeated_uploads_travel_once;
           Alcotest.test_case "verdicts derived once per federation" `Quick
             test_verdicts_derived_once_per_federation;
+          Alcotest.test_case "superstep solves nothing on shards" `Quick
+            test_superstep_solves_nothing_on_shards;
+          Alcotest.test_case "shards never prove" `Quick test_shards_never_prove;
           Alcotest.test_case "fix publication" `Quick test_fix_publication_reaches_shards_and_pods;
           Alcotest.test_case "first fix no later than one hive" `Quick
             test_first_fix_no_later_than_single_hive;
@@ -793,7 +830,6 @@ let () =
         [
           Alcotest.test_case "validation" `Quick test_shard_map_validation;
           q prop_shard_map_partition;
-          q prop_owner_of_verdict_is_fnv_of_label;
           Alcotest.test_case "coverage" `Quick test_shard_map_covers_all_shards;
         ] );
       ( "platform",
