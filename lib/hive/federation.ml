@@ -37,9 +37,6 @@ type shard = {
   s_uplink : Transport.endpoint;  (* shard side of the link to the coordinator *)
   mutable s_ends : Transport.endpoint list;  (* hive-side pod attachments *)
   mutable s_pending : string list;  (* admitted canonical payloads, newest first *)
-  (* (program digest, binding) this shard's tables derived and the
-     coordinator has not been sent yet, newest first. *)
-  mutable s_verdicts : (string * Gap_memo.binding) list;
   mutable s_next_seq : int;
 }
 
@@ -84,13 +81,10 @@ type t = {
   (* Superstep inboxes: deltas received but not yet committed, keyed by
      sequence number per shard.  Commit drains them in (shard, seq)
      order — the fixed total order of the merge. *)
-  inboxes : (int, (string * int) list * (string * Gap_memo.binding) list) Hashtbl.t array;
+  inboxes : (int, (string * int) list) Hashtbl.t array;
   next_expected : int array;
   mutable attachments : attachment list;
   published_epoch : (string, int) Hashtbl.t;
-  (* digest -> every verdict [publish] has handed the shards, so a
-     restored shard can be handed them again. *)
-  published_verdicts : (string, Gap_memo.t) Hashtbl.t;
   mutable supersteps : int;
   mutable deltas_sent : int;
   mutable deltas_committed : int;
@@ -103,13 +97,13 @@ type t = {
 
 let stash t payload =
   match Protocol.decode payload with
-  | Ok (Protocol.Knowledge_delta { shard; seq; payloads; verdicts })
+  | Ok (Protocol.Knowledge_delta { shard; seq; payloads })
     when shard >= 0 && shard < Array.length t.shards ->
     (* The transport already suppresses link-level duplicates; the seq
        guard additionally drops a delta re-sent after a shard restore
        rewound its counter. *)
     if seq >= t.next_expected.(shard) && not (Hashtbl.mem t.inboxes.(shard) seq) then
-      Hashtbl.replace t.inboxes.(shard) seq (payloads, verdicts)
+      Hashtbl.replace t.inboxes.(shard) seq payloads
   | Ok _ | Error _ -> ()
 
 let create ~config ~sim ~rng () =
@@ -117,8 +111,17 @@ let create ~config ~sim ~rng () =
   (* Shards never mint fixes or whole-program proofs: a shard's partial
      evidence would mint fix ids and epochs that diverge from the
      coordinator's, and its partial subtree could prove an unsound
-     whole-program property. *)
-  let shard_config = { config.shard_hive with Hive.synthesize = false; prove = false } in
+     whole-program property.  They derive gap verdicts at the
+     coordinator's symexec config: a verdict answers one question at
+     one budget, and verdicts cross between the two kinds of table. *)
+  let shard_config =
+    {
+      config.shard_hive with
+      Hive.synthesize = false;
+      prove = false;
+      symexec_config = config.merged_hive.Hive.symexec_config;
+    }
+  in
   let uplinks =
     Array.init n (fun _ ->
         Transport.endpoint_pair ~config:config.transport ~sim ~rng:(Rng.split rng) ())
@@ -131,7 +134,6 @@ let create ~config ~sim ~rng () =
           s_uplink = fst uplinks.(i);
           s_ends = [];
           s_pending = [];
-          s_verdicts = [];
           s_next_seq = 0;
         })
   in
@@ -151,7 +153,6 @@ let create ~config ~sim ~rng () =
       next_expected = Array.make n 0;
       attachments = [];
       published_epoch = Hashtbl.create 4;
-      published_verdicts = Hashtbl.create 4;
       supersteps = 0;
       deltas_sent = 0;
       deltas_committed = 0;
@@ -226,16 +227,6 @@ let attach_pod t pod_link =
 
 let by_digest a b = String.compare (Knowledge.digest a) (Knowledge.digest b)
 
-(* Move the verdicts this shard's tables derived since the last call
-   into its send buffer, program by program in digest order. *)
-let collect_verdicts s =
-  List.sort by_digest (Hive.knowledge_list s.s_hive)
-  |> List.iter (fun k ->
-         let digest = Knowledge.digest k in
-         List.iter
-           (fun binding -> s.s_verdicts <- (digest, binding) :: s.s_verdicts)
-           (Gap_memo.take_derived (Knowledge.gap_memo k)))
-
 (* Byte-identical payloads travel once with their number of copies, in
    order of first admission.  [pending] is newest first. *)
 let group_payloads pending =
@@ -254,40 +245,34 @@ let group_payloads pending =
   in
   List.rev_map (fun payload -> (payload, !(Hashtbl.find copies payload))) first_seen
 
-(* A shard with nothing admitted sends no delta: its verdicts wait for
-   the next one, so verdicts never add a frame (or a random draw of an
-   uplink's loss model) to the exchange. *)
+(* A shard with nothing admitted sends no delta. *)
 let flush t =
   Array.iter
     (fun s ->
       if s.s_pending <> [] then begin
         let payloads = group_payloads s.s_pending in
         s.s_pending <- [];
-        collect_verdicts s;
-        let verdicts = List.rev s.s_verdicts in
-        s.s_verdicts <- [];
         let seq = s.s_next_seq in
         s.s_next_seq <- seq + 1;
         Transport.send s.s_uplink
-          (Protocol.encode
-             (Protocol.Knowledge_delta { shard = s.s_index; seq; payloads; verdicts }));
+          (Protocol.encode (Protocol.Knowledge_delta { shard = s.s_index; seq; payloads }));
         t.deltas_sent <- t.deltas_sent + 1;
         Log.debug (fun m ->
-            m "shard %d delta seq=%d payloads=%d verdicts=%d" s.s_index seq
-              (List.length payloads) (List.length verdicts))
+            m "shard %d delta seq=%d payloads=%d" s.s_index seq (List.length payloads))
       end)
     t.shards
 
-(* Bind [binding] in [hive]'s table for the program unless it is bound
-   already.  Handing a verdict over is neither a lookup nor a
-   derivation: no counter moves and nothing is logged to be shipped
-   back. *)
-let hand_over hive digest ((site, direction), verdict) =
-  match Hive.knowledge hive ~digest with
-  | None -> ()
-  | Some k ->
-    let memo = Knowledge.gap_memo k in
-    if not (Gap_memo.mem memo ~site ~direction) then Gap_memo.add memo ~site ~direction verdict
+(* Give [dst] every gap verdict of [src] that it lacks, program by
+   program.  A verdict is a pure function of (program, site,
+   direction, symexec config), and every hive of a federation derives
+   at one config, so the union of two tables is a table. *)
+let hand_over ~src ~dst =
+  List.iter
+    (fun k ->
+      match Hive.knowledge dst ~digest:(Knowledge.digest k) with
+      | None -> ()
+      | Some k' -> Gap_memo.union ~into:(Knowledge.gap_memo k') (Knowledge.gap_memo k))
+    (Hive.knowledge_list src)
 
 let commit t =
   let merged_now = ref 0 in
@@ -296,7 +281,7 @@ let commit t =
       let rec drain () =
         match Hashtbl.find_opt inbox t.next_expected.(i) with
         | None -> ()
-        | Some (payloads, verdicts) ->
+        | Some payloads ->
           Hashtbl.remove inbox t.next_expected.(i);
           t.next_expected.(i) <- t.next_expected.(i) + 1;
           t.deltas_committed <- t.deltas_committed + 1;
@@ -306,7 +291,6 @@ let commit t =
               t.payloads_decoded <- t.payloads_decoded + 1;
               Hive.ingest_payload ~copies t.merged payload)
             payloads;
-          List.iter (fun (digest, binding) -> hand_over t.merged digest binding) verdicts;
           drain ()
       in
       drain ())
@@ -314,58 +298,50 @@ let commit t =
   t.payloads_merged <- t.payloads_merged + !merged_now;
   !merged_now
 
-let published_for t digest =
-  match Hashtbl.find_opt t.published_verdicts digest with
-  | Some memo -> memo
-  | None ->
-    let memo = Gap_memo.create () in
-    Hashtbl.replace t.published_verdicts digest memo;
-    memo
+(* Bring one shard up to the coordinator: adopt its fix set and
+   retracted ids for every program (so the shard's replay hooks and
+   ingest quarantine for any epoch match the coordinator's; adoption
+   is epoch-monotonic, so this is a no-op for a current shard), then
+   take every gap verdict it lacks.  [publish] runs it for every shard
+   and [restore_shard] for the restored one. *)
+let catch_up t s =
+  List.iter
+    (fun k ->
+      Hive.adopt_fixes s.s_hive ~digest:(Knowledge.digest k) ~fixes:(Knowledge.fixes k)
+        ~epoch:(Knowledge.epoch k) ~retracted:(Knowledge.retracted_ids k))
+    (Hive.knowledge_list t.merged);
+  hand_over ~src:t.merged ~dst:s.s_hive
 
-(* Every verdict the coordinator holds — committed from a shard or
-   derived by its own tick — reaches every shard that lacks it, once. *)
-let publish_verdicts t k =
-  let digest = Knowledge.digest k in
-  let published = published_for t digest in
-  Gap_memo.iter (Knowledge.gap_memo k) (fun (((site, direction), verdict) as binding) ->
-      if not (Gap_memo.mem published ~site ~direction) then begin
-        Gap_memo.add published ~site ~direction verdict;
-        Array.iter (fun s -> hand_over s.s_hive digest binding) t.shards
-      end)
-
-(* Publish fixes the merged analysis deployed — or retracted — since
-   the last superstep: shards adopt the full set plus the retracted ids
-   (so their replay hooks and ingest quarantine for any epoch match the
-   coordinator's), pods get the frame a standalone hive would send
-   ({!Hive.fix_update}; the coordinator serves no pods, so its pressure
-   level stays 0).  Retraction is decided only here at the coordinator;
-   shards and pods learn of it in superstep order, as a higher epoch.
-   Verdicts go to the shards the same way, program by program. *)
+(* Publish what the merged analysis decided since the last superstep.
+   Pods get the frame a standalone hive would send for each program
+   whose fix set moved, retraction included ({!Hive.fix_update}; the
+   coordinator serves no pods, so its pressure level stays 0).
+   Retraction is decided only here at the coordinator; shards and pods
+   learn of it in superstep order, as a higher epoch. *)
 let publish t =
   Hive.knowledge_list t.merged
   |> List.sort by_digest
   |> List.iter (fun k ->
-         publish_verdicts t k;
          let digest = Knowledge.digest k in
          let epoch = Knowledge.epoch k in
          let prev = Option.value ~default:0 (Hashtbl.find_opt t.published_epoch digest) in
          if epoch > prev then begin
            Hashtbl.replace t.published_epoch digest epoch;
-           let fixes = Knowledge.fixes k in
-           let retracted = Knowledge.retracted_ids k in
-           Array.iter
-             (fun s -> Hive.adopt_fixes s.s_hive ~digest ~fixes ~epoch ~retracted)
-             t.shards;
            let payload = Protocol.encode (Hive.fix_update t.merged k) in
            List.iter (fun a -> Transport.send a.pod_link payload) t.attachments;
            t.fix_updates_sent <- t.fix_updates_sent + 1
-         end)
+         end);
+  Array.iter (catch_up t) t.shards
 
+(* The coordinator's tick reads its verdict tables, so before it runs
+   they take every verdict the shards derived since the last
+   superstep; [publish] then hands the union back to every shard. *)
 let superstep t =
   t.supersteps <- t.supersteps + 1;
   flush t;
   ignore (commit t);
   if t.config.synthesize then begin
+    Array.iter (fun s -> hand_over ~src:s.s_hive ~dst:t.merged) t.shards;
     Hive.tick t.merged;
     publish t
   end
@@ -427,27 +403,21 @@ let links t =
 
 let checkpoint_magic = "SBFS"
 
-(* v2: the verdicts not yet sent follow the pending payloads. *)
-let checkpoint_version = 2
+(* v3: no verdict section; the wrapped hive checkpoint carries the
+   shard's gap verdicts. *)
+let checkpoint_version = 3
 
 (* A shard checkpoint wraps the hive checkpoint with the federation's
-   shard-local transfer state (unsent pending payloads and verdicts,
-   and the delta sequence counter), so a crash-restore cycle resumes
-   exchange without losing admitted-but-unflushed work that the
-   checkpoint saw. *)
+   shard-local transfer state (unsent pending payloads and the delta
+   sequence counter), so a crash-restore cycle resumes exchange without
+   losing admitted-but-unflushed work that the checkpoint saw. *)
 let checkpoint_shard t i =
   let s = t.shards.(i) in
-  collect_verdicts s;
   let w = Codec.Writer.create () in
   String.iter (fun c -> Codec.Writer.byte w (Char.code c)) checkpoint_magic;
   Codec.Writer.varint w checkpoint_version;
   Codec.Writer.varint w s.s_next_seq;
   Codec.Writer.list w (Codec.Writer.bytes w) (List.rev s.s_pending);
-  Codec.Writer.list w
-    (fun (digest, binding) ->
-      Codec.Writer.bytes w digest;
-      Gap_memo.write_binding w binding)
-    (List.rev s.s_verdicts);
   Codec.Writer.bytes w (Hive.checkpoint s.s_hive);
   Codec.Writer.contents w
 
@@ -466,11 +436,6 @@ let restore_shard t i data =
       else
         let next_seq = Codec.Reader.varint r in
         let pending = Codec.Reader.list r Codec.Reader.bytes in
-        let verdicts =
-          Codec.Reader.list r (fun r ->
-              let digest = Codec.Reader.bytes r in
-              (digest, Gap_memo.read_binding r))
-        in
         let hive = Codec.Reader.bytes r in
         Codec.Reader.expect_end r;
         match Hive.restore s.s_hive hive with
@@ -481,20 +446,9 @@ let restore_shard t i data =
              and a reused seq would be dropped as a duplicate. *)
           s.s_next_seq <- max s.s_next_seq next_seq;
           s.s_pending <- List.rev pending;
-          s.s_verdicts <- List.rev verdicts;
-          (* Catch the restored knowledge up with fixes published (and
-             retracted) after the checkpoint was taken (no-op when none
-             were — adoption is epoch-monotonic), and with the verdicts
-             published so far (no-op for those the checkpoint held). *)
-          List.iter
-            (fun k ->
-              Hive.adopt_fixes s.s_hive ~digest:(Knowledge.digest k)
-                ~fixes:(Knowledge.fixes k) ~epoch:(Knowledge.epoch k)
-                ~retracted:(Knowledge.retracted_ids k))
-            (Hive.knowledge_list t.merged);
-          Hashtbl.iter
-            (fun digest published -> Gap_memo.iter published (hand_over s.s_hive digest))
-            t.published_verdicts;
+          (* Fixes published (or retracted) and verdicts the
+             coordinator took after the checkpoint was taken. *)
+          catch_up t s;
           Ok n
   with
   | result -> result

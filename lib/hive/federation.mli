@@ -22,14 +22,14 @@
     for any shard count and any delivery interleaving the reliable
     transport produces.
 
-    Gap verdicts are derived once per federation, up to the exchange's
-    latency: the verdicts a shard's tables derive ride in its next
-    delta ({!Gap_memo.take_derived}), the commit adds them to the
-    coordinator's tables, and the publish step hands every shard the
-    coordinator's bindings it lacks — so neither side solves again
-    what the other already has.  A verdict the coordinator's tick
-    needs in the same superstep as the shard that derived it, whose
-    delta is still in flight, is derived by both.
+    Gap verdicts never cross the wire: a verdict is a pure function of
+    (program, site, direction, symexec config), and every hive of a
+    federation derives at the coordinator's config.  Before the
+    coordinator's tick its tables take every verdict a shard's tables
+    hold and they lack; after the tick every shard takes the
+    coordinator's verdicts it lacks.  So a verdict is derived once per
+    federation, unless two shards first need it between the same two
+    supersteps.
 
     Fix synthesis and whole-program proofs run only on the merged
     knowledge (a shard's partial subtree could prove an unsound
@@ -56,7 +56,9 @@ type config = {
           vehicle for merge-equality properties. *)
   shard_hive : Hive.config;
       (** Per-shard hive configuration.  [synthesize] and [prove] are
-          forced off, so a shard never mints fixes or proofs; overload
+          forced off, so a shard never mints fixes or proofs, and
+          [symexec_config] is forced to [merged_hive]'s, so a shard's
+          verdicts answer the coordinator's questions; overload
           protection and caps apply per shard. *)
   merged_hive : Hive.config;
   transport : Transport.config;  (** Applied to every federation link. *)
@@ -112,21 +114,20 @@ val start : t -> unit
 
 val superstep : t -> unit
 (** Run one superstep immediately: delta flush, ordered commit, then
-    (if configured) the coordinator's tick and the publication of
-    fixes and gap verdicts.  Also called by the schedule. *)
+    (if configured) the union of the shards' gap verdicts into the
+    coordinator's tables, the coordinator's tick, and the publication
+    of fixes and gap verdicts to every shard.  Also called by the
+    schedule. *)
 
 val flush : t -> unit
 (** Send each shard's pending payloads, grouped into distinct payloads
-    with copy counts, and the verdicts it derived since its last delta
-    as a {!Protocol.Knowledge_delta}; no-op for shards with no payload
-    pending (their verdicts wait for the next delta).  Exposed for
-    deterministic test driving. *)
+    with copy counts, as a {!Protocol.Knowledge_delta}; no-op for
+    shards with no payload pending.  Exposed for deterministic test
+    driving. *)
 
 val commit : t -> int
 (** Drain complete inbox deltas into the merged hive in (shard, seq)
-    order, adding their verdicts to the coordinator's tables; returns
-    the number of payload copies merged. *)
-
+    order; returns the number of payload copies merged. *)
 
 val shutdown : t -> unit
 (** Does nothing: a federation runs on its caller's domain and owns no
@@ -140,14 +141,15 @@ val links : t -> Link.t list
     for chaos harnesses to degrade. *)
 
 val checkpoint_shard : t -> int -> string
-(** Serialize one shard: its unflushed payload buffer, the verdicts it
-    derived and has not sent yet, its delta sequence counter, and its
-    full hive checkpoint (gap verdicts included). *)
+(** Serialize one shard ("SBFS" v3): its delta sequence counter, its
+    unflushed payload buffer, and its full hive checkpoint (gap
+    verdicts included). *)
 
 val restore_shard : t -> int -> string -> (int, string) result
 (** Restore a shard from {!checkpoint_shard} bytes, as after a crash:
-    parse-then-commit, never rewinding the delta sequence counter, and
-    re-adopting the fixes and gap verdicts published since the
-    checkpoint.  Returns the
-    number of programs restored; trailing bytes after the hive
-    checkpoint are malformed. *)
+    parse-then-commit, never rewinding the delta sequence counter, then
+    catching up with the coordinator: its fixes (epoch-monotonic, so a
+    no-op for a current shard) and every gap verdict it holds that the
+    restored shard lacks.  Returns the number of programs restored;
+    trailing bytes after the hive checkpoint are malformed, and so is
+    any version but 3. *)

@@ -12,14 +12,11 @@ type binding = (Ir.site * bool) * verdict
 
 type t = {
   table : (Ir.site * bool, verdict) Hashtbl.t;
-  (* What [derive] solved since the last [take_derived], newest first:
-     at most one entry per table key, since a key is solved once. *)
-  mutable derived : binding list;
   mutable hits : int;
   mutable misses : int;
 }
 
-let create () = { table = Hashtbl.create 64; derived = []; hits = 0; misses = 0 }
+let create () = { table = Hashtbl.create 64; hits = 0; misses = 0 }
 
 let find t ~site ~direction =
   match Hashtbl.find_opt t.table (site, direction) with
@@ -31,8 +28,12 @@ let find t ~site ~direction =
     None
 
 let add t ~site ~direction verdict = Hashtbl.replace t.table (site, direction) verdict
-let mem t ~site ~direction = Hashtbl.mem t.table (site, direction)
 let iter t f = Hashtbl.iter (fun key verdict -> f (key, verdict)) t.table
+
+let union ~into t =
+  Hashtbl.iter
+    (fun key verdict -> if not (Hashtbl.mem into.table key) then Hashtbl.add into.table key verdict)
+    t.table
 
 let derive ?memo ?config ?cache program ~site ~direction =
   let solve () = Testgen.for_direction ?config ?cache program ~site ~direction in
@@ -44,13 +45,7 @@ let derive ?memo ?config ?cache program ~site ~direction =
     | None ->
       let verdict = solve () in
       add t ~site ~direction verdict;
-      t.derived <- ((site, direction), verdict) :: t.derived;
       verdict)
-
-let take_derived t =
-  let derived = List.rev t.derived in
-  t.derived <- [];
-  derived
 
 let length t = Hashtbl.length t.table
 let hits t = t.hits

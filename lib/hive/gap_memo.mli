@@ -20,13 +20,11 @@
     checkpointed only so a restored hive does not re-derive verdicts
     it already had.
 
-    A federation derives each verdict once for all its hives: a
-    shard's table logs what {!derive} solved ({!take_derived}), the
-    shard's next superstep delta carries those bindings to the
-    coordinator's table, and the coordinator hands every shard the
-    bindings it lacks when it publishes ({!Federation}).  Bindings
-    that arrive that way are {!add}ed, not derived, so they are never
-    logged or shipped back. *)
+    A federation derives each verdict once for all its hives, unless
+    two shards first need it between the same two supersteps: before
+    the coordinator's tick its tables take the shards' bindings, and
+    after the tick every shard takes the coordinator's ({!union},
+    {!Federation}). *)
 
 module Ir := Softborg_prog.Ir
 module Codec := Softborg_util.Codec
@@ -50,16 +48,16 @@ val find : t -> site:Ir.site -> direction:bool -> verdict option
 (** Cached verdict, if any; updates the hit/miss counters. *)
 
 val add : t -> site:Ir.site -> direction:bool -> verdict -> unit
-(** Bind a verdict someone else derived: it is not logged for
-    {!take_derived}. *)
-
-val mem : t -> site:Ir.site -> direction:bool -> bool
-(** Whether the table binds [(site, direction)]; unlike {!find} it
-    moves no counter, so handing verdicts between tables does not pass
-    for lookups. *)
+(** Bind a verdict someone else derived; no counter moves. *)
 
 val iter : t -> (binding -> unit) -> unit
 (** Every binding, in no particular order. *)
+
+val union : into:t -> t -> unit
+(** Add to [into] every binding of the second table that [into] lacks.
+    No counter of either table moves, so verdicts handed between
+    tables do not pass for lookups.  Both tables must serve one
+    program at one symexec configuration. *)
 
 val derive :
   ?memo:t ->
@@ -71,18 +69,9 @@ val derive :
   verdict
 (** The one place the hive derives a gap verdict: [memo]'s entry if it
     has one ({!find}, so a hit or a miss is counted), else
-    {!Testgen.for_direction}'s answer, which is then {!add}ed and
-    logged for {!take_derived}.  Without [memo] it always derives.  The
-    planner and the prover both call it, so each reuses the other's
-    entries. *)
-
-val take_derived : t -> binding list
-(** The bindings {!derive} solved since the previous call, oldest
-    first, and an empty log.  A federation shard ships them to the
-    coordinator in its next superstep delta, so no other table solves
-    them again ({!Federation}).  The log holds at most one entry per
-    binding, so a hive that never reads it keeps at most a second
-    pointer per verdict. *)
+    {!Testgen.for_direction}'s answer, which is then {!add}ed.
+    Without [memo] it always derives.  The planner and the prover both
+    call it, so each reuses the other's entries. *)
 
 val length : t -> int
 val hits : t -> int
@@ -93,8 +82,7 @@ val write_binding : Codec.Writer.t -> binding -> unit
     the direction, then tag 0 and the test case
     ({!Testgen.write_test_case}), tag 1 ([`Infeasible]) or tag 2
     ([`Unknown]).  The one verdict codec: {!write} and the cooperative
-    coordinator's job results ({!Coop_symexec.encode_result}) and the
-    federation's superstep deltas ({!Protocol.Knowledge_delta}) use
+    coordinator's job results ({!Coop_symexec.encode_result}) use
     it. *)
 
 val read_binding : Codec.Reader.t -> binding

@@ -24,7 +24,6 @@ type message =
       shard : int;
       seq : int;
       payloads : (string * int) list;
-      verdicts : (string * Gap_memo.binding) list;
     }
   | Batch_upload of {
       program_digest : string;
@@ -120,7 +119,7 @@ let encode message =
   | Pressure_update { level } ->
     Codec.Writer.byte w 4;
     Codec.Writer.varint w level
-  | Knowledge_delta { shard; seq; payloads; verdicts } ->
+  | Knowledge_delta { shard; seq; payloads } ->
     Codec.Writer.byte w 6;
     Codec.Writer.varint w shard;
     Codec.Writer.varint w seq;
@@ -128,12 +127,7 @@ let encode message =
       (fun (payload, copies) ->
         Codec.Writer.bytes w payload;
         Codec.Writer.varint w copies)
-      payloads;
-    Codec.Writer.list w
-      (fun (digest, binding) ->
-        Codec.Writer.bytes w digest;
-        Gap_memo.write_binding w binding)
-      verdicts
+      payloads
   | Batch_upload { program_digest; basis_id; basis_check; records } ->
     Codec.Writer.byte w 8;
     Codec.Writer.bytes w program_digest;
@@ -157,6 +151,63 @@ let check_rows ?caps ~what n =
     raise (Codec.Malformed (Printf.sprintf "%s %d exceed cap %d" what n c.Wire.max_predicates))
   | _ -> ()
 
+let read_message ?caps r =
+  match Codec.Reader.byte r with
+  | 0 -> Trace_upload (Codec.Reader.bytes r)
+  | 1 ->
+    let program_digest = Codec.Reader.bytes r in
+    let report = read_sampled ?caps r in
+    Sampled_report { program_digest; report }
+  | 2 ->
+    let program_digest = Codec.Reader.bytes r in
+    let epoch = Codec.Reader.varint r in
+    let pressure = Codec.Reader.varint r in
+    let fixes = Codec.Reader.list r Fixgen.read_fix in
+    let canary = Codec.Reader.list r Codec.Reader.varint in
+    check_rows ?caps ~what:"canary ids" (List.length canary);
+    let canary_mils = Codec.Reader.varint r in
+    Fix_update { program_digest; epoch; fixes; canary; canary_mils; pressure }
+  | 3 ->
+    let program_digest = Codec.Reader.bytes r in
+    let pressure = Codec.Reader.varint r in
+    let directives = Codec.Reader.list r Guidance.read_directive in
+    Guidance_update { program_digest; directives; pressure }
+  | 4 -> Pressure_update { level = Codec.Reader.varint r }
+  | 6 ->
+    let shard = Codec.Reader.varint r in
+    let seq = Codec.Reader.varint r in
+    let payloads =
+      Codec.Reader.list r (fun r ->
+          let payload = Codec.Reader.bytes r in
+          let copies = Codec.Reader.varint r in
+          if copies < 1 then raise (Codec.Malformed "delta payload with no copies");
+          (payload, copies))
+    in
+    check_rows ?caps ~what:"delta payloads" (List.length payloads);
+    Knowledge_delta { shard; seq; payloads }
+  | 8 ->
+    let program_digest = Codec.Reader.bytes r in
+    let basis_id = Codec.Reader.varint r in
+    let basis_check = Codec.Reader.varint r in
+    let records = Codec.Reader.list r Codec.Reader.bytes in
+    (match caps with
+    | Some c when List.length records > c.Wire.max_batch_records ->
+      raise
+        (Codec.Malformed
+           (Printf.sprintf "batch records %d exceed cap %d" (List.length records)
+              c.Wire.max_batch_records))
+    | _ -> ());
+    Batch_upload { program_digest; basis_id; basis_check; records }
+  | 9 ->
+    let program_digest = Codec.Reader.bytes r in
+    let basis_id = Codec.Reader.varint r in
+    let payload = Codec.Reader.bytes r in
+    Basis_update { program_digest; basis_id; payload }
+  (* Tags 5, 7 and 10 are retired: they named frames no receiver
+     read.  Like any unknown tag they are malformed, and must not be
+     reused for a new frame. *)
+  | n -> raise (Codec.Malformed (Printf.sprintf "message tag %d" n))
+
 let decode ?caps s =
   match
     (match caps with
@@ -167,67 +218,9 @@ let decode ?caps s =
               c.Wire.max_message_bytes))
     | _ -> ());
     let r = Codec.Reader.of_string s in
-    match Codec.Reader.byte r with
-    | 0 -> Trace_upload (Codec.Reader.bytes r)
-    | 1 ->
-      let program_digest = Codec.Reader.bytes r in
-      let report = read_sampled ?caps r in
-      Sampled_report { program_digest; report }
-    | 2 ->
-      let program_digest = Codec.Reader.bytes r in
-      let epoch = Codec.Reader.varint r in
-      let pressure = Codec.Reader.varint r in
-      let fixes = Codec.Reader.list r Fixgen.read_fix in
-      let canary = Codec.Reader.list r Codec.Reader.varint in
-      check_rows ?caps ~what:"canary ids" (List.length canary);
-      let canary_mils = Codec.Reader.varint r in
-      Fix_update { program_digest; epoch; fixes; canary; canary_mils; pressure }
-    | 3 ->
-      let program_digest = Codec.Reader.bytes r in
-      let pressure = Codec.Reader.varint r in
-      let directives = Codec.Reader.list r Guidance.read_directive in
-      Guidance_update { program_digest; directives; pressure }
-    | 4 -> Pressure_update { level = Codec.Reader.varint r }
-    | 6 ->
-      let shard = Codec.Reader.varint r in
-      let seq = Codec.Reader.varint r in
-      let payloads =
-        Codec.Reader.list r (fun r ->
-            let payload = Codec.Reader.bytes r in
-            let copies = Codec.Reader.varint r in
-            if copies < 1 then raise (Codec.Malformed "delta payload with no copies");
-            (payload, copies))
-      in
-      check_rows ?caps ~what:"delta payloads" (List.length payloads);
-      let verdicts =
-        Codec.Reader.list r (fun r ->
-            let digest = Codec.Reader.bytes r in
-            (digest, Gap_memo.read_binding r))
-      in
-      check_rows ?caps ~what:"delta verdicts" (List.length verdicts);
-      Knowledge_delta { shard; seq; payloads; verdicts }
-    | 8 ->
-      let program_digest = Codec.Reader.bytes r in
-      let basis_id = Codec.Reader.varint r in
-      let basis_check = Codec.Reader.varint r in
-      let records = Codec.Reader.list r Codec.Reader.bytes in
-      (match caps with
-      | Some c when List.length records > c.Wire.max_batch_records ->
-        raise
-          (Codec.Malformed
-             (Printf.sprintf "batch records %d exceed cap %d" (List.length records)
-                c.Wire.max_batch_records))
-      | _ -> ());
-      Batch_upload { program_digest; basis_id; basis_check; records }
-    | 9 ->
-      let program_digest = Codec.Reader.bytes r in
-      let basis_id = Codec.Reader.varint r in
-      let payload = Codec.Reader.bytes r in
-      Basis_update { program_digest; basis_id; payload }
-    (* Tags 5, 7 and 10 are retired: they named frames no receiver
-       read.  Like any unknown tag they are malformed, and must not be
-       reused for a new frame. *)
-    | n -> raise (Codec.Malformed (Printf.sprintf "message tag %d" n))
+    let message = read_message ?caps r in
+    Codec.Reader.expect_end r;
+    message
   with
   | message -> Ok message
   | exception Codec.Truncated -> Error "truncated message"

@@ -1,8 +1,12 @@
 (** The pod↔hive message protocol (paper Figure 1).
 
-    Pods send by-products up; the hive sends fixes and guidance down.
-    All messages are length-delimited binary strings carried by the
-    reliable transport ({!Softborg_net.Transport}). *)
+    Pods send by-products up; the hive sends fixes and guidance down,
+    and a federation's shards send their admitted uploads to the merge
+    coordinator ({!Knowledge_delta}).  All messages are
+    length-delimited binary strings carried by the reliable transport
+    ({!Softborg_net.Transport}).  Only uploads cross the wire between
+    hives: gap verdicts, a pure function of the program, stay in the
+    federation's memory ({!Federation}). *)
 
 module Sampling := Softborg_trace.Sampling
 module Wire := Softborg_trace.Wire
@@ -49,16 +53,11 @@ type message =
               the shard admitted since its previous delta, each
               distinct byte string once with its number of copies
               ([>= 1]), in the order of first admission. *)
-      verdicts : (string * Gap_memo.binding) list;
-          (** (program digest, binding) for each gap verdict the
-              shard derived itself since its previous delta
-              ({!Gap_memo.take_derived}), oldest first, each binding
-              written with {!Gap_memo.write_binding}. *)
     }
       (** Superstep uplink from a shard to the merge coordinator.
           [seq] orders deltas from one shard; the coordinator commits
           rounds in (shard, seq) order, ingesting each payload
-          [copies] times and adding the verdicts to its own tables. *)
+          [copies] times. *)
   | Batch_upload of {
       program_digest : string;  (** Shared by every record in the batch. *)
       basis_id : int;
@@ -93,6 +92,6 @@ val decode : ?caps:Wire.caps -> string -> (message, string) result
     before allocation (frame size, predicate rows, and the embedded
     outcome's lock set) so a poison frame cannot exhaust the hive.
     The retired tags 5, 7 and 10 decode to [Error] like any unknown
-    tag. *)
+    tag, and so does a frame with bytes after its last field. *)
 
 val message_name : message -> string

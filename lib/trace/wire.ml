@@ -285,7 +285,9 @@ let decode ?caps s =
     check_frame_size caps s;
     let r = Codec.Reader.of_string s in
     let program_digest = Codec.Reader.bytes r in
-    read_body ?caps r ~program_digest ~trace_id:(Ids.Trace_id.fresh ())
+    let trace = read_body ?caps r ~program_digest ~trace_id:(Ids.Trace_id.fresh ()) in
+    Codec.Reader.expect_end r;
+    trace
   with
   | trace -> Ok trace
   | exception Codec.Truncated -> Error Truncated
@@ -364,17 +366,22 @@ let decode_record ?caps ?basis ~program_digest s =
   match
     check_frame_size caps s;
     let r = Codec.Reader.of_string s in
-    match Codec.Reader.byte r with
-    | tag when tag = record_full -> read_body ?caps r ~program_digest ~trace_id:(Ids.Trace_id.of_int 0)
-    | tag when tag = record_delta -> begin
-      match basis with
-      | None -> raise (Codec.Malformed "delta record without a basis")
-      | Some (b : Trace.t) ->
-        if not (String.equal b.program_digest program_digest) then
-          raise (Codec.Malformed "delta record: basis digest mismatch");
-        read_delta_body ?caps r ~basis:b ~program_digest ~trace_id:(Ids.Trace_id.of_int 0)
-    end
-    | n -> raise (Codec.Malformed (Printf.sprintf "record tag %d" n))
+    let trace =
+      match Codec.Reader.byte r with
+      | tag when tag = record_full ->
+        read_body ?caps r ~program_digest ~trace_id:(Ids.Trace_id.of_int 0)
+      | tag when tag = record_delta -> begin
+        match basis with
+        | None -> raise (Codec.Malformed "delta record without a basis")
+        | Some (b : Trace.t) ->
+          if not (String.equal b.program_digest program_digest) then
+            raise (Codec.Malformed "delta record: basis digest mismatch");
+          read_delta_body ?caps r ~basis:b ~program_digest ~trace_id:(Ids.Trace_id.of_int 0)
+      end
+      | n -> raise (Codec.Malformed (Printf.sprintf "record tag %d" n))
+    in
+    Codec.Reader.expect_end r;
+    trace
   with
   | trace -> Ok trace
   | exception Codec.Truncated -> Error Truncated

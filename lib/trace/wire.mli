@@ -41,8 +41,9 @@ val encode : Trace.t -> string
 val decode : ?caps:caps -> string -> (Trace.t, decode_error) result
 (** [decode (encode t)] re-creates [t] up to {!Trace.equal} (a fresh
     trace id is assigned).  Total: any input yields [Ok] or [Error],
-    never an exception.  With [caps], oversized or amplifying inputs
-    are rejected as [Malformed]. *)
+    never an exception.  Bytes after the last field are [Malformed].
+    With [caps], oversized or amplifying inputs are rejected as
+    [Malformed]. *)
 
 val pp_error : Format.formatter -> decode_error -> unit
 
@@ -77,7 +78,8 @@ val decode_record :
     [trace_id = 0]; the hive assigns real ids on its single ingest
     thread (ids are minted from a domain-unsafe counter).  A delta
     record without a matching [basis] is [Malformed] — the pod should
-    have fallen back to a full record. *)
+    have fallen back to a full record — and so is a record with bytes
+    after its last field. *)
 
 val declared_bits : string -> (int, decode_error) result
 (** Cheap header probe: the declared branch-bit count of a record blob,

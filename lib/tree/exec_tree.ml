@@ -22,7 +22,6 @@ module Site_set = Set.Make (Site_key)
 module Bucket_map = Map.Make (String)
 
 type node = {
-  id : int;  (* per-tree identity; keys the open-gap table *)
   depth : int;
   parent : node;  (* the root is its own parent *)
   decision : Edge_map.key;  (* the edge from [parent]; a placeholder at the root *)
@@ -33,8 +32,6 @@ type node = {
   mutable terminal : int Bucket_map.t;  (* outcome bucket -> count *)
   mutable open_dirs : Edge_set.t;  (* this node's entries in the open-gap index *)
 }
-
-type gap_key = int * Ir.site * bool  (* node id, site, missing direction *)
 
 (* Priority index over open gaps, ordered exactly like [gap_order]
    below: hottest node first, ties broken by the gap record's
@@ -103,7 +100,6 @@ type t = {
   mutable nodes : int;
   mutable executions : int;
   mutable distinct_paths : int;
-  mutable next_id : int;
   (* Incremental aggregates, maintained by add_path/mark_infeasible so
      the per-tick queries never walk the tree.  Invariants (checked
      against the *_recompute oracles by the property tests):
@@ -112,24 +108,23 @@ type t = {
        total_dirs  = 2 x number of (node, observed site) pairs
        closed_dirs = directions among those that are explored or
                      proven infeasible
-       open_gaps   = exactly the (node, site, direction) triples with
-                     the site observed at the node but that direction
-                     neither explored nor infeasible
+       open_count  = number of entries in [gap_index]
        bucket_totals = terminal counts summed over all nodes *)
   mutable edge_count : int;
   mutable max_depth : int;
   mutable closed_dirs : int;
   mutable total_dirs : int;
   bucket_totals : (string, int) Hashtbl.t;
-  open_gaps : (gap_key, node) Hashtbl.t;
-  (* Mirror of [open_gaps] as an ordered map, so the frontier's top-k
-     is a prefix read instead of a full sort.  Invariant: contains
-     exactly one key per open gap, with [k_hits] equal to the owning
-     node's [keyed_hits] (each node's own entries are listed in its
-     [open_dirs]).  A node with open entries whose [keyed_hits] lags
-     its [hits] is in [stale]; once [rekey_stale] empties [stale],
-     every [k_hits] equals its node's current hit count, which is
-     what the frontier reads rely on. *)
+  mutable open_count : int;
+  (* The open gaps as an ordered map, so the frontier's top-k is a
+     prefix read instead of a full sort.  Invariant: contains exactly
+     one key per (node, site, direction) triple with the site observed
+     at the node but that direction neither explored nor infeasible,
+     with [k_hits] equal to the owning node's [keyed_hits] (each node's
+     own entries are listed in its [open_dirs]).  A node with open
+     entries whose [keyed_hits] lags its [hits] is in [stale]; once
+     [rekey_stale] empties [stale], every [k_hits] equals its node's
+     current hit count, which is what the frontier reads rely on. *)
   mutable gap_index : unit Gap_map.t;
   (* Nodes queued for re-keying since the last frontier read.  A node
      is queued by the bump that first moves [hits] past [keyed_hits]
@@ -146,10 +141,8 @@ type t = {
   mutable gaps_materialized : int;
 }
 
-let new_node t parent decision =
-  t.next_id <- t.next_id + 1;
+let new_node parent decision =
   {
-    id = t.next_id;
     depth = parent.depth + 1;
     parent;
     decision;
@@ -164,10 +157,9 @@ let new_node t parent decision =
 (* The root's decision is never read: no node lies above it. *)
 let root_decision = ({ Ir.thread = 0; pc = 0 }, false)
 
-let make_root ~id ~hits ~infeasible ~terminal =
+let make_root ~hits ~infeasible ~terminal =
   let rec root =
     {
-      id;
       depth = 0;
       parent = root;
       decision = root_decision;
@@ -183,17 +175,16 @@ let make_root ~id ~hits ~infeasible ~terminal =
 
 let create () =
   {
-    root = make_root ~id:0 ~hits:0 ~infeasible:Edge_set.empty ~terminal:Bucket_map.empty;
+    root = make_root ~hits:0 ~infeasible:Edge_set.empty ~terminal:Bucket_map.empty;
     nodes = 1;
     executions = 0;
     distinct_paths = 0;
-    next_id = 0;
     edge_count = 0;
     max_depth = 0;
     closed_dirs = 0;
     total_dirs = 0;
     bucket_totals = Hashtbl.create 16;
-    open_gaps = Hashtbl.create 64;
+    open_count = 0;
     gap_index = Gap_map.empty;
     stale = [];
     version = 0;
@@ -210,18 +201,19 @@ type merge_stats = {
 let index_key hits node site missing =
   { Gap_index_key.k_hits = hits; k_node = node; k_site = site; k_missing = missing }
 
-(* Open/close one gap in both the hash table and the priority index,
-   keyed by the node's recorded [keyed_hits].  A node without open
-   entries has nothing keyed under a stale count, so its first insert
-   re-syncs the record to the current count. *)
+(* Open/close one gap in the priority index, keyed by the node's
+   recorded [keyed_hits].  A node without open entries has nothing
+   keyed under a stale count, so its first insert re-syncs the record
+   to the current count.  Callers open only a closed gap and close
+   only an open one. *)
 let gap_open t node site missing =
-  Hashtbl.replace t.open_gaps (node.id, site, missing) node;
+  t.open_count <- t.open_count + 1;
   if Edge_set.is_empty node.open_dirs then node.keyed_hits <- node.hits;
   node.open_dirs <- Edge_set.add (site, missing) node.open_dirs;
   t.gap_index <- Gap_map.add (index_key node.keyed_hits node site missing) () t.gap_index
 
 let gap_close t node site missing =
-  Hashtbl.remove t.open_gaps (node.id, site, missing);
+  t.open_count <- t.open_count - 1;
   node.open_dirs <- Edge_set.remove (site, missing) node.open_dirs;
   t.gap_index <- Gap_map.remove (index_key node.keyed_hits node site missing) t.gap_index
 
@@ -304,7 +296,7 @@ let add_path t path outcome =
         walk child rest (if created = 0 then shared + 1 else shared) created
       | None ->
         account_new_edge t node decision;
-        let child = new_node t node decision in
+        let child = new_node node decision in
         t.nodes <- t.nodes + 1;
         node.edges <- Edge_map.add decision (child, ref 1) node.edges;
         walk child rest shared (created + 1))
@@ -430,12 +422,13 @@ let frontier_seq ?keep t =
 let frontier_top t k =
   if k <= 0 then [] else List.of_seq (Seq.take k (frontier_seq t))
 
-let frontier_size t = Hashtbl.length t.open_gaps
+let frontier_size t = t.open_count
 
 let gaps_sorted t = t.gaps_sorted
 let gaps_materialized t = t.gaps_materialized
 
-let iter_open_dirs t f = Hashtbl.iter (fun (_, site, missing) _ -> f site missing) t.open_gaps
+let iter_open_dirs t f =
+  Gap_map.iter (fun (key : Gap_index_key.t) () -> f key.k_site key.k_missing) t.gap_index
 
 (* Gaps at one node, consed onto [acc] (accumulator-first: no list
    append anywhere on this path). *)
@@ -557,13 +550,10 @@ let read_dir r =
 
 (* One node record: hits, terminal buckets, infeasibility marks, and
    the labeled out-edges with their traversal counts.  All collections
-   are emitted in their map/set order, and node ids — which encode
-   creation order, an artifact of ingestion order — are NOT written
-   (the reader re-assigns them in preorder).  Equal trees therefore
-   always serialize to equal bytes, *regardless of the order their
-   paths arrived in* — the byte-level merge-equality of the shard
-   federation rests on this.  Child records follow the parent in edge
-   order (preorder). *)
+   are emitted in their map/set order, so equal trees always serialize
+   to equal bytes, *regardless of the order their paths arrived in* —
+   the byte-level merge-equality of the shard federation rests on
+   this.  Child records follow the parent in edge order (preorder). *)
 let write_node_record w (node : node) =
   Codec.Writer.varint w node.hits;
   Codec.Writer.list w
@@ -630,7 +620,7 @@ let rebuild_aggregates t =
   t.closed_dirs <- 0;
   t.total_dirs <- 0;
   Hashtbl.reset t.bucket_totals;
-  Hashtbl.reset t.open_gaps;
+  t.open_count <- 0;
   t.gap_index <- Gap_map.empty;
   t.stale <- [];
   fold_nodes
@@ -661,17 +651,9 @@ let read r =
   let executions = Codec.Reader.varint r in
   let distinct_paths = Codec.Reader.varint r in
   let version = Codec.Reader.varint r in
-  (* Ids are assigned in record (= preorder) order: they only key the
-     open-gap table and must merely be distinct, so the serialized form
-     can stay independent of the original creation order. *)
-  let next_restored_id = ref (-1) in
-  let fresh_id () =
-    incr next_restored_id;
-    !next_restored_id
-  in
   let root_record = read_node_record r in
   let root =
-    make_root ~id:(fresh_id ()) ~hits:root_record.r_hits ~infeasible:root_record.r_infeasible
+    make_root ~hits:root_record.r_hits ~infeasible:root_record.r_infeasible
       ~terminal:root_record.r_terminal
   in
   let restored = ref 1 in
@@ -684,7 +666,6 @@ let read r =
       let child_record = read_node_record r in
       let child =
         {
-          id = fresh_id ();
           depth = node.depth + 1;
           parent = node;
           decision = key;
@@ -709,13 +690,12 @@ let read r =
       nodes;
       executions;
       distinct_paths;
-      next_id = !next_restored_id;
       edge_count = 0;
       max_depth = 0;
       closed_dirs = 0;
       total_dirs = 0;
       bucket_totals = Hashtbl.create 16;
-      open_gaps = Hashtbl.create 64;
+      open_count = 0;
       gap_index = Gap_map.empty;
       stale = [];
       version;

@@ -546,6 +546,24 @@ let test_hive_version_2_refused () =
   | Error e -> checks "refused" "unsupported hive checkpoint version 2" e
   | Ok _ -> Alcotest.fail "a version-2 checkpoint must not restore"
 
+let test_shard_version_2_refused () =
+  (* v2 carried the verdicts a shard had not sent yet; they now live
+     only in the wrapped hive checkpoint, so a v2 image is refused. *)
+  let sim = Sim.create () in
+  let fed =
+    Federation.create
+      ~config:{ (Federation.default_config ~n_shards:2 ()) with Federation.synthesize = false }
+      ~sim ~rng:(Rng.create 4) ()
+  in
+  ignore (Federation.register_program fed Corpus.parser);
+  let ckpt = Federation.checkpoint_shard fed 0 in
+  (* Magic, then the version as a one-byte varint. *)
+  let v2 = Bytes.of_string ckpt in
+  Bytes.set v2 4 '\002';
+  match Federation.restore_shard fed 0 (Bytes.to_string v2) with
+  | Error e -> checks "refused" "unsupported shard checkpoint version 2" e
+  | Ok _ -> Alcotest.fail "a version-2 shard checkpoint must not restore"
+
 (* ---- Corruption -------------------------------------------------------- *)
 
 let test_decode_rejects_trailing_bytes () =
@@ -776,6 +794,7 @@ let () =
           Alcotest.test_case "hive untouched" `Quick test_hive_restore_rejects_corruption_untouched;
           Alcotest.test_case "verdict section corruption" `Quick test_verdict_section_corruption;
           Alcotest.test_case "hive version 2 refused" `Quick test_hive_version_2_refused;
+          Alcotest.test_case "shard version 2 refused" `Quick test_shard_version_2_refused;
           Alcotest.test_case "decode rejects trailing bytes" `Quick
             test_decode_rejects_trailing_bytes;
           Alcotest.test_case "decode_knowledge rejects trailing bytes" `Quick

@@ -25,6 +25,7 @@ module Protocol = Softborg_hive.Protocol
 module Shard_map = Softborg_hive.Shard_map
 module Federation = Softborg_hive.Federation
 module Exec_tree = Softborg_tree.Exec_tree
+module Gap_memo = Softborg_hive.Gap_memo
 
 let checki = Alcotest.check Alcotest.int
 let checkb = Alcotest.check Alcotest.bool
@@ -284,11 +285,10 @@ let test_repeated_uploads_travel_once () =
     [ (1, false); (2, false); (4, false); (1, true); (2, true); (4, true) ]
 
 let test_verdicts_derived_once_per_federation () =
-  (* A verdict shard 0 derives reaches the coordinator's table at the
-     next commit and every other shard's at the publish that follows;
-     a shard restored from a checkpoint older than the verdict gets it
+  (* A verdict shard 0 derives reaches the coordinator's table and,
+     through the publish, every other shard's in the next superstep; a
+     shard restored from a checkpoint older than the verdict gets it
      again.  Every one of these lookups is a hit. *)
-  let module Gap_memo = Softborg_hive.Gap_memo in
   let sim, rng, fed = make_fed ~synthesize:true ~n_shards:4 ~seed:91 () in
   ignore (attach_pods sim rng fed 1);
   let digest = Ir.digest Corpus.parser in
@@ -313,11 +313,9 @@ let test_verdicts_derived_once_per_federation () =
     checkb (what ^ " holds the verdict") true (Gap_memo.find memo ~site ~direction = Some verdict);
     checki (what ^ ": the lookup is no miss") misses (Gap_memo.misses memo)
   in
-  Federation.flush fed;
-  Sim.run sim;
-  ignore (Federation.commit fed);
-  hit_in "the coordinator after the commit" (knowledge (Federation.merged fed));
   Federation.superstep fed;
+  Sim.run sim;
+  hit_in "the coordinator after the superstep" (knowledge (Federation.merged fed));
   for i = 1 to Federation.n_shards fed - 1 do
     hit_in
       (Printf.sprintf "shard %d after the publish" i)
@@ -328,9 +326,82 @@ let test_verdicts_derived_once_per_federation () =
   | Ok _ -> ());
   hit_in "shard 1 restored from before the verdict" (knowledge (Federation.shard_hive fed 1))
 
+(* (program digest, site, direction) of every binding in a hive's
+   gap memos. *)
+let memo_keys hive =
+  List.concat_map
+    (fun k ->
+      let keys = ref [] in
+      Gap_memo.iter (Knowledge.gap_memo k) (fun ((site, direction), _) ->
+          keys := (Knowledge.digest k, site, direction) :: !keys);
+      !keys)
+    (Hive.knowledge_list hive)
+
+let memo_count count hive =
+  List.fold_left (fun acc k -> acc + count (Knowledge.gap_memo k)) 0 (Hive.knowledge_list hive)
+
+let test_coordinator_derives_what_shards_lack () =
+  (* Shard 0's guidance tick derives verdicts after its last delta, so
+     the next superstep carries no delta from it.  The coordinator's
+     tick in that superstep still finds every verdict shard 0 holds:
+     it misses only on verdicts shard 0 does not hold. *)
+  let sim, rng, fed = make_fed ~synthesize:true ~n_shards:2 ~seed:93 () in
+  ignore (attach_pods sim rng fed 1);
+  let shard0 = Federation.shard_hive fed 0 in
+  List.iter (Hive.ingest_payload shard0) (Array.to_list (Array.sub upload_pool 0 24));
+  settle sim fed;
+  Hive.tick shard0;
+  let held = memo_keys shard0 in
+  checkb "shard 0's tick derived verdicts" true (held <> []);
+  let sent = (Federation.stats fed).Federation.deltas_sent in
+  Federation.superstep fed;
+  Sim.run sim;
+  checki "shard 0 sent no delta" sent (Federation.stats fed).Federation.deltas_sent;
+  let merged = Federation.merged fed in
+  let lacked = List.filter (fun key -> not (List.mem key held)) (memo_keys merged) in
+  checki "coordinator misses = its verdicts shard 0 lacked" (List.length lacked)
+    (memo_count Gap_memo.misses merged);
+  checkb "the coordinator's tick read shard 0's verdicts" true
+    (memo_count Gap_memo.hits merged > 0)
+
+let test_one_symexec_config_per_federation () =
+  (* Shards asked to solve at a one-path budget derive at the
+     coordinator's config anyway: their verdicts cross into the
+     coordinator's tables, so they must answer the same question. *)
+  let sim = Sim.create () in
+  let base = fed_config ~n_shards:2 () in
+  let merged_config = base.Federation.merged_hive.Hive.symexec_config in
+  let config =
+    {
+      base with
+      Federation.shard_hive =
+        {
+          base.Federation.shard_hive with
+          Hive.symexec_config = { merged_config with Softborg_symexec.Sym_exec.max_paths = 1 };
+        };
+    }
+  in
+  let fed = Federation.create ~config ~sim ~rng:(Rng.create 94) () in
+  List.iter (fun p -> ignore (Federation.register_program fed p)) default_programs;
+  ignore (attach_pods sim (Rng.create 95) fed 1);
+  let shard0 = Federation.shard_hive fed 0 in
+  List.iter (Hive.ingest_payload shard0) (Array.to_list upload_pool);
+  Hive.tick shard0;
+  let derived = ref 0 in
+  List.iter
+    (fun k ->
+      Gap_memo.iter (Knowledge.gap_memo k) (fun ((site, direction), verdict) ->
+          incr derived;
+          checkb "shard verdict equals the coordinator config's" true
+            (verdict
+            = Gap_memo.derive ~config:merged_config (Knowledge.program k) ~site ~direction)))
+    (Hive.knowledge_list shard0);
+  checkb "shard 0's tick derived verdicts" true (!derived > 0)
+
 let test_superstep_solves_nothing_on_shards () =
-  (* A superstep moves data: it flushes, commits, runs the
-     coordinator's tick and publishes.  A shard closes gaps only in its
+  (* A superstep moves data: it flushes, commits, unions the shards'
+     verdicts into the coordinator's tables, runs the coordinator's
+     tick and publishes.  A shard closes gaps only in its
      own guidance tick, so a superstep with no shard tick neither
      solves a gap on a shard nor marks one infeasible there. *)
   let sim, _rng, fed = make_fed ~synthesize:true ~n_shards:2 ~seed:95 () in
@@ -347,7 +418,7 @@ let test_superstep_solves_nothing_on_shards () =
         List.map
           (fun k ->
             ( Knowledge.digest k,
-              Softborg_hive.Gap_memo.misses (Knowledge.gap_memo k),
+              Gap_memo.misses (Knowledge.gap_memo k),
               Exec_tree.version (Knowledge.tree k) ))
           (sorted_knowledge (Federation.shard_hive fed i)))
   in
@@ -810,6 +881,10 @@ let () =
             test_repeated_uploads_travel_once;
           Alcotest.test_case "verdicts derived once per federation" `Quick
             test_verdicts_derived_once_per_federation;
+          Alcotest.test_case "coordinator derives what shards lack" `Quick
+            test_coordinator_derives_what_shards_lack;
+          Alcotest.test_case "one symexec config per federation" `Quick
+            test_one_symexec_config_per_federation;
           Alcotest.test_case "superstep solves nothing on shards" `Quick
             test_superstep_solves_nothing_on_shards;
           Alcotest.test_case "shards never prove" `Quick test_shards_never_prove;

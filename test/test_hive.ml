@@ -906,7 +906,8 @@ let prop_allocate_sums_and_covers =
 
 (* ---- Protocol ------------------------------------------------------------------ *)
 
-let test_protocol_roundtrips () =
+(* One message of every kind. *)
+let sample_messages () =
   let r = run_once Corpus.parser [| 1; 2; 3 |] in
   let trace = trace_of Corpus.parser r in
   let sampled =
@@ -917,53 +918,79 @@ let test_protocol_roundtrips () =
     Fixgen.propose ~program:Corpus.parser ~deadlock_patterns:[ [ 0; 1 ] ]
       ~crashes:[ parser_crash_evidence () ] ~existing:[] ~next_epoch:1 ()
   in
-  let messages =
-    [
-      Protocol.Trace_upload (Softborg_trace.Wire.encode trace);
-      Protocol.Sampled_report { program_digest = "d"; report = sampled };
-      Protocol.Fix_update
-        { program_digest = "d"; epoch = 2; fixes; canary = []; canary_mils = 0; pressure = 0 };
-      Protocol.Guidance_update
-        {
-          program_digest = "d";
-          directives = [ Guidance.Probe_schedules { inputs = [| 0 |]; seeds = [ 1 ] } ];
-          pressure = 2;
-        };
-      Protocol.Pressure_update { level = 3 };
-      Protocol.Knowledge_delta
-        {
-          shard = 2;
-          seq = 5;
-          payloads = [ (Protocol.encode (Protocol.Trace_upload (Wire.encode trace)), 3); ("x", 1) ];
-          verdicts =
-            [
-              ("d", (({ Ir.thread = 0; pc = 4 }, true), `Infeasible));
-              ( "d",
-                ( ({ Ir.thread = 1; pc = 2 }, false),
-                  `Test { Softborg_symexec.Testgen.inputs = [| 1; -2 |]; fault_plan = Env.No_faults }
-                ) );
-            ];
-        };
-    ]
-  in
+  [
+    Protocol.Trace_upload (Wire.encode trace);
+    Protocol.Sampled_report { program_digest = "d"; report = sampled };
+    Protocol.Fix_update
+      { program_digest = "d"; epoch = 2; fixes; canary = []; canary_mils = 0; pressure = 0 };
+    Protocol.Guidance_update
+      {
+        program_digest = "d";
+        directives = [ Guidance.Probe_schedules { inputs = [| 0 |]; seeds = [ 1 ] } ];
+        pressure = 2;
+      };
+    Protocol.Pressure_update { level = 3 };
+    Protocol.Knowledge_delta
+      {
+        shard = 2;
+        seq = 5;
+        payloads = [ (Protocol.encode (Protocol.Trace_upload (Wire.encode trace)), 3); ("x", 1) ];
+      };
+    Protocol.Batch_upload
+      {
+        program_digest = "d";
+        basis_id = 0;
+        basis_check = 0;
+        records = [ Wire.encode_record trace; Wire.encode_record ~basis:trace trace ];
+      };
+    Protocol.Basis_update { program_digest = "d"; basis_id = 1; payload = Wire.encode trace };
+  ]
+
+let test_protocol_roundtrips () =
   List.iter
     (fun message ->
       match Protocol.decode (Protocol.encode message) with
       | Ok back -> checkb (Protocol.message_name message ^ " roundtrips") true (back = message)
       | Error msg -> Alcotest.failf "decode failed: %s" msg)
-    messages
+    (sample_messages ())
 
 let test_protocol_rejects_garbage () =
   (match Protocol.decode "\xffgarbage" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "decoded garbage");
   let no_copies =
-    Protocol.encode
-      (Protocol.Knowledge_delta { shard = 0; seq = 0; payloads = [ ("x", 0) ]; verdicts = [] })
+    Protocol.encode (Protocol.Knowledge_delta { shard = 0; seq = 0; payloads = [ ("x", 0) ] })
   in
-  match Protocol.decode no_copies with
+  (match Protocol.decode no_copies with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "decoded a delta payload with no copies"
+  | Ok _ -> Alcotest.fail "decoded a delta payload with no copies");
+  (* An honest frame with one byte appended is malformed, whatever its
+     kind: a decoder that stopped at its last field would let junk
+     ride along in any frame. *)
+  List.iter
+    (fun message ->
+      match Protocol.decode (Protocol.encode message ^ "\000") with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "decoded a %s with a trailing byte" (Protocol.message_name message))
+    (sample_messages ());
+  (* A delta in the layout that still carried a verdict list after
+     the payloads: the list is rejected, not silently ignored. *)
+  let w = Codec.Writer.create () in
+  Codec.Writer.byte w 6;
+  Codec.Writer.varint w 0;
+  Codec.Writer.varint w 0;
+  Codec.Writer.list w (fun (payload, copies) ->
+      Codec.Writer.bytes w payload;
+      Codec.Writer.varint w copies)
+    [ ("x", 1) ];
+  Codec.Writer.list w
+    (fun (digest, binding) ->
+      Codec.Writer.bytes w digest;
+      Gap_memo.write_binding w binding)
+    [ ("d", (({ Ir.thread = 0; pc = 4 }, true), `Infeasible)) ];
+  match Protocol.decode (Codec.Writer.contents w) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "decoded a delta in the layout with verdicts"
 
 (* Tags 5, 7 and 10 carried a routing table, shard telemetry and a
    separate retraction frame; nothing read them, and the hive treats a

@@ -84,6 +84,28 @@ let test_wire_rejects_garbage () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "decoded garbage"
 
+let test_wire_rejects_trailing_bytes () =
+  (* One byte appended to an honest frame or record is malformed: both
+     codecs must read to the end, not stop at the last field. *)
+  let trace, _ = trace_of Corpus.checksum [| 200; 3 |] in
+  let basis, _ = trace_of Corpus.checksum [| 200; 3 |] in
+  let program_digest = trace.Trace.program_digest in
+  let junk = "\000" in
+  (match Wire.decode (Wire.encode trace ^ junk) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "decoded a trace with a trailing byte");
+  let full = Wire.encode_record trace and delta = Wire.encode_record ~basis trace in
+  checkb "the delta candidate ships" true (Wire.is_delta_record delta);
+  List.iter
+    (fun (what, record) ->
+      (match Wire.decode_record ~basis ~program_digest record with
+      | Ok t -> checkb (what ^ " record roundtrips") true (Trace.equal trace t)
+      | Error e -> Alcotest.failf "%s record failed: %a" what Wire.pp_error e);
+      match Wire.decode_record ~basis ~program_digest (record ^ junk) with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "decoded a %s record with a trailing byte" what)
+    [ ("full", full); ("delta", delta) ]
+
 let prop_wire_roundtrip_random =
   QCheck.Test.make ~name:"wire roundtrip (random programs)" ~count:100
     QCheck.(pair small_nat small_nat)
@@ -268,6 +290,7 @@ let () =
           Alcotest.test_case "roundtrip faults" `Quick test_wire_roundtrip_with_faults;
           Alcotest.test_case "rejects truncation" `Quick test_wire_rejects_truncation;
           Alcotest.test_case "rejects garbage" `Quick test_wire_rejects_garbage;
+          Alcotest.test_case "rejects trailing bytes" `Quick test_wire_rejects_trailing_bytes;
           q prop_wire_roundtrip_random;
         ] );
       ( "compress",

@@ -9,7 +9,6 @@ module Sched = Softborg_exec.Sched
 module Interp = Softborg_exec.Interp
 module Outcome = Softborg_exec.Outcome
 module Exec_tree = Softborg_tree.Exec_tree
-module Coverage = Softborg_tree.Coverage
 module Rng = Softborg_util.Rng
 module Codec = Softborg_util.Codec
 
@@ -338,33 +337,6 @@ let test_version_change_detection () =
        ~direction:gap.Exec_tree.missing);
   checki "re-marking leaves version" v2 (Exec_tree.version t)
 
-(* ---- Coverage recorder ------------------------------------------------- *)
-
-let test_coverage_snapshots () =
-  let t = Exec_tree.create () in
-  let cov = Coverage.create () in
-  Coverage.observe cov t;
-  ignore (merge t Corpus.fig2_write [| 5 |]);
-  Coverage.observe cov t;
-  ignore (merge t Corpus.fig2_write [| -1 |]);
-  Coverage.observe cov t;
-  let snaps = Coverage.snapshots cov in
-  checki "three snapshots" 3 (List.length snaps);
-  let execs = List.map (fun s -> s.Coverage.executions) snaps in
-  Alcotest.(check (list int)) "execution counts" [ 0; 1; 2 ] execs
-
-let test_coverage_executions_to_reach () =
-  let t = Exec_tree.create () in
-  let cov = Coverage.create () in
-  ignore (merge t Corpus.fig2_write [| 5 |]);
-  Coverage.observe cov t;
-  ignore (merge t Corpus.fig2_write [| -1 |]);
-  Coverage.observe cov t;
-  Alcotest.(check (option int)) "reach 2 paths at exec 2" (Some 2)
-    (Coverage.executions_to_reach cov ~paths:2);
-  Alcotest.(check (option int)) "never reached 5 paths" None
-    (Coverage.executions_to_reach cov ~paths:5)
-
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "softborg_tree"
@@ -400,10 +372,5 @@ let () =
       ( "incremental",
         [
           Alcotest.test_case "version change detection" `Quick test_version_change_detection;
-        ] );
-      ( "coverage",
-        [
-          Alcotest.test_case "snapshots" `Quick test_coverage_snapshots;
-          Alcotest.test_case "executions to reach" `Quick test_coverage_executions_to_reach;
         ] );
     ]
