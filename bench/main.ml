@@ -1979,8 +1979,8 @@ let fleet_suite () =
     | xs ->
       List.filteri (fun i _ -> i < size) xs :: chunks size (List.filteri (fun i _ -> i >= size) xs)
   in
-  (* The self-anchored frame shape: leading record full, the rest
-     delta-encoded against it (no announced basis needed). *)
+  (* The pods' frame shape: leading record full, the rest
+     delta-encoded against it. *)
   let batch_frame chunk =
     let records =
       match chunk with
@@ -1988,7 +1988,7 @@ let fleet_suite () =
       | first :: rest -> Wire.encode_record first :: List.map (Wire.encode_record ~basis:first) rest
     in
     Protocol.encode
-      (Protocol.Batch_upload { program_digest = digest; basis_id = 0; basis_check = 0; records })
+      (Protocol.Batch_upload { program_digest = digest; records })
   in
   let frame_bytes frames = List.fold_left (fun a f -> a + String.length f) 0 frames in
   (* ---- Wire reduction --------------------------------------------------- *)

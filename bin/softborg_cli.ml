@@ -187,9 +187,9 @@ let simulate_cmd =
       value & opt int 1
       & info [ "batch" ] ~docv:"N"
           ~doc:
-            "Batch $(docv) traces per upload frame (delta-encoded against the \
-             hive-announced prefix basis unless $(b,--no-delta)); 1 (the default) keeps \
-             the classic one-frame-per-trace wire format.")
+            "Batch $(docv) traces per upload frame (each frame's first record ships full \
+             and the rest are delta-encoded against it unless $(b,--no-delta)); 1 (the \
+             default) keeps the classic one-frame-per-trace wire format.")
   in
   let no_delta_flag =
     Arg.(

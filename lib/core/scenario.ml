@@ -58,10 +58,9 @@ let with_chaos ?(chaos_seed = 1337) ?(crash_rate = 1.0 /. 400.0)
 let with_shards n config = { config with Platform.n_shards = n }
 
 (* Fleet-scale wire encoding: pods batch [batch] traces per frame and
-   (unless [delta = false]) delta-encode records, first against the
-   batch's own leading record and, once the hive has seen their delta
-   records and announced a prefix basis, against that.  [batch = 1]
-   leaves the config untouched — the one-frame-per-trace wire format. *)
+   (unless [delta = false]) delta-encode each frame's records against
+   its own leading record.  [batch = 1] leaves the config untouched —
+   the one-frame-per-trace wire format. *)
 let with_fleet_encoding ?(batch = 16) ?(delta = true) config =
   if batch <= 1 then config
   else

@@ -57,10 +57,9 @@ val with_shards : int -> Platform.config -> Platform.config
 val with_fleet_encoding : ?batch:int -> ?delta:bool -> Platform.config -> Platform.config
 (** Turn on the fleet-scale wire encoding: pods send
     {!Softborg_hive.Protocol.Batch_upload} frames of [batch] traces
-    (default 16) and, with [delta] (default true), delta-encode the
-    records — against the batch's leading record until the hive, having
-    decoded a delta record for the program, announces a per-program
-    prefix basis.  [~batch:1] (or less) is the identity. *)
+    (default 16) and, with [delta] (default true), delta-encode each
+    frame's later records against its leading record, which ships
+    full.  [~batch:1] (or less) is the identity. *)
 
 val with_rollout : ?rollout:Softborg_hive.Fix_lifecycle.config -> Platform.config -> Platform.config
 (** Stage every new fix through a canary cohort with health-verdict

@@ -1,5 +1,6 @@
 module Ir = Softborg_prog.Ir
 module Codec = Softborg_util.Codec
+module Ir_codec = Softborg_prog.Ir_codec
 module Sim = Softborg_net.Sim
 module Transport = Softborg_net.Transport
 module Exec_tree = Softborg_tree.Exec_tree
@@ -21,22 +22,11 @@ type job_result = {
 
 (* ---- Wire format ------------------------------------------------------ *)
 
-let write_gap w (site, direction) =
-  Codec.Writer.varint w site.Ir.thread;
-  Codec.Writer.varint w site.Ir.pc;
-  Codec.Writer.bool w direction
-
-let read_gap r =
-  let thread = Codec.Reader.varint r in
-  let pc = Codec.Reader.varint r in
-  let direction = Codec.Reader.bool r in
-  ({ Ir.thread; pc }, direction)
-
 let encode_job (job : job) =
   let w = Codec.Writer.create () in
   Codec.Writer.varint w job.job_id;
   Codec.Writer.varint w job.budget_per_gap;
-  Codec.Writer.list w (write_gap w) job.gaps;
+  Codec.Writer.list w (Ir_codec.write_dir w) job.gaps;
   Codec.Writer.contents w
 
 let decode_job s =
@@ -44,7 +34,7 @@ let decode_job s =
     let r = Codec.Reader.of_string s in
     let job_id = Codec.Reader.varint r in
     let budget_per_gap = Codec.Reader.varint r in
-    let gaps = Codec.Reader.list r read_gap in
+    let gaps = Codec.Reader.list r Ir_codec.read_dir in
     { job_id; gaps; budget_per_gap }
   with
   | job -> Ok job

@@ -174,14 +174,6 @@ let register_program t program =
 
 (* ---- Pod routing -------------------------------------------------------- *)
 
-let relay_down pod_link payload =
-  match Protocol.decode payload with
-  | Ok
-      ( Protocol.Fix_update _ | Protocol.Guidance_update _ | Protocol.Pressure_update _
-      | Protocol.Basis_update _ ) ->
-    Transport.send pod_link payload
-  | Ok _ | Error _ -> ()
-
 let route t a payload =
   let owner =
     match Protocol.decode payload with
@@ -215,7 +207,9 @@ let attach_pod t pod_link =
         in
         Hive.attach_pod s.s_hive shard_end;
         s.s_ends <- shard_end :: s.s_ends;
-        Transport.on_receive router_end (relay_down pod_link);
+        (* A hive sends pods only downstream kinds, and a pod ignores
+           any other: the router relays them undecoded. *)
+        Transport.on_receive router_end (Transport.send pod_link);
         router_end)
       t.shards
   in

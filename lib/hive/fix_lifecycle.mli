@@ -43,8 +43,8 @@ val instant : config
     deployment, the hive's default. *)
 
 val cohort_hash : cohort:int -> fix_id:int -> int
-(** Seed-free FNV-1a over (cohort id, fix id) — the same construction
-    as {!Protocol.basis_fingerprint}.  Non-negative. *)
+(** Seed-free FNV-1a over the bytes of (cohort id, fix id).
+    Non-negative. *)
 
 val in_cohort : cohort:int -> fix_id:int -> mils:int -> bool
 (** Rendezvous canary membership: replayable anywhere from the pod's

@@ -6,6 +6,7 @@ module Path_cond = Softborg_solver.Path_cond
 module Codec = Softborg_util.Codec
 module Sym_exec = Softborg_symexec.Sym_exec
 module Consistency = Softborg_symexec.Consistency
+module Wire = Softborg_trace.Wire
 
 type kind =
   | Deadlock_immunity of int list
@@ -278,27 +279,6 @@ let corpus_wrong_fixes (inst : Corpus_bench.instance) =
 
 (* ---- Wire format ---------------------------------------------------- *)
 
-let crash_kind_tag = function
-  | Outcome.Assertion_failure -> 0
-  | Outcome.Division_by_zero -> 1
-
-let crash_kind_of_tag = function
-  | 0 -> Outcome.Assertion_failure
-  | 1 -> Outcome.Division_by_zero
-  | n -> raise (Codec.Malformed (Printf.sprintf "crash kind tag %d" n))
-
-let write_crash_kind w kind = Codec.Writer.byte w (crash_kind_tag kind)
-let read_crash_kind r = crash_kind_of_tag (Codec.Reader.byte r)
-
-let write_site w (site : Ir.site) =
-  Codec.Writer.varint w site.Ir.thread;
-  Codec.Writer.varint w site.Ir.pc
-
-let read_site r =
-  let thread = Codec.Reader.varint r in
-  let pc = Codec.Reader.varint r in
-  { Ir.thread; pc }
-
 let write_condition w condition =
   Codec.Writer.list w
     (fun (atom : Path_cond.atom) ->
@@ -323,17 +303,17 @@ let write_fix w fix =
     Codec.Writer.byte w 1;
     Codec.Writer.bytes w bucket;
     write_condition w condition;
-    write_site w site;
-    Codec.Writer.byte w (crash_kind_tag crash_kind)
+    Ir_codec.write_site w site;
+    Wire.write_crash_kind w crash_kind
   | Crash_suppression { bucket; site; crash_kind } ->
     Codec.Writer.byte w 2;
     Codec.Writer.bytes w bucket;
-    write_site w site;
-    Codec.Writer.byte w (crash_kind_tag crash_kind)
+    Ir_codec.write_site w site;
+    Wire.write_crash_kind w crash_kind
   | Patch_candidate { bucket; site; description } ->
     Codec.Writer.byte w 3;
     Codec.Writer.bytes w bucket;
-    write_site w site;
+    Ir_codec.write_site w site;
     Codec.Writer.bytes w description
 
 let read_fix r =
@@ -347,17 +327,17 @@ let read_fix r =
     | 1 ->
       let bucket = Codec.Reader.bytes r in
       let condition = read_condition r in
-      let site = read_site r in
-      let crash_kind = crash_kind_of_tag (Codec.Reader.byte r) in
+      let site = Ir_codec.read_site r in
+      let crash_kind = Wire.read_crash_kind r in
       Input_guard { bucket; condition; site; crash_kind }
     | 2 ->
       let bucket = Codec.Reader.bytes r in
-      let site = read_site r in
-      let crash_kind = crash_kind_of_tag (Codec.Reader.byte r) in
+      let site = Ir_codec.read_site r in
+      let crash_kind = Wire.read_crash_kind r in
       Crash_suppression { bucket; site; crash_kind }
     | 3 ->
       let bucket = Codec.Reader.bytes r in
-      let site = read_site r in
+      let site = Ir_codec.read_site r in
       let description = Codec.Reader.bytes r in
       Patch_candidate { bucket; site; description }
     | n -> raise (Codec.Malformed (Printf.sprintf "fix kind tag %d" n))

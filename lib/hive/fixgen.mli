@@ -117,9 +117,5 @@ val write_fix : Codec.Writer.t -> fix -> unit
 val read_fix : Codec.Reader.t -> fix
 (** @raise Softborg_util.Codec.Malformed on invalid input. *)
 
-val write_site : Codec.Writer.t -> Ir.site -> unit
-val read_site : Codec.Reader.t -> Ir.site
-val write_crash_kind : Codec.Writer.t -> Outcome.crash_kind -> unit
-val read_crash_kind : Codec.Reader.t -> Outcome.crash_kind
 (** Shared field codecs, also used by hive checkpoints.
     @raise Softborg_util.Codec.Malformed on invalid input. *)

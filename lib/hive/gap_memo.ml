@@ -1,5 +1,6 @@
 module Ir = Softborg_prog.Ir
 module Codec = Softborg_util.Codec
+module Ir_codec = Softborg_prog.Ir_codec
 module Testgen = Softborg_symexec.Testgen
 
 type verdict =
@@ -51,10 +52,8 @@ let length t = Hashtbl.length t.table
 let hits t = t.hits
 let misses t = t.misses
 
-let write_binding w (({ Ir.thread; pc }, direction), verdict) =
-  Codec.Writer.varint w thread;
-  Codec.Writer.varint w pc;
-  Codec.Writer.bool w direction;
+let write_binding w (dir, verdict) =
+  Ir_codec.write_dir w dir;
   match verdict with
   | `Test test ->
     Codec.Writer.byte w 0;
@@ -63,9 +62,7 @@ let write_binding w (({ Ir.thread; pc }, direction), verdict) =
   | `Unknown -> Codec.Writer.byte w 2
 
 let read_binding r =
-  let thread = Codec.Reader.varint r in
-  let pc = Codec.Reader.varint r in
-  let direction = Codec.Reader.bool r in
+  let dir = Ir_codec.read_dir r in
   let verdict =
     match Codec.Reader.byte r with
     | 0 -> `Test (Testgen.read_test_case r)
@@ -73,7 +70,7 @@ let read_binding r =
     | 2 -> `Unknown
     | n -> raise (Codec.Malformed (Printf.sprintf "gap verdict tag %d" n))
   in
-  (({ Ir.thread; pc }, direction), verdict)
+  (dir, verdict)
 
 let write w t =
   Codec.Writer.list w (write_binding w)

@@ -1,5 +1,6 @@
 module Ir = Softborg_prog.Ir
 module Codec = Softborg_util.Codec
+module Ir_codec = Softborg_prog.Ir_codec
 module Env = Softborg_exec.Env
 module Exec_tree = Softborg_tree.Exec_tree
 module Sym_exec = Softborg_symexec.Sym_exec
@@ -105,9 +106,7 @@ let plan ?config ?cache ?(max_directives = 8) ?exclude ?memo program tree =
 let write_directive w = function
   | Cover_direction { site; direction; test } ->
     Codec.Writer.byte w 0;
-    Codec.Writer.varint w site.Ir.thread;
-    Codec.Writer.varint w site.Ir.pc;
-    Codec.Writer.bool w direction;
+    Ir_codec.write_dir w (site, direction);
     Testgen.write_test_case w test
   | Probe_schedules { inputs; seeds } ->
     Codec.Writer.byte w 1;
@@ -117,11 +116,9 @@ let write_directive w = function
 let read_directive r =
   match Codec.Reader.byte r with
   | 0 ->
-    let thread = Codec.Reader.varint r in
-    let pc = Codec.Reader.varint r in
-    let direction = Codec.Reader.bool r in
+    let site, direction = Ir_codec.read_dir r in
     let test = Testgen.read_test_case r in
-    Cover_direction { site = { Ir.thread; pc }; direction; test }
+    Cover_direction { site; direction; test }
   | 1 ->
     let inputs = Array.of_list (Codec.Reader.list r Codec.Reader.zigzag) in
     let seeds = Codec.Reader.list r Codec.Reader.varint in

@@ -3,7 +3,6 @@ module Outcome = Softborg_exec.Outcome
 module Env = Softborg_exec.Env
 module Wire = Softborg_trace.Wire
 module Trace = Softborg_trace.Trace
-module Bitvec = Softborg_util.Bitvec
 module Ids = Softborg_util.Ids
 module Exec_tree = Softborg_tree.Exec_tree
 module Sim = Softborg_net.Sim
@@ -102,7 +101,6 @@ type stats = {
   peak_queue_depth : int;
   batch_frames_received : int;
   batch_records_received : int;
-  basis_updates_sent : int;
   fix_promotions : int;
   fix_retractions : int;
   quarantined_fix_traces : int;
@@ -150,23 +148,9 @@ type t = {
   mutable muted_drops : int;
   mutable pressure_updates_sent : int;
   mutable peak_queue_depth : int;
-  (* ---- Fleet ingestion (delta/batch wire plane) ----
-     Announced bases are a wire-plane accelerator, not knowledge: they
-     are not checkpointed, and a restarted hive simply announces fresh
-     ones.  [bases] keeps every basis this hive ever announced (keyed
-     by id, so pods holding an older announcement still decode), with
-     the fingerprint echoed back by batches.  [delta_programs] holds
-     the programs a decoded batch carried a delta record for: only
-     their bases are worth announcing, since only a delta-encoding pod
-     uses one. *)
-  bases : (string * int, Trace.t * int) Hashtbl.t;  (* (digest, basis id) *)
-  basis_candidates : (string, Trace_store.prepared) Hashtbl.t;
-  announced_basis : (string, int) Hashtbl.t;  (* digest -> latest basis id *)
-  delta_programs : (string, unit) Hashtbl.t;
-  mutable next_basis_id : int;
+  (* ---- Batched uploads ---- *)
   mutable batch_frames_received : int;
   mutable batch_records_received : int;
-  mutable basis_updates_sent : int;
   pending_human_fixes : (string, unit) Hashtbl.t;  (* bucket keys already scheduled *)
   (* Throttles: symbolic work is expensive, so gaps already issued to a
      pod are not re-planned, and proofs are only re-attempted when the
@@ -218,14 +202,8 @@ let create ?config ~sim () =
     muted_drops = 0;
     pressure_updates_sent = 0;
     peak_queue_depth = 0;
-    bases = Hashtbl.create 8;
-    basis_candidates = Hashtbl.create 8;
-    announced_basis = Hashtbl.create 8;
-    delta_programs = Hashtbl.create 8;
-    next_basis_id = 1;
     batch_frames_received = 0;
     batch_records_received = 0;
-    basis_updates_sent = 0;
     pending_human_fixes = Hashtbl.create 16;
     issued_guidance = Hashtbl.create 8;
     proof_state = Hashtbl.create 8;
@@ -318,10 +296,6 @@ let process_work t work =
   match work with
   | Trace_work prep -> (
     let trace = prep.Trace_store.p_trace in
-    if
-      Bitvec.length trace.Trace.bits > 0
-      && not (Hashtbl.mem t.basis_candidates trace.Trace.program_digest)
-    then Hashtbl.replace t.basis_candidates trace.Trace.program_digest prep;
     match Hashtbl.find_opt t.programs trace.Trace.program_digest with
     | None -> ()
     | Some k -> (
@@ -338,14 +312,15 @@ let process_work t work =
 exception Bad_batch
 
 (* Decode a whole batch to admission-ready work items, or reject it as
-   one poison frame (any malformed record, basis mismatch, or blown
-   total budget damns the whole batch — parse-then-commit, nothing
-   partial is ingested).
+   one poison frame (any malformed record or blown total budget damns
+   the whole batch — parse-then-commit, nothing partial is ingested).
 
-   Records are decoded and canonicalized in order; replay waits for
-   ingest.  Trace ids are minted once the whole batch has decoded, in
-   record order, so a poison batch mints none. *)
-let decode_batch t ~caps ~program_digest ~basis_id ~basis_check records =
+   The leading record anchors the batch and must be full (a delta tag
+   with no basis is malformed inside [decode_one]); every later record
+   decodes against it.  Records are decoded and canonicalized in
+   order; replay waits for ingest.  Trace ids are minted once the whole
+   batch has decoded, in record order, so a poison batch mints none. *)
+let decode_batch t ~caps ~program_digest records =
   match
     (* Total-budget pre-pass over declared sizes: a batch of records
        that each clear the per-frame bit cap must also jointly clear
@@ -360,37 +335,22 @@ let decode_batch t ~caps ~program_digest ~basis_id ~basis_check records =
              if n < 0 || n > caps.Wire.max_batch_total_bits - acc then raise Bad_batch
              else acc + n)
          0 records);
-    let basis =
-      if basis_id = 0 then None
-      else
-        match Hashtbl.find_opt t.bases (program_digest, basis_id) with
-        | Some (b, fp) when fp = basis_check -> Some b
-        | Some _ | None -> raise Bad_batch
-    in
     let decode_one ?basis s =
       match Wire.decode_record ~caps ?basis ~program_digest s with
       | Error _ -> raise Bad_batch
       | Ok trace -> Trace_store.prepare trace
     in
     let decoded =
-      match basis with
-      | Some b -> List.map (fun s -> decode_one ~basis:b s) records
-      | None -> (
-        match records with
-        | [] -> []
-        | first :: rest ->
-          (* No announced basis: the leading record anchors the batch
-             and must be full (a delta tag with no basis is malformed
-             inside [decode_one]). *)
-          let anchor = decode_one first in
-          anchor :: List.map (fun s -> decode_one ~basis:anchor.Trace_store.p_trace s) rest)
+      match records with
+      | [] -> []
+      | first :: rest ->
+        let anchor = decode_one first in
+        anchor :: List.map (fun s -> decode_one ~basis:anchor.Trace_store.p_trace s) rest
     in
     (* Counted only once the whole batch decoded: a quarantined batch
-       is neither a decoded frame nor evidence that pods delta-encode. *)
+       is not a decoded frame. *)
     t.batch_frames_received <- t.batch_frames_received + 1;
     t.batch_records_received <- t.batch_records_received + List.length decoded;
-    if List.exists Wire.is_delta_record records then
-      Hashtbl.replace t.delta_programs program_digest ();
     List.map
       (fun prep ->
         let trace =
@@ -569,7 +529,7 @@ let admit t (oc : overload_config) slot payload =
     | Error _ -> quarantine t oc slot
     | Ok
         ( Protocol.Fix_update _ | Protocol.Guidance_update _ | Protocol.Pressure_update _
-        | Protocol.Knowledge_delta _ | Protocol.Basis_update _ ) ->
+        | Protocol.Knowledge_delta _ ) ->
       (* Downstream-only and federation-plane messages; ignore if echoed
          back.  A shard hive never ingests a Knowledge_delta directly —
          the federation coordinator unpacks deltas itself so commit
@@ -579,11 +539,11 @@ let admit t (oc : overload_config) slot payload =
       match decode_single oc slot message with
       | None -> quarantine t oc slot
       | Some item -> offer t oc item)
-    | Ok (Protocol.Batch_upload { program_digest; basis_id; basis_check; records }) -> (
+    | Ok (Protocol.Batch_upload { program_digest; records }) -> (
       (* [Protocol.decode ~caps] already bounded the record count and
          frame size; the batch decode enforces the total bit budget and
          per-record caps.  One bad record poisons the whole batch. *)
-      match decode_batch t ~caps:oc.caps ~program_digest ~basis_id ~basis_check records with
+      match decode_batch t ~caps:oc.caps ~program_digest records with
       | Error () -> quarantine t oc slot
       | Ok works ->
         List.iter
@@ -636,35 +596,6 @@ let ingest_payload ?(copies = 1) t payload =
   done
 
 let set_ingest_tap t tap = t.ingest_tap <- Some tap
-
-(* ---- Basis announcements ----------------------------------------------- *)
-
-(* Announce one prefix basis per [due] program that has produced a
-   trace with branch bits: pods delta their future uploads against it.
-   The announced payload is the candidate's canonical wire encoding;
-   both sides decode/encode from those exact bytes, so the XOR anchors
-   agree.  Digest-sorted iteration keeps basis-id assignment
-   deterministic across runs. *)
-let announce t ~due =
-  Hashtbl.fold (fun digest _ acc -> digest :: acc) t.basis_candidates []
-  |> List.sort String.compare
-  |> List.iter (fun digest ->
-         if due digest && not (Hashtbl.mem t.announced_basis digest) then begin
-           match Hashtbl.find_opt t.basis_candidates digest with
-           | None -> ()
-           | Some prep ->
-             let basis_id = t.next_basis_id in
-             t.next_basis_id <- basis_id + 1;
-             let payload = prep.Trace_store.p_encoded in
-             Hashtbl.replace t.bases (digest, basis_id)
-               (prep.Trace_store.p_trace, Protocol.basis_fingerprint payload);
-             Hashtbl.replace t.announced_basis digest basis_id;
-             t.basis_updates_sent <- t.basis_updates_sent + 1;
-             Log.debug (fun m -> m "announcing basis %d for %s" basis_id digest);
-             broadcast t (Protocol.Basis_update { program_digest = digest; basis_id; payload })
-         end)
-
-let announce_bases t = announce t ~due:(fun _ -> true)
 
 (* ---- Human repair lab (Wer/Cbi modes) --------------------------------- *)
 
@@ -815,9 +746,6 @@ let guidance_tick t k =
 
 let tick t =
   t.analysis_ticks <- t.analysis_ticks + 1;
-  (* A basis is announced only where pods are seen delta-encoding:
-     anywhere else it would be frames on the wire that nobody uses. *)
-  announce t ~due:(Hashtbl.mem t.delta_programs);
   (* Periodically forget the issued-guidance memory: directives can be
      lost with their pod, and a stale exclusion must not shadow a gap
      forever. *)
@@ -901,7 +829,6 @@ let stats t =
     peak_queue_depth = t.peak_queue_depth;
     batch_frames_received = t.batch_frames_received;
     batch_records_received = t.batch_records_received;
-    basis_updates_sent = t.basis_updates_sent;
     fix_promotions = t.fix_promotions;
     fix_retractions = t.fix_retractions;
     quarantined_fix_traces =
@@ -911,6 +838,7 @@ let stats t =
 (* ---- Checkpoint / restore ---------------------------------------------- *)
 
 module Codec = Softborg_util.Codec
+module Ir_codec = Softborg_prog.Ir_codec
 
 let checkpoint_magic = "SBHV"
 
@@ -957,10 +885,7 @@ let checkpoint t =
   Codec.Writer.list w
     (fun (digest, issued) ->
       Codec.Writer.bytes w digest;
-      Codec.Writer.list w
-        (fun (site, direction) ->
-          Fixgen.write_site w site;
-          Codec.Writer.bool w direction)
+      Codec.Writer.list w (Ir_codec.write_dir w)
         (* The set has no inherent order; write it sorted so equal
            states checkpoint to equal bytes. *)
         (Hashtbl.fold (fun key () acc -> key :: acc) issued []
@@ -1018,12 +943,7 @@ let restore t data =
         let issued =
           Codec.Reader.list r (fun r ->
               let digest = Codec.Reader.bytes r in
-              let directives =
-                Codec.Reader.list r (fun r ->
-                    let site = Fixgen.read_site r in
-                    let direction = Codec.Reader.bool r in
-                    (site, direction))
-              in
+              let directives = Codec.Reader.list r Ir_codec.read_dir in
               (digest, directives))
         in
         let proof_states =

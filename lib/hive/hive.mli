@@ -124,7 +124,6 @@ type stats = {
       (** {!Protocol.Batch_upload} frames decoded (a quarantined batch
           does not count). *)
   batch_records_received : int;  (** Trace records across all batches. *)
-  basis_updates_sent : int;  (** {!Protocol.Basis_update} broadcasts. *)
   fix_promotions : int;  (** Canary fixes promoted fleet-wide. *)
   fix_retractions : int;  (** Canary fixes condemned by the health test. *)
   quarantined_fix_traces : int;
@@ -188,16 +187,6 @@ val inject : t -> slot:int -> string -> unit
     for the pod attachment slot (fair-share shedding, quarantine
     ledger).  Load harnesses use this to simulate fleets far larger
     than the endpoint table. *)
-
-val announce_bases : t -> unit
-(** Broadcast a {!Protocol.Basis_update} for every program that has a
-    basis candidate (the first trace processed with branch bits) but no
-    announced basis yet.  The analysis tick does this on its own for a
-    program once a batch carrying a delta record for it has decoded —
-    proof that some pod delta-encodes; hives fed only single frames or
-    full-record batches announce nothing.  Exposed so tests and benches
-    can force announcement deterministically.  Bases are a wire-plane
-    accelerator and are not checkpointed. *)
 
 val pressure_level : t -> int
 (** Current load level (0–3; always 0 without overload protection). *)

@@ -120,15 +120,7 @@ let localization_rank t ~target =
   find 1 ranking
 
 module Codec = Softborg_util.Codec
-
-let write_site w (site : Ir.site) =
-  Codec.Writer.varint w site.Ir.thread;
-  Codec.Writer.varint w site.Ir.pc
-
-let read_site r =
-  let thread = Codec.Reader.varint r in
-  let pc = Codec.Reader.varint r in
-  { Ir.thread; pc }
+module Ir_codec = Softborg_prog.Ir_codec
 
 let write_counts w (c : counts) =
   Codec.Writer.varint w c.failing;
@@ -143,14 +135,13 @@ let write w t =
   Codec.Writer.varint w t.runs;
   Codec.Writer.varint w t.failing_runs;
   Codec.Writer.list w
-    (fun ((predicate : Sampling.predicate), c) ->
-      write_site w predicate.Sampling.site;
-      Codec.Writer.bool w predicate.Sampling.direction;
+    (fun ({ Sampling.site; direction }, c) ->
+      Ir_codec.write_dir w (site, direction);
       write_counts w c)
     (Pred_map.bindings t.predicates);
   Codec.Writer.list w
     (fun (site, c) ->
-      write_site w site;
+      Ir_codec.write_site w site;
       write_counts w c)
     (Site_map.bindings t.sites)
 
@@ -162,8 +153,7 @@ let read r =
       (fun acc (predicate, c) -> Pred_map.add predicate c acc)
       Pred_map.empty
       (Codec.Reader.list r (fun r ->
-           let site = read_site r in
-           let direction = Codec.Reader.bool r in
+           let site, direction = Ir_codec.read_dir r in
            let c = read_counts r in
            ({ Sampling.site; direction }, c)))
   in
@@ -172,7 +162,7 @@ let read r =
       (fun acc (site, c) -> Site_map.add site c acc)
       Site_map.empty
       (Codec.Reader.list r (fun r ->
-           let site = read_site r in
+           let site = Ir_codec.read_site r in
            let c = read_counts r in
            (site, c)))
   in

@@ -4,6 +4,7 @@ module Interp = Softborg_exec.Interp
 module Vm = Softborg_exec.Vm
 module Trace = Softborg_trace.Trace
 module Sampling = Softborg_trace.Sampling
+module Wire = Softborg_trace.Wire
 module Exec_tree = Softborg_tree.Exec_tree
 module Deadlock = Softborg_conc.Deadlock
 module Immunity = Softborg_conc.Immunity
@@ -45,7 +46,7 @@ type t = {
   mutable proofs : Prover.proof list;
   (* Decoded-trace cache: content key -> reconstruction.  Duplicate
      uploads (the common case at fleet scale) skip the replay. *)
-  replay_cache : (string, Interp.reconstruction) Lru.t option;
+  replay_cache : (string, Interp.reconstruction) Lru.t;
   mutable replay_cache_hits : int;
   (* Symbolic gap verdicts, shared by guidance planning and gap
      closing.  A verdict reads only [program], which never changes, so
@@ -58,9 +59,9 @@ type t = {
 
 (* Decoded-trace LRU entries; [read] restores knowledge with a cold
    cache of this size. *)
-let default_replay_cache = 256
+let replay_cache_size = 256
 
-let create ?(replay_cache = default_replay_cache) program =
+let create program =
   {
     program;
     digest = Ir.digest program;
@@ -81,7 +82,7 @@ let create ?(replay_cache = default_replay_cache) program =
     failures = 0;
     replay_errors = 0;
     proofs = [];
-    replay_cache = (if replay_cache <= 0 then None else Some (Lru.create replay_cache));
+    replay_cache = Lru.create replay_cache_size;
     replay_cache_hits = 0;
     gap_memo = Gap_memo.create ();
     verdict_cache = Softborg_solver.Verdict_cache.create ();
@@ -207,7 +208,7 @@ let ingest_trace ?prepared t (trace : Trace.t) =
       (* Outcome-only disclosure: nothing to replay or merge. *)
       Ok ()
     else
-      match Option.bind t.replay_cache (fun cache -> Lru.find cache content_key) with
+      match Lru.find t.replay_cache content_key with
       | Some reconstruction ->
         (* Same content already replayed: skip the wire/replay round-trip
            and merge the cached decision sequence directly. *)
@@ -221,7 +222,7 @@ let ingest_trace ?prepared t (trace : Trace.t) =
             ~total_steps:trace.Trace.steps ()
         with
         | Ok reconstruction ->
-          Option.iter (fun cache -> Lru.add cache content_key reconstruction) t.replay_cache;
+          Lru.add t.replay_cache content_key reconstruction;
           merge_reconstruction t trace reconstruction;
           Ok ()
         | Error msg ->
@@ -278,7 +279,7 @@ let bump_epoch t =
      epoch can change the hook set, so cached reconstructions are
      dropped rather than risked.  The symbolic verdict tables stay: no
      fix hook reaches symbolic analysis, which reads only the program. *)
-  Option.iter Lru.clear t.replay_cache;
+  Lru.clear t.replay_cache;
   ignore (Prover.invalidate t.proofs ~current_epoch:t.epoch)
 
 (* Under a staging config every newly deployed fix enters the ledger
@@ -374,7 +375,7 @@ let adopt_fixes t ~fixes ~epoch ~retracted =
     t.fixes <- fixes;
     t.epoch <- epoch;
     t.retracted <- List.sort_uniq Int.compare retracted;
-    Option.iter Lru.clear t.replay_cache;
+    Lru.clear t.replay_cache;
     ignore (Prover.invalidate t.proofs ~current_epoch:t.epoch)
   end
 
@@ -418,8 +419,8 @@ let write w t =
   Codec.Writer.list w
     (fun (key, bucket) ->
       Codec.Writer.bytes w key;
-      Fixgen.write_site w bucket.site;
-      Fixgen.write_crash_kind w bucket.crash_kind;
+      Ir_codec.write_site w bucket.site;
+      Wire.write_crash_kind w bucket.crash_kind;
       Codec.Writer.varint w bucket.count)
     (sorted_bindings t.crash_buckets);
   Codec.Writer.list w
@@ -460,8 +461,8 @@ let read r =
   let crash_buckets =
     fill 8 (fun r ->
         let key = Codec.Reader.bytes r in
-        let site = Fixgen.read_site r in
-        let crash_kind = Fixgen.read_crash_kind r in
+        let site = Ir_codec.read_site r in
+        let crash_kind = Wire.read_crash_kind r in
         let count = Codec.Reader.varint r in
         (key, { site; crash_kind; count }))
   in
@@ -502,7 +503,7 @@ let read r =
     failures;
     replay_errors;
     proofs;
-    replay_cache = Some (Lru.create default_replay_cache);
+    replay_cache = Lru.create replay_cache_size;
     replay_cache_hits = 0;
     gap_memo = Gap_memo.create ();
     verdict_cache = Softborg_solver.Verdict_cache.create ();

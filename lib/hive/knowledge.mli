@@ -17,10 +17,10 @@ module Sym_exec := Softborg_symexec.Sym_exec
 
 type t
 
-val create : ?replay_cache:int -> Ir.t -> t
-(** [replay_cache] (default 256) bounds the decoded-trace LRU that
-    lets {!ingest_trace} skip the replay for content the hive has
-    already reconstructed; pass 0 to disable caching entirely. *)
+val create : Ir.t -> t
+(** Fresh knowledge with a 256-entry decoded-trace LRU that lets
+    {!ingest_trace} skip the replay for content the hive has already
+    reconstructed. *)
 
 val program : t -> Ir.t
 val digest : t -> string

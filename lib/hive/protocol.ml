@@ -1,5 +1,5 @@
 module Codec = Softborg_util.Codec
-module Ir = Softborg_prog.Ir
+module Ir_codec = Softborg_prog.Ir_codec
 module Sampling = Softborg_trace.Sampling
 module Wire = Softborg_trace.Wire
 
@@ -25,28 +25,7 @@ type message =
       seq : int;
       payloads : (string * int) list;
     }
-  | Batch_upload of {
-      program_digest : string;
-      basis_id : int;
-      basis_check : int;
-      records : string list;
-    }
-  | Basis_update of { program_digest : string; basis_id : int; payload : string }
-
-(* FNV-1a over the basis payload bytes, masked non-negative so it
-   travels as a plain varint.  Pods echo it in every delta batch; the
-   hive refuses to XOR-decode against a basis whose fingerprint
-   disagrees (a stale or colliding basis id would silently corrupt
-   every decoded bit-vector otherwise). *)
-let basis_fingerprint s =
-  let fnv_prime = 0x100000001b3 in
-  let h = ref 0x3bf29ce484222325 in
-  String.iter
-    (fun c ->
-      h := !h lxor Char.code c;
-      h := !h * fnv_prime land max_int)
-    s;
-  !h
+  | Batch_upload of { program_digest : string; records : string list }
 
 let message_name = function
   | Trace_upload _ -> "trace-upload"
@@ -56,17 +35,14 @@ let message_name = function
   | Pressure_update _ -> "pressure-update"
   | Knowledge_delta _ -> "knowledge-delta"
   | Batch_upload _ -> "batch-upload"
-  | Basis_update _ -> "basis-update"
 
 let write_sampled w (report : Sampling.t) =
   Codec.Writer.varint w report.Sampling.rate;
   Codec.Writer.varint w report.Sampling.observed;
   Codec.Writer.varint w report.Sampling.total;
   Codec.Writer.list w
-    (fun ((p : Sampling.predicate), count) ->
-      Codec.Writer.varint w p.Sampling.site.Ir.thread;
-      Codec.Writer.varint w p.Sampling.site.Ir.pc;
-      Codec.Writer.bool w p.Sampling.direction;
+    (fun ({ Sampling.site; direction }, count) ->
+      Ir_codec.write_dir w (site, direction);
       Codec.Writer.varint w count)
     report.Sampling.counts;
   Wire.encode_outcome w report.Sampling.outcome
@@ -77,11 +53,9 @@ let read_sampled ?caps r =
   let total = Codec.Reader.varint r in
   let counts =
     Codec.Reader.list r (fun r ->
-        let thread = Codec.Reader.varint r in
-        let pc = Codec.Reader.varint r in
-        let direction = Codec.Reader.bool r in
+        let site, direction = Ir_codec.read_dir r in
         let count = Codec.Reader.varint r in
-        ({ Sampling.site = { Ir.thread; pc }; direction }, count))
+        ({ Sampling.site; direction }, count))
   in
   (match caps with
   | Some c when List.length counts > c.Wire.max_predicates ->
@@ -128,17 +102,10 @@ let encode message =
         Codec.Writer.bytes w payload;
         Codec.Writer.varint w copies)
       payloads
-  | Batch_upload { program_digest; basis_id; basis_check; records } ->
+  | Batch_upload { program_digest; records } ->
     Codec.Writer.byte w 8;
     Codec.Writer.bytes w program_digest;
-    Codec.Writer.varint w basis_id;
-    Codec.Writer.varint w basis_check;
-    Codec.Writer.list w (Codec.Writer.bytes w) records
-  | Basis_update { program_digest; basis_id; payload } ->
-    Codec.Writer.byte w 9;
-    Codec.Writer.bytes w program_digest;
-    Codec.Writer.varint w basis_id;
-    Codec.Writer.bytes w payload);
+    Codec.Writer.list w (Codec.Writer.bytes w) records);
   Codec.Writer.contents w
 
 (* Frame rows share the pod-facing row cap: a Knowledge_delta's payload
@@ -187,8 +154,6 @@ let read_message ?caps r =
     Knowledge_delta { shard; seq; payloads }
   | 8 ->
     let program_digest = Codec.Reader.bytes r in
-    let basis_id = Codec.Reader.varint r in
-    let basis_check = Codec.Reader.varint r in
     let records = Codec.Reader.list r Codec.Reader.bytes in
     (match caps with
     | Some c when List.length records > c.Wire.max_batch_records ->
@@ -197,14 +162,9 @@ let read_message ?caps r =
            (Printf.sprintf "batch records %d exceed cap %d" (List.length records)
               c.Wire.max_batch_records))
     | _ -> ());
-    Batch_upload { program_digest; basis_id; basis_check; records }
-  | 9 ->
-    let program_digest = Codec.Reader.bytes r in
-    let basis_id = Codec.Reader.varint r in
-    let payload = Codec.Reader.bytes r in
-    Basis_update { program_digest; basis_id; payload }
-  (* Tags 5, 7 and 10 are retired: they named frames no receiver
-     read.  Like any unknown tag they are malformed, and must not be
+    Batch_upload { program_digest; records }
+  (* Tags 5, 7, 9 and 10 are retired: they named frames no receiver
+     needs.  Like any unknown tag they are malformed, and must not be
      reused for a new frame. *)
   | n -> raise (Codec.Malformed (Printf.sprintf "message tag %d" n))
 

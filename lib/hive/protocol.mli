@@ -60,29 +60,14 @@ type message =
           [copies] times. *)
   | Batch_upload of {
       program_digest : string;  (** Shared by every record in the batch. *)
-      basis_id : int;
-          (** The hive-announced basis the delta records anchor to, or
-              0 when the anchor is the batch's own first record (which
-              must then be a full record). *)
-      basis_check : int;
-          (** {!basis_fingerprint} of the anchor's wire payload when
-              [basis_id > 0] (0 otherwise); the hive refuses to
-              XOR-decode against a basis whose fingerprint disagrees. *)
       records : string list;
-          (** Self-tagged {!Softborg_trace.Wire.encode_record} blobs;
-              count capped by [caps.max_batch_records], summed declared
-              bits capped by [caps.max_batch_total_bits]. *)
+          (** Self-tagged {!Softborg_trace.Wire.encode_record} blobs.
+              The first record is the batch's anchor and must be full;
+              each later record is full or delta-encoded against it.
+              Count capped by [caps.max_batch_records], summed
+              declared bits capped by [caps.max_batch_total_bits]. *)
     }
       (** Multi-trace upload: one header, one digest, many records. *)
-  | Basis_update of { program_digest : string; basis_id : int; payload : string }
-      (** Hive→pod basis announcement: [payload] is a full
-          {!Softborg_trace.Wire.encode}d trace whose branch bits pods
-          should delta future uploads of [program_digest] against.
-          [basis_id] increases monotonically per program. *)
-
-val basis_fingerprint : string -> int
-(** Non-negative FNV-1a fingerprint of a basis payload — pods echo it
-    in {!Batch_upload}, the hive verifies before XOR-decoding. *)
 
 val encode : message -> string
 
@@ -91,7 +76,7 @@ val decode : ?caps:Wire.caps -> string -> (message, string) result
     never an exception.  With [caps], resource limits are enforced
     before allocation (frame size, predicate rows, and the embedded
     outcome's lock set) so a poison frame cannot exhaust the hive.
-    The retired tags 5, 7 and 10 decode to [Error] like any unknown
+    The retired tags 5, 7, 9 and 10 decode to [Error] like any unknown
     tag, and so does a frame with bytes after its last field. *)
 
 val message_name : message -> string

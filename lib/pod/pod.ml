@@ -127,11 +127,9 @@ type t = {
   (* ---- Batched / delta uploads ----
      [batch] accumulates scrubbed success-class traces newest-first;
      it flushes when full, when a failure joins it (failures are
-     immediate), or when the linger timer fires.  [basis] is the last
-     hive-announced prefix basis for this program. *)
+     immediate), or when the linger timer fires. *)
   mutable batch : Trace.t list;
   mutable batch_armed : bool;  (* linger timer pending *)
-  mutable basis : (int * int * Trace.t) option;  (* id, fingerprint, trace *)
   mutable batches_sent : int;
   mutable delta_records : int;
 }
@@ -170,16 +168,6 @@ let handle_message t payload =
     if String.equal program_digest t.digest then
       t.pending_guidance <- t.pending_guidance @ directives
   | Ok (Protocol.Pressure_update { level }) -> set_pressure t level
-  | Ok (Protocol.Basis_update { program_digest; basis_id; payload }) ->
-    (* A prefix basis to delta future uploads against.  Decoded from
-       the announced payload bytes — the hive keeps the same decoded
-       trace on its side, so the XOR anchors agree exactly. *)
-    if String.equal program_digest t.digest then begin
-      match Wire.decode payload with
-      | Error _ -> ()
-      | Ok basis ->
-        t.basis <- Some (basis_id, Protocol.basis_fingerprint payload, basis)
-    end
   | Ok
       ( Protocol.Trace_upload _ | Protocol.Sampled_report _ | Protocol.Knowledge_delta _
       | Protocol.Batch_upload _ ) ->
@@ -222,7 +210,6 @@ let create ?(config = default_config) ~cohort ~sim ~rng ~program ~endpoint () =
       dead_letters = 0;
       batch = [];
       batch_armed = false;
-      basis = None;
       batches_sent = 0;
       delta_records = 0;
     }
@@ -276,26 +263,18 @@ let send_deferred t payload =
   end
 
 (* Flush the accumulated batch as one {!Protocol.Batch_upload} frame.
-   With an announced basis every record delta-encodes against it (the
-   fingerprint rides along so the hive can detect a stale basis);
-   otherwise the first record anchors the rest.  [encode_record] falls
+   The first record ships full and anchors the rest, which with
+   [delta_encode] are delta-encoded against it.  [encode_record] falls
    back to full encoding whenever the delta would be larger, so a
    batch is never bigger than the sum of its full frames. *)
 let flush_batch t ~immediate =
   match List.rev t.batch with
   | [] -> ()
-  | first :: rest as traces ->
+  | first :: rest ->
     t.batch <- [];
-    let basis_id, basis_check, records =
-      match (t.config.delta_encode, t.basis) with
-      | true, Some (id, check, basis) ->
-        (id, check, List.map (fun tr -> Wire.encode_record ~basis tr) traces)
-      | true, None ->
-        ( 0,
-          0,
-          Wire.encode_record first
-          :: List.map (fun tr -> Wire.encode_record ~basis:first tr) rest )
-      | false, _ -> (0, 0, List.map (fun tr -> Wire.encode_record tr) traces)
+    let basis = if t.config.delta_encode then Some first else None in
+    let records =
+      Wire.encode_record first :: List.map (fun tr -> Wire.encode_record ?basis tr) rest
     in
     List.iter
       (fun r -> if Wire.is_delta_record r then t.delta_records <- t.delta_records + 1)
@@ -303,7 +282,7 @@ let flush_batch t ~immediate =
     t.batches_sent <- t.batches_sent + 1;
     let payload =
       Protocol.encode
-        (Protocol.Batch_upload { program_digest = t.digest; basis_id; basis_check; records })
+        (Protocol.Batch_upload { program_digest = t.digest; records })
     in
     if immediate then Transport.send t.endpoint payload else send_deferred t payload
 

@@ -40,10 +40,10 @@ type config = {
           when a failure joins the batch (failures are immediate), or
           after a 5 s linger. *)
   delta_encode : bool;
-      (** Delta-encode batch records against the hive-announced prefix
-          basis (or, without one, against the batch's own first
-          record).  Never worse than full encoding — the smaller of the
-          two encodings is sent per record.  Default false. *)
+      (** Delta-encode each batch's later records against its first
+          record, which always ships full.  Never worse than full
+          encoding — the smaller of the two encodings is sent per
+          record.  Default false. *)
 }
 
 val default_config : config

@@ -93,20 +93,41 @@ let read_var r =
   | 1 -> Ir.Local (Codec.Reader.bytes r)
   | n -> raise (Codec.Malformed (Printf.sprintf "var tag %d" n))
 
-let syscall_tag = function
-  | Ir.Sys_read -> 0
-  | Ir.Sys_open -> 1
-  | Ir.Sys_write -> 2
-  | Ir.Sys_net -> 3
-  | Ir.Sys_time -> 4
+let write_syscall w kind =
+  Codec.Writer.byte w
+    (match kind with
+    | Ir.Sys_read -> 0
+    | Ir.Sys_open -> 1
+    | Ir.Sys_write -> 2
+    | Ir.Sys_net -> 3
+    | Ir.Sys_time -> 4)
 
-let syscall_of_tag = function
+let read_syscall r =
+  match Codec.Reader.byte r with
   | 0 -> Ir.Sys_read
   | 1 -> Ir.Sys_open
   | 2 -> Ir.Sys_write
   | 3 -> Ir.Sys_net
   | 4 -> Ir.Sys_time
   | n -> raise (Codec.Malformed (Printf.sprintf "syscall tag %d" n))
+
+let write_site w (site : Ir.site) =
+  Codec.Writer.varint w site.Ir.thread;
+  Codec.Writer.varint w site.Ir.pc
+
+let read_site r =
+  let thread = Codec.Reader.varint r in
+  let pc = Codec.Reader.varint r in
+  { Ir.thread; pc }
+
+let write_dir w ((site, direction) : Ir.site * bool) =
+  write_site w site;
+  Codec.Writer.bool w direction
+
+let read_dir r =
+  let site = read_site r in
+  let direction = Codec.Reader.bool r in
+  (site, direction)
 
 let write_instr w = function
   | Ir.Assign (v, e) ->
@@ -123,7 +144,7 @@ let write_instr w = function
     Codec.Writer.varint w pc
   | Ir.Syscall { kind; dst } ->
     Codec.Writer.byte w 3;
-    Codec.Writer.byte w (syscall_tag kind);
+    write_syscall w kind;
     write_var w dst
   | Ir.Lock l ->
     Codec.Writer.byte w 4;
@@ -150,7 +171,7 @@ let read_instr r =
     Ir.Branch { cond; if_true; if_false }
   | 2 -> Ir.Jump (Codec.Reader.varint r)
   | 3 ->
-    let kind = syscall_of_tag (Codec.Reader.byte r) in
+    let kind = read_syscall r in
     Ir.Syscall { kind; dst = read_var r }
   | 4 -> Ir.Lock (Codec.Reader.varint r)
   | 5 -> Ir.Unlock (Codec.Reader.varint r)

@@ -1,7 +1,7 @@
 module Bitvec = Softborg_util.Bitvec
 module Codec = Softborg_util.Codec
 module Ids = Softborg_util.Ids
-module Ir = Softborg_prog.Ir
+module Ir_codec = Softborg_prog.Ir_codec
 module Outcome = Softborg_exec.Outcome
 
 type decode_error =
@@ -51,26 +51,12 @@ let check caps what n field =
     if n > limit then
       raise (Codec.Malformed (Printf.sprintf "%s %d exceeds cap %d" what n limit))
 
-let syscall_tag = function
-  | Ir.Sys_read -> 0
-  | Ir.Sys_open -> 1
-  | Ir.Sys_write -> 2
-  | Ir.Sys_net -> 3
-  | Ir.Sys_time -> 4
+let write_crash_kind w kind =
+  Codec.Writer.byte w
+    (match kind with Outcome.Assertion_failure -> 0 | Outcome.Division_by_zero -> 1)
 
-let syscall_of_tag = function
-  | 0 -> Ir.Sys_read
-  | 1 -> Ir.Sys_open
-  | 2 -> Ir.Sys_write
-  | 3 -> Ir.Sys_net
-  | 4 -> Ir.Sys_time
-  | n -> raise (Codec.Malformed (Printf.sprintf "syscall tag %d" n))
-
-let crash_tag = function
-  | Outcome.Assertion_failure -> 0
-  | Outcome.Division_by_zero -> 1
-
-let crash_of_tag = function
+let read_crash_kind r =
+  match Codec.Reader.byte r with
   | 0 -> Outcome.Assertion_failure
   | 1 -> Outcome.Division_by_zero
   | n -> raise (Codec.Malformed (Printf.sprintf "crash tag %d" n))
@@ -79,9 +65,8 @@ let encode_outcome w = function
   | Outcome.Success -> Codec.Writer.byte w 0
   | Outcome.Crash { site; kind; message } ->
     Codec.Writer.byte w 1;
-    Codec.Writer.varint w site.Ir.thread;
-    Codec.Writer.varint w site.Ir.pc;
-    Codec.Writer.byte w (crash_tag kind);
+    Ir_codec.write_site w site;
+    write_crash_kind w kind;
     Codec.Writer.bytes w message
   | Outcome.Deadlock { waiting } ->
     Codec.Writer.byte w 2;
@@ -96,11 +81,10 @@ let decode_outcome ?caps r =
   match Codec.Reader.byte r with
   | 0 -> Outcome.Success
   | 1 ->
-    let thread = Codec.Reader.varint r in
-    let pc = Codec.Reader.varint r in
-    let kind = crash_of_tag (Codec.Reader.byte r) in
+    let site = Ir_codec.read_site r in
+    let kind = read_crash_kind r in
     let message = Codec.Reader.bytes r in
-    Outcome.Crash { site = { Ir.thread; pc }; kind; message }
+    Outcome.Crash { site; kind; message }
   | 2 ->
     let waiting =
       Codec.Reader.list r (fun r ->
@@ -193,7 +177,7 @@ let write_tail w (t : Trace.t) =
     (Compress.int_runs t.schedule);
   Codec.Writer.list w
     (fun (kind, result) ->
-      Codec.Writer.byte w (syscall_tag kind);
+      Ir_codec.write_syscall w kind;
       Codec.Writer.zigzag w result)
     t.syscalls;
   encode_outcome w t.outcome;
@@ -223,7 +207,7 @@ let read_tail ?caps r =
   let schedule = Compress.expand_int_runs schedule_runs in
   let syscalls =
     Codec.Reader.list r (fun r ->
-        let kind = syscall_of_tag (Codec.Reader.byte r) in
+        let kind = Ir_codec.read_syscall r in
         let result = Codec.Reader.zigzag r in
         (kind, result))
   in

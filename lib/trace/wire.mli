@@ -52,11 +52,11 @@ val pp_error : Format.formatter -> decode_error -> unit
     A batched upload carries the program digest once (in the
     {!Softborg_hive.Protocol.Batch_upload} header) and each member
     trace as a self-tagged {e record} blob: a full body, or a delta
-    body against a shared anchor trace (the hive-announced basis, or
-    the batch's leading full record).  Delta bodies encode steps and
-    decision counts as signed differences and branch bits as the XOR
-    against the anchor — shared path prefixes become one long zero run
-    that the RLE stage collapses. *)
+    body against the batch's leading record, which is always full.
+    Delta bodies encode steps and decision counts as signed
+    differences and branch bits as the XOR against the anchor — shared
+    path prefixes become one long zero run that the RLE stage
+    collapses. *)
 
 val encode_record : ?basis:Trace.t -> Trace.t -> string
 (** [encode_record ?basis t] is the record blob for [t].  With a basis
@@ -68,9 +68,7 @@ val encode_record : ?basis:Trace.t -> Trace.t -> string
 val is_delta_record : string -> bool
 (** Whether a record blob is tagged as a delta body — read from the tag
     byte alone, without decoding.  Pods count the delta records they
-    send with it; the hive announces a program's prefix basis only once
-    a batch carrying one has decoded, proof that some pod
-    delta-encodes. *)
+    send with it. *)
 
 val decode_record :
   ?caps:caps -> ?basis:Trace.t -> program_digest:string -> string -> (Trace.t, decode_error) result
@@ -94,3 +92,9 @@ val encode_outcome : Codec.Writer.t -> Outcome.t -> unit
 val decode_outcome : ?caps:caps -> Codec.Reader.t -> Outcome.t
 (** Outcome sub-codec, shared with the hive↔pod message protocol.
     @raise Softborg_util.Codec.Malformed on invalid input. *)
+
+val write_crash_kind : Codec.Writer.t -> Outcome.crash_kind -> unit
+val read_crash_kind : Codec.Reader.t -> Outcome.crash_kind
+(** The one crash-kind codec (a one-byte tag), shared with fixes and
+    knowledge checkpoints.
+    @raise Softborg_util.Codec.Malformed on an unknown tag. *)

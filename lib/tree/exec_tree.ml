@@ -529,24 +529,7 @@ let path_outcomes t =
 (* ---- Checkpoint codec -------------------------------------------------- *)
 
 module Codec = Softborg_util.Codec
-
-let write_site w (site : Ir.site) =
-  Codec.Writer.varint w site.Ir.thread;
-  Codec.Writer.varint w site.Ir.pc
-
-let read_site r =
-  let thread = Codec.Reader.varint r in
-  let pc = Codec.Reader.varint r in
-  { Ir.thread; pc }
-
-let write_dir w ((site, direction) : Edge_map.key) =
-  write_site w site;
-  Codec.Writer.bool w direction
-
-let read_dir r =
-  let site = read_site r in
-  let direction = Codec.Reader.bool r in
-  (site, direction)
+module Ir_codec = Softborg_prog.Ir_codec
 
 (* One node record: hits, terminal buckets, infeasibility marks, and
    the labeled out-edges with their traversal counts.  All collections
@@ -561,10 +544,10 @@ let write_node_record w (node : node) =
       Codec.Writer.bytes w bucket;
       Codec.Writer.varint w count)
     (Bucket_map.bindings node.terminal);
-  Codec.Writer.list w (write_dir w) (Edge_set.elements node.infeasible);
+  Codec.Writer.list w (Ir_codec.write_dir w) (Edge_set.elements node.infeasible);
   Codec.Writer.list w
     (fun (key, count) ->
-      write_dir w key;
+      Ir_codec.write_dir w key;
       Codec.Writer.varint w count)
     (List.rev (Edge_map.fold (fun key (_, count) acc -> (key, !count) :: acc) node.edges []))
 
@@ -602,10 +585,10 @@ let read_node_record r =
            let count = Codec.Reader.varint r in
            (bucket, count)))
   in
-  let r_infeasible = Edge_set.of_list (Codec.Reader.list r read_dir) in
+  let r_infeasible = Edge_set.of_list (Codec.Reader.list r Ir_codec.read_dir) in
   let r_edges =
     Codec.Reader.list r (fun r ->
-        let key = read_dir r in
+        let key = Ir_codec.read_dir r in
         let count = Codec.Reader.varint r in
         (key, count))
   in

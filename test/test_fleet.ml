@@ -1,11 +1,12 @@
 (* Fleet-scale ingestion: the delta/prefix record codec, batched upload
-   frames, basis announcement, batch-aware dead-letter accounting, and
-   the central invariant — the hive's knowledge bytes are a pure
+   frames, batch-aware dead-letter accounting, and the central
+   invariant — the hive's knowledge bytes are a pure
    function of the trace multiset, independent of how the pods framed
    it (singles, batches, deltas). *)
 
 module Rng = Softborg_util.Rng
 module Bitvec = Softborg_util.Bitvec
+module Codec = Softborg_util.Codec
 module Ids = Softborg_util.Ids
 module Ir = Softborg_prog.Ir
 module Corpus = Softborg_prog.Corpus
@@ -208,28 +209,25 @@ let test_batch_protocol_roundtrip () =
   let t2 = trace_of ~pod:2 Corpus.parser [| 4; 5; 6 |] in
   let records = [ Wire.encode_record t1; Wire.encode_record ~basis:t1 t2 ] in
   let digest = Ir.digest Corpus.parser in
-  let msg =
-    Protocol.Batch_upload
-      { program_digest = digest; basis_id = 0; basis_check = 0; records }
-  in
+  let msg = Protocol.Batch_upload { program_digest = digest; records } in
   (match Protocol.decode (Protocol.encode msg) with
-  | Ok (Protocol.Batch_upload { program_digest; records = records'; _ }) ->
+  | Ok (Protocol.Batch_upload { program_digest; records = records' }) ->
     checks "digest" digest program_digest;
     checki "records" 2 (List.length records');
     checkb "records byte-equal" true (List.for_all2 String.equal records records')
   | Ok _ -> Alcotest.fail "wrong constructor"
   | Error e -> Alcotest.failf "decode failed: %s" e);
-  let payload = Wire.encode t1 in
-  match
-    Protocol.decode
-      (Protocol.encode
-         (Protocol.Basis_update { program_digest = digest; basis_id = 3; payload }))
-  with
-  | Ok (Protocol.Basis_update { basis_id; payload = payload'; _ }) ->
-    checki "basis id" 3 basis_id;
-    checkb "payload preserved" true (String.equal payload payload')
-  | Ok _ -> Alcotest.fail "wrong constructor"
-  | Error e -> Alcotest.failf "decode failed: %s" e
+  (* The layout that carried an announced basis's id and fingerprint
+     between the digest and the records is rejected, not misread. *)
+  let w = Codec.Writer.create () in
+  Codec.Writer.byte w 8;
+  Codec.Writer.bytes w digest;
+  Codec.Writer.varint w 0;
+  Codec.Writer.varint w 0;
+  Codec.Writer.list w (Codec.Writer.bytes w) records;
+  match Protocol.decode (Codec.Writer.contents w) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "decoded a batch in the layout with a basis"
 
 let test_batch_record_count_capped () =
   let t = trace_of Corpus.parser [| 1; 2; 3 |] in
@@ -237,12 +235,7 @@ let test_batch_record_count_capped () =
   let msg n =
     Protocol.encode
       (Protocol.Batch_upload
-         {
-           program_digest = t.Trace.program_digest;
-           basis_id = 0;
-           basis_check = 0;
-           records = List.init n (fun _ -> record);
-         })
+         { program_digest = t.Trace.program_digest; records = List.init n (fun _ -> record) })
   in
   let caps = Wire.default_caps in
   (match Protocol.decode ~caps (msg 256) with
@@ -271,7 +264,6 @@ let single_frames traces =
   List.map (fun t -> Protocol.encode (Protocol.Trace_upload (Wire.encode t))) traces
 
 let inject hive frames = List.iter (Hive.inject hive ~slot:0) frames
-let inject_singles hive traces = inject hive (single_frames traces)
 
 (* Batch the traces [size] at a time, first record full, rest
    delta-encoded against it — the self-anchored frame shape. *)
@@ -289,8 +281,6 @@ let batch_frames ?(delta = true) ~size traces =
         (Protocol.Batch_upload
            {
              program_digest = first.Trace.program_digest;
-             basis_id = 0;
-             basis_check = 0;
              records = Wire.encode_record first :: List.map encode (List.tl chunk);
            }))
     (chunks traces)
@@ -338,76 +328,12 @@ let test_knowledge_frame_agnostic () =
     true
     (2 * delta16 <= singles)
 
-let test_announced_basis_batches () =
-  (* The hive announces a basis after its first ingested trace; batches
-     delta-encoded against that announced basis (by id + fingerprint)
-     must land on the same knowledge as singles.  Checksum traces keep
-     a constant step count, so the delta candidate genuinely wins. *)
-  let traces = fleet_traces ~prog:Corpus.checksum () in
-  let h = make_hive ~prog:Corpus.checksum () in
-  inject_singles h [ List.hd traces ];
-  Hive.announce_bases h;
-  checki "one basis announced" 1 (Hive.stats h).Hive.basis_updates_sent;
-  (* Reconstruct the pod's view of the announcement: the canonical
-     payload is the re-encoding of the admitted trace. *)
-  let payload = Wire.encode (List.hd traces) in
-  let basis =
-    match Wire.decode payload with Ok b -> b | Error _ -> Alcotest.fail "basis decode"
-  in
-  let check = Protocol.basis_fingerprint payload in
-  let rest = List.tl traces in
-  let rec chunks n = function
-    | [] -> []
-    | ts ->
-      let rec take k = function
-        | x :: r when k > 0 ->
-          let h, t = take (k - 1) r in
-          (x :: h, t)
-        | r -> ([], r)
-      in
-      let head, tail = take n ts in
-      head :: chunks n tail
-  in
-  List.iter
-    (fun chunk ->
-      let records = List.map (fun t -> Wire.encode_record ~basis t) chunk in
-      checkb "some records delta-encoded" true
-        (List.exists Wire.is_delta_record records);
-      Hive.inject h ~slot:0
-        (Protocol.encode
-           (Protocol.Batch_upload
-              {
-                program_digest = basis.Trace.program_digest;
-                basis_id = 1;
-                basis_check = check;
-                records;
-              })))
-    (chunks 5 rest);
-  checki "all ingested" (List.length traces) (Hive.stats h).Hive.traces_received;
-  (* Against the reference: singles into a plain hive. *)
-  let h_ref = make_hive ~prog:Corpus.checksum () in
-  inject_singles h_ref traces;
-  checks "announced-basis knowledge byte-identical" (knowledge_bytes h_ref)
-    (knowledge_bytes h);
-  (* A stale fingerprint must reject the whole batch, not corrupt. *)
-  let before = (Hive.stats h).Hive.traces_received in
-  Hive.inject h ~slot:0
-    (Protocol.encode
-       (Protocol.Batch_upload
-          {
-            program_digest = basis.Trace.program_digest;
-            basis_id = 1;
-            basis_check = check + 1;
-            records = [ Wire.encode_record ~basis (List.hd rest) ];
-          }));
-  checki "stale-basis batch rejected" before (Hive.stats h).Hive.traces_received
-
 let test_batch_total_bits_budget () =
   (* Per-record bits pass the per-frame cap, but the batch total is
      held to the same budget — batching must not smuggle volume past
      quarantine accounting.  The poison batch delta-encodes its tail
      against its anchor, and a rejected batch must not count as a
-     decoded one, nor earn its program a basis announcement. *)
+     decoded one. *)
   let rng = Rng.create 29 in
   let base = trace_of Corpus.parser [| 1; 2; 3 |] in
   let overload = { Hive.default_overload_config with Hive.service_interval = 0.0 } in
@@ -428,24 +354,16 @@ let test_batch_total_bits_budget () =
   in
   let hive = Hive.create ~config ~sim () in
   ignore (Hive.register_program hive Corpus.parser);
-  (* One honest single first, so the program has a basis candidate. *)
+  (* One honest single first, which the poison batch must not disturb. *)
   Hive.inject hive ~slot:0 (Protocol.encode (Protocol.Trace_upload (Wire.encode base)));
   Hive.inject hive ~slot:0
     (Protocol.encode
-       (Protocol.Batch_upload
-          {
-            program_digest = base.Trace.program_digest;
-            basis_id = 0;
-            basis_check = 0;
-            records;
-          }));
+       (Protocol.Batch_upload { program_digest = base.Trace.program_digest; records }));
   Sim.run sim;
-  Hive.tick hive;
   let s = Hive.stats hive in
   checki "budget-violating batch quarantined" 1 s.Hive.quarantined_frames;
   checki "nothing ingested from it" 1 s.Hive.traces_received;
-  checki "not counted as decoded" 0 s.Hive.batch_frames_received;
-  checki "no basis announced" 0 s.Hive.basis_updates_sent
+  checki "not counted as decoded" 0 s.Hive.batch_frames_received
 
 (* ---- Pod-side batching over the wire ------------------------------------ *)
 
@@ -479,36 +397,39 @@ let run_sessions sim pod n =
   done;
   Sim.run sim
 
-let batch_basis_ids frames =
+(* The record lists of the batch frames among [frames]. *)
+let batch_records frames =
   List.filter_map
     (fun payload ->
       match Protocol.decode payload with
-      | Ok (Protocol.Batch_upload { basis_id; _ }) -> Some basis_id
+      | Ok (Protocol.Batch_upload { records; _ }) -> Some records
       | _ -> None)
     frames
 
 let test_pod_batches_and_deltas () =
-  (* A delta-encoding pod against a default hive: its first batch
-     anchors on its own leading record, and that delta record is what
-     earns the program a basis announcement on the next tick.  Later
-     batches delta against the announced basis. *)
+  (* A delta-encoding pod: every batch anchors on its own leading
+     record, which ships full; the records after it may be deltas
+     against it.  That holds across the hive's analysis tick too: no
+     hive state anchors a delta.  Checksum traces keep a constant step
+     count, so some delta candidates genuinely win. *)
   let pod_config =
     { Pod.default_config with Pod.upload_batch = 4; delta_encode = true }
   in
   let sim, hive, pod, frames = fleet_sim ~pod_config ~program:Corpus.checksum () in
   run_sessions sim pod 4;
-  checkb "first batch self-anchored" true (batch_basis_ids !frames = [ 0 ]);
-  checkb "first batch carries a delta record" true ((Pod.metrics pod).Pod.delta_records >= 1);
-  checki "no basis before the tick" 0 (Hive.stats hive).Hive.basis_updates_sent;
   Hive.tick hive;
   Sim.run sim;
-  checki "basis announced" 1 (Hive.stats hive).Hive.basis_updates_sent;
-  frames := [];
   run_sessions sim pod 12;
   let m = Pod.metrics pod in
   let s = Hive.stats hive in
-  checkb "later batches use the announced basis" true
-    (List.for_all (fun id -> id = 1) (batch_basis_ids !frames));
+  let batches = batch_records !frames in
+  checki "every frame a batch" (List.length !frames) (List.length batches);
+  checkb "every batch leads with a full record" true
+    (List.for_all (fun records -> not (Wire.is_delta_record (List.hd records))) batches);
+  checki "deltas only behind the anchor" m.Pod.delta_records
+    (List.fold_left
+       (fun n records -> n + List.length (List.filter Wire.is_delta_record (List.tl records)))
+       0 batches);
   checkb "pod sent batches" true (m.Pod.batches_sent >= 4);
   checkb "pod delta-encoded records" true (m.Pod.delta_records >= 2);
   checkb "hive decoded batch frames" true (s.Hive.batch_frames_received >= 4);
@@ -516,33 +437,24 @@ let test_pod_batches_and_deltas () =
   checki "records add up" 16 s.Hive.batch_records_received
 
 let test_pod_default_config_sends_singles () =
-  (* The default pod sends one frame per trace; a hive fed only single
-     frames has no delta-encoding pod to serve and announces no
-     basis. *)
+  (* The default pod sends one frame per trace. *)
   let sim, hive, pod, _ = fleet_sim () in
   run_sessions sim pod 6;
-  Hive.tick hive;
-  Sim.run sim;
   let m = Pod.metrics pod in
   let s = Hive.stats hive in
   checki "no batches" 0 m.Pod.batches_sent;
   checki "no deltas" 0 m.Pod.delta_records;
   checki "no batch frames at the hive" 0 s.Hive.batch_frames_received;
-  checki "singles arrived" 6 s.Hive.traces_received;
-  checki "no basis announced" 0 s.Hive.basis_updates_sent
+  checki "singles arrived" 6 s.Hive.traces_received
 
-let test_full_batches_announce_nothing () =
-  (* Batching without delta encoding: every record is full, so the hive
-     has no reason to announce a basis. *)
+let test_full_batches_carry_no_deltas () =
+  (* Batching without delta encoding: every record is full. *)
   let pod_config = { Pod.default_config with Pod.upload_batch = 4 } in
   let sim, hive, pod, _ = fleet_sim ~pod_config ~program:Corpus.checksum () in
   run_sessions sim pod 8;
-  Hive.tick hive;
-  Sim.run sim;
   let s = Hive.stats hive in
   checki "batches decoded" 2 s.Hive.batch_frames_received;
-  checki "no delta records" 0 (Pod.metrics pod).Pod.delta_records;
-  checki "no basis announced" 0 s.Hive.basis_updates_sent
+  checki "no delta records" 0 (Pod.metrics pod).Pod.delta_records
 
 let test_dead_batch_counts_every_record () =
   (* A batch frame the transport abandons loses every trace it
@@ -603,15 +515,14 @@ let () =
       ( "knowledge-identity",
         [
           Alcotest.test_case "frame agnostic" `Quick test_knowledge_frame_agnostic;
-          Alcotest.test_case "announced basis" `Quick test_announced_basis_batches;
         ] );
       ( "pod-batching",
         [
           Alcotest.test_case "batches and deltas" `Quick test_pod_batches_and_deltas;
           Alcotest.test_case "defaults send singles" `Quick
             test_pod_default_config_sends_singles;
-          Alcotest.test_case "full batches announce nothing" `Quick
-            test_full_batches_announce_nothing;
+          Alcotest.test_case "full batches carry no deltas" `Quick
+            test_full_batches_carry_no_deltas;
           Alcotest.test_case "dead batch counts records" `Quick
             test_dead_batch_counts_every_record;
         ] );

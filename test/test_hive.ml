@@ -939,11 +939,8 @@ let sample_messages () =
     Protocol.Batch_upload
       {
         program_digest = "d";
-        basis_id = 0;
-        basis_check = 0;
         records = [ Wire.encode_record trace; Wire.encode_record ~basis:trace trace ];
       };
-    Protocol.Basis_update { program_digest = "d"; basis_id = 1; payload = Wire.encode trace };
   ]
 
 let test_protocol_roundtrips () =
@@ -993,8 +990,9 @@ let test_protocol_rejects_garbage () =
   | Ok _ -> Alcotest.fail "decoded a delta in the layout with verdicts"
 
 (* Tags 5, 7 and 10 carried a routing table, shard telemetry and a
-   separate retraction frame; nothing read them, and the hive treats a
-   frame in any of their old layouts as poison. *)
+   separate retraction frame, which nothing read; tag 9 carried a
+   hive-announced delta basis, which batches no longer use.  The hive
+   treats a frame in any of their old layouts as poison. *)
 let test_protocol_retired_tags_quarantined () =
   let frame tag body =
     let w = Codec.Writer.create () in
@@ -1026,6 +1024,11 @@ let test_protocol_retired_tags_quarantined () =
           Codec.Writer.list w (Fixgen.write_fix w) [];
           Codec.Writer.list w (Codec.Writer.varint w) [];
           Codec.Writer.varint w 0);
+      (* digest, basis id, payload *)
+      frame 9 (fun w ->
+          Codec.Writer.bytes w "d";
+          Codec.Writer.varint w 1;
+          Codec.Writer.bytes w "basis");
     ]
   in
   List.iter
@@ -1036,7 +1039,7 @@ let test_protocol_retired_tags_quarantined () =
     frames;
   let hive = Hive.create ~sim:(Sim.create ()) () in
   List.iter (Hive.inject hive ~slot:0) frames;
-  checki "each retired frame quarantined" 3 (Hive.stats hive).Hive.quarantined_frames
+  checki "each retired frame quarantined" 4 (Hive.stats hive).Hive.quarantined_frames
 
 (* ---- Trace store ------------------------------------------------------------------ *)
 
@@ -1156,15 +1159,7 @@ let test_knowledge_replay_cache_skips_replay () =
   checki "two cache hits" 2 (Knowledge.replay_cache_hits k);
   let tree = Knowledge.tree k in
   checki "all three merged" 3 (Exec_tree.n_executions tree);
-  checki "one distinct path" 1 (Exec_tree.n_distinct_paths tree);
-  (* A disabled cache behaves identically, minus the hits. *)
-  let k0 = Knowledge.create ~replay_cache:0 Corpus.fig2_write in
-  for pod = 1 to 3 do
-    ignore (Knowledge.ingest_trace k0 (trace_of ~pod Corpus.fig2_write r))
-  done;
-  checki "no hits when disabled" 0 (Knowledge.replay_cache_hits k0);
-  checki "same executions" 3 (Exec_tree.n_executions (Knowledge.tree k0));
-  checki "same distinct paths" 1 (Exec_tree.n_distinct_paths (Knowledge.tree k0))
+  checki "one distinct path" 1 (Exec_tree.n_distinct_paths tree)
 
 let test_knowledge_replay_cache_cleared_on_epoch () =
   let k = Knowledge.create Corpus.fig2_write in
